@@ -1,0 +1,7 @@
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+os.environ["GINZBURG_NUM_THREADS"] = "1"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
