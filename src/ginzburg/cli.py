@@ -219,6 +219,8 @@ def _cmd_evolve(args, params):
             h = build_ndpa(coupling, space)
             psi = evolve_exact(h, space.vacuum(), t, hbar=hbar)
         else:
+            if args.window < 0:
+                raise ValidationError(f"--window must be >= 0, got {args.window}")
             couplings = _window_couplings(params, res.alpha0, omega_d,
                                           args.window, args.y_max)
             modes_def = tuple(

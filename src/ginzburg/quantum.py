@@ -7,7 +7,9 @@ paths validate each other:
   evolve_exact          exp(-i H t / hbar) by dense eigendecomposition
   evolve_perturbative   first-order amplitude -i g t / (2 hbar) on |1, e>
   evolve_full           fixed-step midpoint-exponential (Magnus-2) stepping
-                        of the time-dependent pre-RWA Hamiltonian
+                        of the time-dependent pre-RWA Hamiltonian, unitary to
+                        round-off: Taylor action with a norm-bounded degree
+                        and sub-steps
 
 The rotating-wave Hamiltonian for the resonant mode is the non-degenerate
 parametric amplifier H = (g_alpha/2)(a b + a^dag b^dag), which creates
@@ -287,11 +289,15 @@ def _check_hermitian(h: np.ndarray):
 # -- evolutions ------------------------------------------------------------------
 
 
+def _check_time(t: float):
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError(f"t must be finite and >= 0, got {t}")
+
+
 def evolve_exact(h: np.ndarray, psi0: QuantumState, t: float,
                  hbar: float = 1.0) -> QuantumState:
     """psi(t) = exp(-i H t / hbar) psi0 via dense eigendecomposition."""
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
+    _check_time(t)
     _check_hermitian(h)
     evals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1j * evals * t / hbar)
@@ -324,6 +330,43 @@ def evolve_perturbative(coupling: ModeCoupling, t: float, hbar: float = 1.0,
     return QuantumState(space, amp).normalized()
 
 
+def _pair_operators(space: FockSpace) -> np.ndarray:
+    """The fixed operators a_alpha b and a_alpha b^dag of every mode, in
+    Fock-space mode order, one flattened (dim * dim) row each."""
+    b = space.detector_lowering(0)
+    ops = []
+    for alpha in space.mode_labels:
+        a = space.annihilation(alpha)
+        ops += [a @ b, a @ b.conj().T]
+    return np.array(ops).reshape(len(ops), -1)
+
+
+def _pair_coefficients(t, x_d, couplings: Sequence[ModeCoupling],
+                       params: SystemParams, omega_d: float) -> np.ndarray:
+    """Coefficients of the _pair_operators rows at times t, detector at x_d:
+
+        g_a cos[Omega_a (x_d + L/2) / c_s] e^{-i (Omega_a +/- omega_d) t}
+
+    t and x_d broadcast; the result has shape t.shape + (2 n_modes,).
+    """
+    chain = params.chain
+    g = np.array([c.g_alpha for c in couplings])
+    omega = np.array([c.omega_alpha for c in couplings])
+    t = np.asarray(t, dtype=float)[..., None]
+    geom = g * np.cos(omega * (np.asarray(x_d, dtype=float)[..., None]
+                               + chain.L / 2.0) / chain.c_s)
+    coef = np.stack([geom * np.exp(-1j * (omega + omega_d) * t),
+                     geom * np.exp(-1j * (omega - omega_d) * t)], axis=-1)
+    return coef.reshape(coef.shape[:-2] + (-1,))
+
+
+def _check_couplings(couplings: Sequence[ModeCoupling], space: FockSpace):
+    if not couplings:
+        raise ValidationError("at least one mode coupling is required")
+    if tuple(c.alpha for c in couplings) != space.mode_labels:
+        raise ValidationError("couplings must match the Fock-space modes in order")
+
+
 def interaction_hamiltonian_full(t: float, x_d: float,
                                  couplings: Sequence[ModeCoupling],
                                  space: FockSpace, params: SystemParams,
@@ -332,34 +375,40 @@ def interaction_hamiltonian_full(t: float, x_d: float,
 
         H(t) = sum_a g_a (a e^{-i Omega_a t} + h.c.)(b e^{-i omega_d t} + h.c.)
                * cos[Omega_a (x_d + L/2) / c_s]
+             = K + K^dag,  K = sum_a c_a^+ a b + c_a^- a b^dag
+
+    with c_a^+/- from _pair_coefficients.
 
     All retained modes enter; the co- and counter-rotating terms are kept so
     that stepping this operator validates the rotating-wave reduction.
     """
-    if tuple(c.alpha for c in couplings) != space.mode_labels:
-        raise ValidationError("couplings must match the Fock-space modes in order")
+    _check_couplings(couplings, space)
     if omega_d is None:
         omega_d = couplings[0].omega_d
-    chain = params.chain
-    b = space.detector_lowering(0)
-    b_t = b * np.exp(-1j * omega_d * t)
-    b_full = b_t + b_t.conj().T
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    for c in couplings:
-        a = space.annihilation(c.alpha)
-        a_t = a * np.exp(-1j * c.omega_alpha * t)
-        geom = math.cos(c.omega_alpha * (x_d + chain.L / 2.0) / chain.c_s)
-        h += c.g_alpha * geom * ((a_t + a_t.conj().T) @ b_full)
-    return h
+    coef = _pair_coefficients(t, x_d, couplings, params, omega_d)
+    k = (coef @ _pair_operators(space)).reshape(space.dim, space.dim)
+    return k + k.conj().T
+
+
+# (theta/s)^m / m! <= 2^-53 bounds the truncated Taylor tail of each sub-step
+_TAYLOR_TOL = 2.0 ** -53
+# steps whose coefficients are held at once, so memory stays flat in t
+_STEP_BLOCK = 4096
 
 
 def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoupling],
                 space: FockSpace, params: SystemParams,
                 omega_d: float | None = None, dt: float | None = None) -> QuantumState:
     """Midpoint-exponential (Magnus-2) stepping of the time-dependent
-    Hamiltonian from 0 to t; second-order accurate and exactly unitary."""
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
+    Hamiltonian from 0 to t; second-order accurate and unitary to round-off.
+
+    Each step applies exp(-i H(t_mid) dt / hbar) to the state as a truncated
+    Taylor series. A bound theta >= ||H|| dt / hbar, valid for every step,
+    sets s = ceil(theta) equal sub-steps and the least degree m with
+    (theta / s)^m / m! <= 2^-53.
+    """
+    _check_time(t)
+    _check_couplings(couplings, space)
     if omega_d is None:
         omega_d = couplings[0].omega_d
     omega_fast = max(c.omega_alpha for c in couplings) + omega_d
@@ -372,12 +421,31 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
             "(fastest phase needs >= 50 steps per cycle)")
     n_steps = max(1, int(math.ceil(t / dt)))
     dt = t / n_steps
-    hbar = params.hbar
-    amp = psi0.amplitudes.copy()
-    for k in range(n_steps):
-        t_mid = (k + 0.5) * dt
-        h = interaction_hamiltonian_full(t_mid, float(traj.position(t_mid)),
-                                         couplings, space, params, omega_d)
-        evals, vecs = np.linalg.eigh(h)
-        amp = vecs @ (np.exp(-1j * evals * dt / hbar) * (vecs.conj().T @ amp))
+    # ||H|| dt / hbar <= 2 sum_k |c_k| ||A_k|| over the pair operators A_k,
+    # with |c_k| <= |g_alpha| dt / hbar and ||a_alpha b|| = ||a_alpha b^dag||
+    # = sqrt(n_max_alpha) because ||b|| = 1
+    theta = 4.0 * dt / params.hbar * sum(
+        abs(c.g_alpha) * math.sqrt(n_max)
+        for c, (_, n_max) in zip(couplings, space.modes))
+    n_sub = max(1, math.ceil(theta))
+    ratio, n_terms, tail = theta / n_sub, 0, 1.0
+    while tail > _TAYLOR_TOL:
+        n_terms += 1
+        tail *= ratio / n_terms
+
+    ops = _pair_operators(space)
+    amp = psi0.amplitudes
+    for start in range(0, n_steps, _STEP_BLOCK):
+        t_mid = (np.arange(start, min(start + _STEP_BLOCK, n_steps)) + 0.5) * dt
+        # sub-step generator is X - X^dag with X = -i (dt / hbar s) K(t_mid)
+        coef = (-1j * dt / (params.hbar * n_sub)) * _pair_coefficients(
+            t_mid, traj.position(t_mid), couplings, params, omega_d)
+        for c in coef:
+            x = (c @ ops).reshape(space.dim, space.dim)
+            gen = x - x.conj().T
+            for _ in range(n_sub):
+                term = amp
+                for j in range(1, n_terms + 1):
+                    term = (gen @ term) / j
+                    amp = amp + term
     return QuantumState(space, amp)

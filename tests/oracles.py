@@ -108,3 +108,54 @@ def fit_order(scales, errors):
     """Least-squares slope of log(error) against log(scale)."""
     return np.polyfit(np.log(np.asarray(scales, float)),
                       np.log(np.asarray(errors, float)), 1)[0]
+
+
+def _kron_ladders(n_maxes):
+    """Detector lowering b and mode lowerings a_k on qubit x modes by np.kron."""
+    dims = [2] + [n + 1 for n in n_maxes]
+
+    def embed(op, slot):
+        out = np.eye(1)
+        for i, d in enumerate(dims):
+            out = np.kron(out, op if i == slot else np.eye(d))
+        return out.astype(complex)
+
+    b = embed(np.array([[0.0, 1.0], [0.0, 0.0]]), 0)
+    a = [embed(np.diag(np.sqrt(np.arange(1.0, n + 1)), 1), k + 1)
+         for k, n in enumerate(n_maxes)]
+    return b, a
+
+
+def dense_full_hamiltonian(t, x_d, chain_modes, omega_d, L, c_s, ladders=None):
+    """Pre-RWA H(t) = sum_k g_k (a_k e^{-i W_k t} + h.c.)(b e^{-i w_d t} + h.c.)
+    cos[W_k (x_d + L/2) / c_s] from explicit kron ladders.
+
+    chain_modes: ((n_max, g, W), ...) in tensor order after the qubit.
+    """
+    b, a = ladders or _kron_ladders([n for n, _, _ in chain_modes])
+    b_t = b * np.exp(-1j * omega_d * t)
+    b_full = b_t + b_t.conj().T
+    h = np.zeros_like(b)
+    for a_k, (_, g, omega) in zip(a, chain_modes):
+        a_t = a_k * np.exp(-1j * omega * t)
+        h += g * np.cos(omega * (x_d + L / 2.0) / c_s) * ((a_t + a_t.conj().T) @ b_full)
+    return h
+
+
+def magnus2_dense(psi0, t, dt, x0, v, chain_modes, omega_d, L, c_s, hbar):
+    """Midpoint-exponential stepping of dense_full_hamiltonian from 0 to t.
+
+    ceil(t / dt) equal steps, each exp(-i H(t_mid) dt / hbar) by a dense
+    eigendecomposition; detector at x0 + v t.
+    """
+    ladders = _kron_ladders([n for n, _, _ in chain_modes])
+    n_steps = max(1, int(np.ceil(t / dt)))
+    dt = t / n_steps
+    amp = np.array(psi0, dtype=complex)
+    for k in range(n_steps):
+        t_mid = (k + 0.5) * dt
+        h = dense_full_hamiltonian(t_mid, x0 + v * t_mid, chain_modes, omega_d,
+                                   L, c_s, ladders)
+        evals, vecs = np.linalg.eigh(h)
+        amp = vecs @ (np.exp(-1j * evals * dt / hbar) * (vecs.conj().T @ amp))
+    return amp

@@ -167,6 +167,20 @@ def test_evolve_full_scheme_with_weak_coupling(tmp_path):
     assert float(row["p_excite"]) == pytest.approx(math.sin(0.05) ** 2, rel=1e-2)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--scheme", "full", "--gt", "nan"],
+    ["--scheme", "full", "--gt", "inf"],
+    ["--scheme", "exact", "--gt", "nan"],
+    ["--scheme", "full", "--gt", "0.1", "--window", "-5"],
+])
+def test_evolve_bad_time_or_window_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "bad.csv"
+    assert run(["evolve", "--v", "2.0", *argv, "--csv", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # -- reduced-state ---------------------------------------------------------------
 
 def test_reduced_state_json_and_sweep(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ginzburg.errors import GuardError, StabilityError, ValidationError
 from ginzburg.meanfield import Trajectory
-from ginzburg.modes import mode_coupling, mode_frequency
+from ginzburg.modes import mode_coupling, mode_frequency, resonance_mode
 from ginzburg.params import build_params
 from ginzburg.quantum import (DensityMatrix, FockSpace, QuantumState,
                               build_ndpa, build_two_mode_squeezer,
@@ -21,7 +21,8 @@ from ginzburg.quantum import (DensityMatrix, FockSpace, QuantumState,
                               evolve_perturbative, free_hamiltonian,
                               interaction_hamiltonian_full, trace_distance)
 
-from oracles import loop_partial_trace, squeezing_pair_populations
+from oracles import (dense_full_hamiltonian, loop_partial_trace,
+                     magnus2_dense, squeezing_pair_populations)
 
 V_RES = 2.0  # alpha* = 10 on the paper chain
 GT_UNIT = 0.05  # |g_10| t / hbar per unit time after rescaling
@@ -148,8 +149,9 @@ def test_evolve_exact_identity_and_norm(c10, rng):
     moved = evolve_exact(h_rand, psi0, 7.3)
     assert abs(moved.norm - 1.0) < 1e-12
 
-    with pytest.raises(ValidationError):
-        evolve_exact(h, psi0, -0.1)
+    for bad_t in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            evolve_exact(h, psi0, bad_t)
     with pytest.raises(ValidationError):
         evolve_exact(raw, psi0, 1.0)
 
@@ -271,14 +273,38 @@ def test_squeezer_pair_spectrum():
 
 # -- full time-dependent Hamiltonian ------------------------------------------
 
+def chain_modes(space, couplings):
+    """(n_max, g, Omega) per mode, the plain-number input of the oracles."""
+    return [(n_max, c.g_alpha, c.omega_alpha)
+            for (_, n_max), c in zip(space.modes, couplings)]
+
+
+def cli_default_setup():
+    """`evolve --scheme full --v 2.0` at the CLI defaults: Fig. 2 params,
+    unscaled coupling, modes alpha0 +/- 2, n_max 2 resonant and 1 off."""
+    params = build_params({"units": {"preset": "paper"}, "chain": {"N": 2001},
+                           "detector": {"w": 0.01}})
+    omega_d = params.detector.omega_d1
+    alpha0 = resonance_mode(2.0, omega_d, params).alpha0
+    couplings = [mode_coupling(a, params, omega_d)
+                 for a in range(alpha0 - 2, alpha0 + 3)]
+    space = FockSpace(modes=tuple((c.alpha, 2 if c.alpha == alpha0 else 1)
+                                  for c in couplings), detector_qubits=1)
+    return params, omega_d, couplings, space, abs(couplings[2].g_alpha)
+
+
 def test_full_interaction_is_hermitian(scaled):
+    """H(t) is Hermitian and equals the oracle's kron-built H(t)."""
     params, omega_d = scaled
     couplings = [mode_coupling(a, params, omega_d=omega_d) for a in (9, 10, 11)]
-    space = FockSpace(modes=((9, 1), (10, 1), (11, 1)), detector_qubits=1)
+    space = FockSpace(modes=((9, 1), (10, 2), (11, 1)), detector_qubits=1)
     h = interaction_hamiltonian_full(0.37, 0.21, couplings, space, params,
                                      omega_d)
     scale = np.max(np.abs(h))
     assert np.max(np.abs(h - h.conj().T)) < 1e-14 * scale
+    expected = dense_full_hamiltonian(0.37, 0.21, chain_modes(space, couplings),
+                                      omega_d, params.chain.L, params.chain.c_s)
+    assert np.max(np.abs(h - expected)) <= 1e-14 * scale
 
 
 def test_full_zero_time_and_dt_guard(scaled, c10):
@@ -294,6 +320,12 @@ def test_full_zero_time_and_dt_guard(scaled, c10):
                     dt=1.5 * dt_max)
     with pytest.raises(StabilityError):
         evolve_full(space.vacuum(), 0.1, traj, [c10], space, params, dt=-1e-4)
+    for bad_t in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            evolve_full(space.vacuum(), bad_t, traj, [c10], space, params)
+    bare = FockSpace(modes=(), detector_qubits=1)
+    with pytest.raises(ValidationError):
+        evolve_full(bare.vacuum(), 0.1, traj, [], bare, params, omega_d)
 
     wrong_space = FockSpace(modes=((9, 1), (10, 1)), detector_qubits=1)
     with pytest.raises(ValidationError):
@@ -323,6 +355,53 @@ def test_full_matches_ndpa_on_resonance(scaled):
         assert detuning > 20.0 * abs(c.g_alpha) / params.hbar
         occupation = psi.expectation(space.number_operator(c.alpha))
         assert occupation < (abs(c.g_alpha) / (params.hbar * detuning)) ** 2
+
+
+@pytest.mark.parametrize("setup, gt, dt_scale", [
+    ("window", 0.1, None),
+    ("cli_default", 3.0, None),    # one step, norm bound ~65
+    ("cli_default", 10.0, None),   # one step; unsplit Taylor loses ~0.07
+    ("window", 0.2, 0.5),          # 4200 steps, more than one block
+])
+def test_full_matches_dense_magnus2_oracle(scaled, setup, gt, dt_scale):
+    if setup == "cli_default":
+        params, omega_d, couplings, space, g_res = cli_default_setup()
+    else:
+        params, omega_d = scaled
+        couplings = [mode_coupling(a, params, omega_d=omega_d)
+                     for a in (9, 10, 11)]
+        space = FockSpace(modes=((9, 1), (10, 2), (11, 1)), detector_qubits=1)
+        g_res = abs(couplings[1].g_alpha)
+    t = gt * params.hbar / g_res
+    modes_in = chain_modes(space, couplings)
+    dt_max = 2.0 * math.pi / (50.0 * (max(c.omega_alpha for c in couplings)
+                                       + omega_d))
+    dt = dt_scale * dt_max if dt_scale else None
+    if setup == "cli_default":
+        # a single step with ||H|| t / hbar > 10 needs the sub-stepping
+        h_mid = dense_full_hamiltonian(t / 2.0, V_RES * t / 2.0, modes_in,
+                                       omega_d, params.chain.L, params.chain.c_s)
+        assert t < dt_max
+        assert np.linalg.norm(h_mid, 2) * t / params.hbar > 10.0
+
+    traj = Trajectory(0.0, V_RES)
+    psi = evolve_full(space.vacuum(), t, traj, couplings, space, params,
+                      omega_d, dt=dt)
+    expected = magnus2_dense(space.vacuum().amplitudes, t, dt or dt_max,
+                             traj.x0, traj.v, modes_in, omega_d,
+                             params.chain.L, params.chain.c_s, params.hbar)
+    assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-12
+
+
+def test_full_unitary_to_round_off(scaled):
+    """Criterion 8 configuration at gt = 0.2: 2100 truncated-Taylor steps."""
+    params, omega_d = scaled
+    couplings = [mode_coupling(a, params, omega_d=omega_d) for a in (9, 10, 11)]
+    space = FockSpace(modes=((9, 2), (10, 3), (11, 2)), detector_qubits=1)
+    t = 0.2 * params.hbar / abs(couplings[1].g_alpha)
+    psi = evolve_full(space.vacuum(), t, Trajectory(0.0, V_RES), couplings,
+                      space, params, omega_d)
+    assert abs(psi.norm - 1.0) <= 1e-12
 
 
 # -- density matrices ---------------------------------------------------------
