@@ -3,7 +3,8 @@
 
 Evaluates all three mean-field routes (closed form, image series, mode-sum
 quadrature) on the canonical 2001-site chain, writes one CSV per run, and
-prints the pairwise route agreement plus the packet positions.
+prints the pairwise route agreement, the mode-sum quadrature report (final
+panels, doublings, error estimate) and the packet positions.
 
     python3 scripts/fig2_profiles.py --out profiles/
     python3 -c "import pandas as pd, matplotlib.pyplot as plt; \
@@ -66,6 +67,10 @@ def main(argv=None):
         for name in ("series", "modesum"):
             dev = float(np.max(np.abs(routes[name].values - closed.values)))
             print(f"  {name:7s} vs closed: max |diff| / peak = {dev / peak:.3e}")
+        q = routes["modesum"].meta["quadrature"]
+        print(f"  modesum quadrature: {q.panels_x}x{q.panels_t} panels, "
+              f"{q.doublings} doubling(s), estimate {q.error_estimate:.2e} "
+              f"(tol {q.tolerance:.0e})")
         l1 = float(np.trapezoid(np.abs(closed.values), grid))
         print(f"  net displacement / L1 = "
               f"{abs(closed.constraint_integral) / l1:.3e}, {elapsed:.1f}s -> {out}")

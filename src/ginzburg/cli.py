@@ -21,7 +21,7 @@ from . import __version__
 from .errors import GinzburgError, ToleranceError, ValidationError
 from .io_utils import (RunManifest, load_manifest, sha256_file, write_csv,
                        write_json, write_manifest)
-from .params import build_params, load_params, regime_check
+from .params import _check_time, build_params, load_params, regime_check
 from .modes import (DEFAULT_Y_MAX, coupling_strengths, mode_coupling,
                     mode_spectrum, resonance_mode, resonance_pair)
 from .meanfield import Trajectory, profile
@@ -127,6 +127,7 @@ def _cmd_oracle_compare(args, params):
     chain = params.chain
     traj = Trajectory(x0=args.x0, v=args.v)
     traj.validate(params)
+    _check_time(args.t)
     omega_max = 2.0 * math.sqrt(chain.k_c / chain.m_c)
     dt_max = 0.1 * 2.0 * math.pi / omega_max
     dt = args.dt if args.dt else 0.5 * dt_max

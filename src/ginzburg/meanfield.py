@@ -34,11 +34,12 @@ import numpy as np
 
 from .errors import PoleError, ToleranceError, ValidationError
 from .modes import DEFAULT_Y_MAX, mode_frequencies
-from .params import SystemParams
+from .params import SystemParams, _check_time
 from .specfun import cutoff_f, kernel_h, kernel_h_deriv
 
-# chunk cap for the (time x space) kernel matrix, in elements
-_CHUNK_ELEMENTS = 16_000_000
+# chunk cap, in elements, for the series (grid x modes) cosine block and the
+# modesum (time x space) kernel block
+_CHUNK_ELEMENTS = 2_000_000
 # detector-centered half-width of the extended integration domain, in units of w
 _EXTENDED_HALFWIDTH_W = 250.0
 
@@ -49,6 +50,11 @@ class Trajectory:
 
     x0: float
     v: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x0) and math.isfinite(self.v)):
+            raise ValidationError(
+                f"trajectory x0 and v must be finite, got x0={self.x0}, v={self.v}")
 
     def position(self, t):
         return self.x0 + self.v * np.asarray(t, dtype=float)
@@ -105,6 +111,7 @@ def meanfield_closed(x, t, traj: Trajectory, params: SystemParams,
     """
     chain, det = params.chain, params.detector
     c, v, w = chain.c_s, traj.v, det.w
+    _check_time(t)
     _pole_check(v, c)
     pref = params.g * det.a_d / chain.rho_c
     x = np.asarray(x, dtype=float)
@@ -157,6 +164,7 @@ def meanfield_series(x, t, traj: Trajectory, params: SystemParams,
     """
     chain, det = params.chain, params.detector
     c, v, w, L = chain.c_s, traj.v, det.w, chain.L
+    _check_time(t)
     _pole_check(v, c)
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
@@ -171,12 +179,16 @@ def meanfield_series(x, t, traj: Trajectory, params: SystemParams,
         "comoving": (traj.x0 + v * t, -2.0 / (L * (c * c - v * v))),
         "ripple_left": (traj.x0 - c * t, 1.0 / (L * c * (c + v))),
     }
-    # u-matrix on the output grid: cos[k (x + L/2)], shape (nx, nmodes)
-    cos_x = np.cos(np.multiply.outer(x + L / 2.0, k))
-    parts = {}
-    for name, (center, a) in coeff.items():
-        weights = pref * f * a * np.cos(k * (center + L / 2.0))
-        parts[name] = cos_x @ weights
+    weights = np.stack([pref * f * a * np.cos(k * (center + L / 2.0))
+                        for center, a in coeff.values()], axis=1)   # (nmodes, 3)
+    # u-matrix cos[k (x + L/2)] on blocks of grid rows, so memory stays
+    # bounded at large grid * N
+    families = np.empty((x.size, len(coeff)))
+    rows = max(1, _CHUNK_ELEMENTS // k.size)
+    for i0 in range(0, x.size, rows):
+        cos_x = np.multiply.outer(x[i0:i0 + rows] + L / 2.0, k)
+        families[i0:i0 + rows] = np.cos(cos_x, out=cos_x) @ weights
+    parts = {name: families[:, j] for j, name in enumerate(coeff)}
     total = parts["comoving"] + parts["ripple_right"] + parts["ripple_left"]
     if scalar:
         total = float(total[0])
@@ -242,14 +254,19 @@ def _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
 def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
                       alpha_max: int | None = None, longwave: bool = False,
                       extended_domain: bool = False, rel_tol: float = 1e-4,
-                      max_doublings: int = 3, return_report: bool = False):
+                      max_doublings: int = 5, return_report: bool = False):
     """Brute-force double quadrature of the mode expansion.
 
     Both the spatial integral (u_alpha against the kernel curvature) and the
     time integral (sin[Omega (t-t')] against the moving kernel) use composite
-    Gauss-Legendre panels sized to the shortest mode wavelength and fastest
-    phase; the whole evaluation is repeated with doubled panel counts until
-    consecutive profiles agree to rel_tol of the profile peak.
+    8-node Gauss-Legendre panels.  The first pass is coarse: panels no wider
+    than 1.6 w and 4/3 of the shortest mode wavelength (6 nodes per
+    wavelength), and 0.75 time panels per cycle of the fastest phase
+    Omega_max + k_max |v| (at least 8 space and 4 time panels).  The whole
+    evaluation is then repeated with doubled panel counts on both axes until
+    two consecutive profiles agree to rel_tol of the profile peak, and the
+    finer one is returned, so the cost follows rel_tol.  The default budget
+    of max_doublings=5 reaches 32x the first pass on each axis.
 
     longwave switches the mode wavenumber to Omega_alpha/c_s; extended_domain
     integrates over a detector-centered window instead of the physical chain
@@ -258,8 +275,9 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     runs out.
     """
     chain, det = params.chain, params.detector
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
+    _check_time(t)
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValidationError(f"rel_tol must be finite and > 0, got {rel_tol}")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x_out = np.atleast_1d(x)
@@ -282,12 +300,13 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
 
     c_s, w = chain.c_s, det.w
     k_max = float(k.max())
-    # panel sizing: resolve the kernel width w and the shortest wavelength
-    dx_target = min(w / 2.5, (2.0 * math.pi / k_max) / 3.0)
+    # coarse first pass over the kernel width w, the shortest wavelength and
+    # the fastest phase; doubling refines it until two passes agree
+    dx_target = min(1.6 * w, (4.0 / 3.0) * (2.0 * math.pi / k_max))
     span_x = 2.0 * _EXTENDED_HALFWIDTH_W * w if extended_domain else chain.L
     panels_x = max(8, int(math.ceil(span_x / dx_target)))
     rate = float(omega.max()) + k_max * abs(traj.v)
-    panels_t = max(4, int(math.ceil(t * rate / (2.0 * math.pi) * 3.0)))
+    panels_t = max(4, int(math.ceil(t * rate / (2.0 * math.pi) * 0.75)))
 
     prev = _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
                          longwave, extended_domain)

@@ -37,6 +37,11 @@ def _require_positive(**kwargs):
             raise ValidationError(f"{name} must be strictly positive, got {value}")
 
 
+def _check_time(t: float):
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError(f"t must be finite and >= 0, got {t}")
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Dipole chain: N masses m_c, springs k_c, spacing a_c, free ends."""

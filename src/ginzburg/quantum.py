@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GuardError, StabilityError, ValidationError
 from .modes import ModeCoupling
-from .params import SystemParams
+from .params import SystemParams, _check_time
 
 DEFAULT_PERTURBATIVE_GUARD = 0.3
 # fixed-step integrator resolves the fastest phase by this many steps/cycle
@@ -289,11 +289,6 @@ def _check_hermitian(h: np.ndarray):
 # -- evolutions ------------------------------------------------------------------
 
 
-def _check_time(t: float):
-    if not (math.isfinite(t) and t >= 0):
-        raise ValidationError(f"t must be finite and >= 0, got {t}")
-
-
 def evolve_exact(h: np.ndarray, psi0: QuantumState, t: float,
                  hbar: float = 1.0) -> QuantumState:
     """psi(t) = exp(-i H t / hbar) psi0 via dense eigendecomposition."""
@@ -316,6 +311,7 @@ def evolve_perturbative(coupling: ModeCoupling, t: float, hbar: float = 1.0,
     third-order error is no longer negligible and evolve_exact should be
     used instead.
     """
+    _check_time(t)
     gt = abs(coupling.g_alpha) * t / hbar
     if gt > guard:
         raise GuardError(

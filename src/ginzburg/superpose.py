@@ -29,7 +29,7 @@ import numpy as np
 from .errors import GuardError, ValidationError
 from .modes import (DEFAULT_Y_MAX, ModeCoupling, mode_coupling, resonance_mode,
                     resonance_pair)
-from .params import SystemParams
+from .params import SystemParams, _check_time
 from .quantum import (DEFAULT_PERTURBATIVE_GUARD, DensityMatrix, FockSpace,
                       QuantumState, evolve_exact, trace_distance)
 
@@ -178,8 +178,7 @@ def evolve_superposed(spec: BranchSpec, t: float, detector: str = "single",
         raise ValidationError(f"detector must be one of {_DETECTOR_MODELS}")
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}")
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t}")
+    _check_time(t)
     if detector == "two-level" and spec.selectivity_violated:
         raise GuardError(
             "resonance selectivity violated: a cross detuning sits inside the "

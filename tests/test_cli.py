@@ -172,6 +172,7 @@ def test_evolve_full_scheme_with_weak_coupling(tmp_path):
     ["--scheme", "full", "--gt", "inf"],
     ["--scheme", "exact", "--gt", "nan"],
     ["--scheme", "full", "--gt", "0.1", "--window", "-5"],
+    ["--scheme", "perturbative", "--gt", "nan"],
 ])
 def test_evolve_bad_time_or_window_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "bad.csv"
@@ -179,6 +180,25 @@ def test_evolve_bad_time_or_window_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["meanfield", "--route", "modesum", "--v", "0.5", "--t", "nan"],
+    ["meanfield", "--route", "modesum", "--v", "0.5", "--t", "inf"],
+    ["meanfield", "--route", "modesum", "--v", "0.5", "--t", "0.1", "--x0", "nan"],
+    ["meanfield", "--route", "modesum", "--v", "0.5", "--t", "0.1", "--rel-tol", "0"],
+    ["meanfield", "--route", "closed", "--v", "0.5", "--t", "-1"],
+    ["meanfield", "--route", "closed", "--v", "nan", "--t", "0.1"],
+    ["meanfield", "--route", "series", "--v", "0.5", "--t", "inf"],
+    ["oracle-compare", "--v", "0.5", "--t", "nan"],
+    ["reduced-state", "--theta", "0.5", "--v1", "2.0", "--v2", "2.5", "--t", "nan"],
+])
+def test_bad_time_or_trajectory_exits_2(tmp_path, capsys, argv):
+    out = ["--json" if argv[0] == "reduced-state" else "--csv", str(tmp_path / "bad")]
+    assert run([*argv, *out]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- reduced-state ---------------------------------------------------------------
@@ -320,14 +340,26 @@ def test_seed_is_inert_and_runs_deterministic(tmp_path):
 
 # -- subprocess entry point ------------------------------------------------------
 
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
 def test_module_entry_point_and_thread_cap():
-    env = dict(os.environ, GINZBURG_NUM_THREADS="3")
+    # GINZBURG_NUM_THREADS fills only the BLAS variables the caller left unset
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env["GINZBURG_NUM_THREADS"] = "3"
     probe = ("import os; import ginzburg; "
-             "print(os.environ['OPENBLAS_NUM_THREADS'])")
+             "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])")
     got = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, timeout=120)
     assert got.returncode == 0
-    assert got.stdout.strip() == "3"
+    assert got.stdout.split() == ["3", "3"]
+
+    got = subprocess.run([sys.executable, "-c", probe],
+                         env=dict(env, OPENBLAS_NUM_THREADS="1"),
+                         capture_output=True, text=True, timeout=120)
+    assert got.returncode == 0
+    assert got.stdout.split() == ["1", "3"]
 
     version = subprocess.run([sys.executable, "-m", "ginzburg", "--version"],
                              capture_output=True, text=True, timeout=120)

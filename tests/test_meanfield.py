@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ginzburg import PoleError, ToleranceError, ValidationError, build_params
-from ginzburg.meanfield import (Trajectory, meanfield_closed, meanfield_modesum,
-                                meanfield_series, profile)
+from ginzburg import (DEFAULT_Y_MAX, PoleError, ToleranceError, ValidationError,
+                      build_params, mode_frequencies)
+from ginzburg.meanfield import (Trajectory, _modesum_once, meanfield_closed,
+                                meanfield_modesum, meanfield_series, profile)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,27 @@ def test_trajectory_position():
 def test_trajectory_outside_chain_rejected(p2001):
     with pytest.raises(ValidationError):
         Trajectory(x0=0.6, v=0.5).validate(p2001)
+
+
+@pytest.mark.parametrize("x0, v", [(math.nan, 0.5), (0.0, math.inf),
+                                   (-math.inf, 0.5), (0.0, math.nan)])
+def test_trajectory_rejects_non_finite(x0, v):
+    with pytest.raises(ValidationError):
+        Trajectory(x0=x0, v=v)
+
+
+@pytest.mark.parametrize("route", [meanfield_closed, meanfield_series,
+                                   meanfield_modesum])
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_routes_reject_bad_time(route, t, p2001):
+    with pytest.raises(ValidationError):
+        route(np.array([0.0]), t, fig2a(), p2001)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-4, math.nan, math.inf])
+def test_modesum_rejects_bad_rel_tol(rel_tol, p2001):
+    with pytest.raises(ValidationError):
+        meanfield_modesum(np.array([0.0]), 0.1, fig2a(), p2001, rel_tol=rel_tol)
 
 
 def test_pole_at_sound_speed(p2001):
@@ -181,6 +203,38 @@ def test_modesum_quadrature_report(p2001):
     assert report.converged
     assert report.error_estimate <= report.tolerance
     assert report.doublings >= 1
+
+
+# a fine fixed resolution at the two Fig. 2 runs (panels of 0.4 w in space,
+# 3 panels per fastest phase cycle), and the panel area of one doubling of it
+# at (0.5, 0.25): the coarse start must reach the same profile for far less
+_FINE_FIRST_PASS = {(0.5, 0.25): (482, 180), (2.5, 0.1): (482, 169)}
+_FINE_FINAL_AREA = 964 * 360
+
+
+@pytest.mark.parametrize("v, t", sorted(_FINE_FIRST_PASS))
+def test_modesum_coarse_start_matches_fine_pass(v, t, p2001):
+    chain = p2001.chain
+    y = mode_frequencies(chain) * p2001.detector.w / chain.c_s
+    alphas = np.arange(1, np.count_nonzero(y <= DEFAULT_Y_MAX) + 1)
+    omega = mode_frequencies(chain, alphas)
+    k = alphas * math.pi / chain.L
+    grid = np.linspace(-0.5, 0.5, 801)
+    traj = Trajectory(0.0, v)
+    ref = _modesum_once(grid, t, traj, p2001, k, omega, *_FINE_FIRST_PASS[v, t],
+                        longwave=False, extended_domain=False)
+    phi, report = meanfield_modesum(grid, t, traj, p2001, return_report=True)
+    assert np.max(np.abs(phi - ref)) <= 1e-9 * np.max(np.abs(ref))
+    if (v, t) == (0.5, 0.25):
+        assert report.panels_x * report.panels_t <= _FINE_FINAL_AREA / 4
+
+
+def test_modesum_tight_tolerance_converges_in_default_budget(p2001):
+    grid = np.linspace(-0.45, 0.45, 50)
+    phi, report = meanfield_modesum(grid, 0.25, fig2a(), p2001, rel_tol=1e-10,
+                                    return_report=True)
+    assert report.converged
+    assert report.error_estimate <= 1e-10
 
 
 def test_modesum_tolerance_budget_exhaustion(p2001):

@@ -205,6 +205,12 @@ def test_perturbative_zero_time_is_vacuum(c10):
     assert psi.probability(0, (0,)) == 1.0
 
 
+def test_perturbative_rejects_bad_time(c10):
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            evolve_perturbative(c10, bad)
+
+
 def test_perturbative_guard(c10):
     t_past = 0.4 / abs(c10.g_alpha)
     with pytest.raises(GuardError) as err:

@@ -130,8 +130,9 @@ def test_rejects_bad_model_and_negative_time():
         evolve_superposed(spec, 0.1, detector="triple")
     with pytest.raises(ValidationError):
         evolve_superposed(spec, 0.1, method="magic")
-    with pytest.raises(ValidationError):
-        evolve_superposed(spec, -0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            evolve_superposed(spec, bad)
 
 
 def test_perturbative_guard_per_branch():
