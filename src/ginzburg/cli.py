@@ -47,6 +47,24 @@ def _load_params(args):
     return build_params(json.loads(json.dumps(_DEFAULT_CONFIG)))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, like the handlers' errors."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message} (see {self.prog} -h)\n")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float options: NaN and +-inf are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_floats(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -373,7 +391,7 @@ def _cmd_rerun(args, _params_unused=None):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ginzburg",
         description="Sound-speed analogue of Ginzburg radiation: mean-field, "
                     "discrete-oracle, and quantized detector-chain runs.")
@@ -386,47 +404,47 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="accepted for interface stability; every code path "
                              "is deterministic, the value is unused")
-    common.add_argument("--y-max", type=float, default=DEFAULT_Y_MAX,
+    common.add_argument("--y-max", type=_finite_float, default=DEFAULT_Y_MAX,
                         help="mode cutoff Omega*w/c_s (default %(default)s)")
 
     p = sub.add_parser("modes", parents=[common],
                        help="mode table: frequency, coupling, cutoff factor")
     p.add_argument("--csv", required=True)
-    p.add_argument("--omega-d", type=float, default=None)
+    p.add_argument("--omega-d", type=_finite_float, default=None)
     p.set_defaults(func=_cmd_modes)
 
     p = sub.add_parser("meanfield", parents=[common],
                        help="mean displacement field profile by one route")
     p.add_argument("--route", required=True, choices=["closed", "series", "modesum"])
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--v", type=_finite_float, required=True)
+    p.add_argument("--x0", type=_finite_float, default=0.0)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--grid", type=int, default=4001)
     p.add_argument("--csv", required=True)
     p.add_argument("--alpha-max", type=int, default=None)
     p.add_argument("--include-image", action="store_true")
     p.add_argument("--longwave", action="store_true")
     p.add_argument("--extended-domain", action="store_true")
-    p.add_argument("--rel-tol", type=float, default=1e-4)
+    p.add_argument("--rel-tol", type=_finite_float, default=1e-4)
     p.set_defaults(func=_cmd_meanfield)
 
     p = sub.add_parser("oracle-compare", parents=[common],
                        help="discrete leapfrog vs closed form")
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--v", type=_finite_float, required=True)
+    p.add_argument("--x0", type=_finite_float, default=0.0)
+    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--dt", type=_finite_float, default=None)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--tol", type=float, default=0.05)
+    p.add_argument("--tol", type=_finite_float, default=0.05)
     p.add_argument("--csv", required=True)
     p.set_defaults(func=_cmd_oracle_compare)
 
     p = sub.add_parser("resonance", parents=[common],
                        help="resonant mode index for one or two trajectories")
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--omega-d", type=float, default=None)
-    p.add_argument("--v2", type=float, default=None)
-    p.add_argument("--omega-d2", type=float, default=None)
+    p.add_argument("--v", type=_finite_float, required=True)
+    p.add_argument("--omega-d", type=_finite_float, default=None)
+    p.add_argument("--v2", type=_finite_float, default=None)
+    p.add_argument("--omega-d2", type=_finite_float, default=None)
     p.add_argument("--json", type=str, default=None)
     p.set_defaults(func=_cmd_resonance)
 
@@ -434,9 +452,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="detector excitation for a localized trajectory")
     p.add_argument("--scheme", required=True,
                    choices=["exact", "perturbative", "full"])
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--omega-d", type=float, default=None)
-    p.add_argument("--x0", type=float, default=0.0)
+    p.add_argument("--v", type=_finite_float, required=True)
+    p.add_argument("--omega-d", type=_finite_float, default=None)
+    p.add_argument("--x0", type=_finite_float, default=0.0)
     p.add_argument("--gt", type=str, required=True,
                    help="comma-separated |g_alpha| t / hbar values")
     p.add_argument("--n-max", type=int, default=2,
@@ -449,21 +467,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduced-state", parents=[common],
                        help="superposed-trajectory reduced states and verdicts")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--v1", type=float, required=True)
-    p.add_argument("--v2", type=float, required=True)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--x0-2", type=float, default=0.0)
-    p.add_argument("--omega-d", type=float, default=None)
-    p.add_argument("--omega-d2", type=float, default=None)
+    p.add_argument("--theta", type=_finite_float, required=True)
+    p.add_argument("--phi", type=_finite_float, default=0.0)
+    p.add_argument("--v1", type=_finite_float, required=True)
+    p.add_argument("--v2", type=_finite_float, required=True)
+    p.add_argument("--x0", type=_finite_float, default=0.0)
+    p.add_argument("--x0-2", type=_finite_float, default=0.0)
+    p.add_argument("--omega-d", type=_finite_float, default=None)
+    p.add_argument("--omega-d2", type=_finite_float, default=None)
     p.add_argument("--detector", choices=["auto", "single", "two-level"],
                    default="auto")
     p.add_argument("--method", choices=["perturbative", "exact"],
                    default="perturbative")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gt", type=float, help="|g_alpha1| t / hbar")
-    group.add_argument("--t", type=float)
+    group.add_argument("--gt", type=_finite_float, help="|g_alpha1| t / hbar")
+    group.add_argument("--t", type=_finite_float)
     p.add_argument("--json", required=True)
     p.add_argument("--sweep-csv", type=str, default=None,
                    help="also sweep phi over {0, pi/4, pi/2, 3pi/4}")
@@ -471,11 +489,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regime", parents=[common],
                        help="approximation-regime report for a run window")
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--x0", type=float, default=0.0)
-    p.add_argument("--v2", type=float, default=None)
-    p.add_argument("--x0-2", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, required=True)
+    p.add_argument("--v", type=_finite_float, required=True)
+    p.add_argument("--x0", type=_finite_float, default=0.0)
+    p.add_argument("--v2", type=_finite_float, default=None)
+    p.add_argument("--x0-2", type=_finite_float, default=0.0)
+    p.add_argument("--t-end", type=_finite_float, required=True)
     p.add_argument("--json", type=str, default=None)
     p.set_defaults(func=_cmd_regime)
 

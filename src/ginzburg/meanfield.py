@@ -38,7 +38,8 @@ from .params import SystemParams, _check_time
 from .specfun import cutoff_f, kernel_h, kernel_h_deriv
 
 # chunk cap, in elements, for the series (grid x modes) cosine block and the
-# modesum (time x space) kernel block
+# modesum (time x space) kernel block; also the most modesum's first pass may
+# hold in each of its dense (time nodes x modes) blocks
 _CHUNK_ELEMENTS = 2_000_000
 # detector-centered half-width of the extended integration domain, in units of w
 _EXTENDED_HALFWIDTH_W = 250.0
@@ -266,7 +267,10 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     evaluation is then repeated with doubled panel counts on both axes until
     two consecutive profiles agree to rel_tol of the profile peak, and the
     finer one is returned, so the cost follows rel_tol.  The default budget
-    of max_doublings=5 reaches 32x the first pass on each axis.
+    of max_doublings=5 reaches 32x the first pass on each axis.  A first
+    pass whose dense (time nodes x modes) blocks would exceed _CHUNK_ELEMENTS
+    elements (at Fig. 2 defaults, t past 4.3 for v=0.5 and 1.8 for v=2.5) is
+    refused with ValidationError.
 
     longwave switches the mode wavenumber to Omega_alpha/c_s; extended_domain
     integrates over a detector-centered window instead of the physical chain
@@ -307,6 +311,14 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     panels_x = max(8, int(math.ceil(span_x / dx_target)))
     rate = float(omega.max()) + k_max * abs(traj.v)
     panels_t = max(4, int(math.ceil(t * rate / (2.0 * math.pi) * 0.75)))
+    # the time panels grow linearly with t and sin_t / s_mat are not chunked,
+    # so refuse a first pass past the budget instead of allocating it
+    block = 8 * panels_t * k.size
+    if block > _CHUNK_ELEMENTS:
+        raise ValidationError(
+            f"modesum at t={t} needs {block} (time nodes x modes) elements in its "
+            f"first pass, over the budget of {_CHUNK_ELEMENTS}; use a shorter t "
+            "or the series/closed route")
 
     prev = _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
                          longwave, extended_domain)

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -198,6 +199,32 @@ def test_bad_time_or_trajectory_exits_2(tmp_path, capsys, argv):
     assert run([*argv, *out]) == 2
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["resonance", "--v", "2.0", "--omega-d", "nan", "--json"],
+    ["modes", "--y-max", "nan", "--csv"],
+    ["modes", "--y-max", "inf", "--csv"],
+])
+def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "bad"
+    assert run([*argv, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "error" in err and "finite" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_modesum_refuses_oversized_first_pass(tmp_path, capsys):
+    # t = 1000 would need ~4.6e8 (time nodes x modes) elements per block
+    t0 = time.perf_counter()
+    code = run(["meanfield", "--route", "modesum", "--v", "0.5", "--t", "1000",
+                "--csv", str(tmp_path / "big.csv")])
+    assert code == 2
+    assert time.perf_counter() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert "budget" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

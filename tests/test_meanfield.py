@@ -53,6 +53,13 @@ def test_modesum_rejects_bad_rel_tol(rel_tol, p2001):
         meanfield_modesum(np.array([0.0]), 0.1, fig2a(), p2001, rel_tol=rel_tol)
 
 
+@pytest.mark.parametrize("v, t", [(0.5, 4.4), (2.5, 1.9), (0.5, 1e3), (0.5, 1e6)])
+def test_modesum_refuses_first_pass_over_budget(v, t, p2001):
+    # just past the (time nodes x modes) budget at Fig. 2 defaults, and far past
+    with pytest.raises(ValidationError, match="budget"):
+        meanfield_modesum(np.array([0.0]), t, fig2a(v), p2001)
+
+
 def test_pole_at_sound_speed(p2001):
     x = np.array([0.0])
     for v in (1.0, -1.0):

@@ -1,8 +1,12 @@
 import math
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from ginzburg import ValidationError, bessel_k1, cutoff_f, kernel_h, kernel_h_deriv
@@ -88,6 +92,52 @@ def test_k1_domain():
         bessel_k1(-1.0)
     with pytest.raises(ValidationError):
         cutoff_f(-0.1)
+
+
+@pytest.mark.parametrize("func", [bessel_k1, cutoff_f])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_k1_and_f_reject_non_finite(func, bad):
+    with pytest.raises(ValidationError):
+        func(bad)
+    with pytest.raises(ValidationError):
+        func(np.array([0.5, bad, 2.0]))
+
+
+def test_k1_matches_scipy_oracle():
+    # ~1e5 points per spacing, log and linear, across the double range of K1
+    y = np.concatenate([np.geomspace(1e-9, 700.0, 100_001),
+                        np.linspace(1e-9, 700.0, 100_001)])
+    ref = scipy.special.k1(y)
+    assert np.max(np.abs(bessel_k1(y) - ref) / ref) <= 2e-15
+    f_ref = y * ref
+    assert np.max(np.abs(cutoff_f(y) - f_ref) / f_ref) <= 2e-15
+
+
+def test_k1_matches_mpmath_at_branch_point_and_per_decade():
+    below, above = np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0)
+    points = [below, 2.0, above, 2.0 - 1e-6, 2.0 + 1e-6]
+    points += [m * 10.0 ** e for e in range(-9, 3) for m in (1.0, 2.2, 4.7)]
+    points += [700.0]
+    for y in points:
+        ref = mpmath.besselk(1, mpmath.mpf(y))
+        rel = abs(mpmath.mpf(bessel_k1(y)) - ref) / ref
+        assert rel <= 2e-15, (y, float(rel))
+
+
+def test_k1_underflow_tail():
+    y = np.array([700.000001, 705.0, 720.0, 745.0, 750.0, 1e4, 1e300])
+    k = bessel_k1(y)
+    assert np.all(k >= 0.0) and np.all(k < 1e-300)
+    assert np.all(cutoff_f(y) < 1e-300)
+
+
+def test_import_does_not_load_scipy():
+    probe = ("import sys; import ginzburg.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    got = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, timeout=120)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "[]"
 
 
 def test_cutoff_limit_and_decay():
