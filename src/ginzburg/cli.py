@@ -25,7 +25,8 @@ from .params import _check_time, build_params, load_params, regime_check
 from .modes import (DEFAULT_Y_MAX, coupling_strengths, mode_coupling,
                     mode_spectrum, resonance_mode, resonance_pair)
 from .meanfield import Trajectory, profile
-from .discrete_oracle import initial_state, integrate, site_positions
+from .discrete_oracle import (initial_state, integrate, max_stable_dt,
+                              site_positions)
 from .quantum import FockSpace, build_ndpa, evolve_exact, evolve_full, \
     evolve_perturbative
 from .specfun import cutoff_f
@@ -65,13 +66,16 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated floats, got {text!r}") from exc
+def _times_list(text: str) -> list[float]:
+    """argparse type for a comma-separated list of finite numbers >= 0."""
+    values = []
+    for tok in filter(str.strip, text.split(",")):
+        value = _finite_float(tok)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"expected a number >= 0, got {tok!r}")
+        values.append(value)
     if not values:
-        raise ValidationError(f"empty list {text!r}")
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
     return values
 
 
@@ -146,9 +150,7 @@ def _cmd_oracle_compare(args, params):
     traj = Trajectory(x0=args.x0, v=args.v)
     traj.validate(params)
     _check_time(args.t)
-    omega_max = 2.0 * math.sqrt(chain.k_c / chain.m_c)
-    dt_max = 0.1 * 2.0 * math.pi / omega_max
-    dt = args.dt if args.dt else 0.5 * dt_max
+    dt = args.dt if args.dt else 0.5 * max_stable_dt(params)
     steps = max(1, int(round(args.t / dt)))
     dt = args.t / steps
 
@@ -225,10 +227,8 @@ def _cmd_evolve(args, params):
     if g_abs == 0.0:
         raise ValidationError("resonant coupling is zero; nothing to evolve")
     hbar = params.hbar
-    gt_values = _parse_floats(args.gt)
-
     rows = []
-    for gt in gt_values:
+    for gt in args.gt:
         t = gt * hbar / g_abs
         if args.scheme == "perturbative":
             psi = evolve_perturbative(coupling, t, hbar=hbar)
@@ -455,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=_finite_float, required=True)
     p.add_argument("--omega-d", type=_finite_float, default=None)
     p.add_argument("--x0", type=_finite_float, default=0.0)
-    p.add_argument("--gt", type=str, required=True,
+    p.add_argument("--gt", type=_times_list, required=True,
                    help="comma-separated |g_alpha| t / hbar values")
     p.add_argument("--n-max", type=int, default=2,
                    help="resonant-mode Fock truncation")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import StabilityError, ValidationError
 from .params import SystemParams
-from .specfun import kernel_h_deriv
+from .specfun import _BLOCK_ELEMENTS, kernel_h_deriv
 
 # center-of-mass constraint slack per site, relative to the field scale
 _CONSTRAINT_TOL = 1e-10
@@ -83,27 +83,56 @@ def initial_state(params: SystemParams, x_d: float = 0.0, v: float = 0.0,
     return state
 
 
-def _chain_forces(phi, x_sites, x_d, params: SystemParams):
-    k_c = params.chain.k_c
-    d = np.diff(phi)
-    f = np.empty_like(phi)
-    f[0] = k_c * d[0]
-    f[1:-1] = k_c * (d[1:] - d[:-1])
-    f[-1] = -k_c * d[-1]
-    big_g = params.g * params.detector.a_d * params.chain.a_c
-    if big_g != 0.0:
-        f -= big_g * kernel_h_deriv(2, x_sites, x_d, params.detector.w)
-    return f
+def max_stable_dt(params: SystemParams) -> float:
+    """Leapfrog stability bound: a tenth of the shortest chain period."""
+    chain = params.chain
+    omega_max = 2.0 * math.sqrt(chain.k_c / chain.m_c)
+    return 0.1 * 2.0 * math.pi / omega_max
 
 
-def _detector_force(phi, x_sites, x_d, params: SystemParams) -> float:
+def _elastic_force(phi, k_c, diff, out):
+    """k_c (phi_{n+1} - 2 phi_n + phi_{n-1}) with free ends, written into out.
+
+    diff is an (N+1) buffer whose two end entries stay zero; its interior
+    takes the N-1 neighbour differences, so one second difference of diff
+    covers the interior sites and both free ends.
+    """
+    np.subtract(phi[1:], phi[:-1], out=diff[1:-1])
+    np.subtract(diff[1:], diff[:-1], out=out)
+    out *= k_c
+    return out
+
+
+def _point_forces(phi, x_d, x_sites, params: SystemParams, diff, f,
+                  include_detector: bool) -> float:
+    """Chain force into f at one phase-space point; returns the detector force.
+
+    h'' is evaluated once and serves both forces.
+    """
+    _elastic_force(phi, params.chain.k_c, diff, f)
     big_g = params.g * params.detector.a_d * params.chain.a_c
     if big_g == 0.0:
         return 0.0
     w = params.detector.w
     h2 = kernel_h_deriv(2, x_sites, x_d, w)
+    f -= big_g * h2
+    if not include_detector:
+        return 0.0
     h3 = kernel_h_deriv(3, x_sites, x_d, w)
     return big_g * float(np.sum(-h2 + phi * h3))
+
+
+def _prescribed_pull(x_sites, x_d0, v_d, dt, steps, big_g, w):
+    """Rows G h''(n a_c - x_d) for steps s = 0..steps, x_d = x_d0 + v_d s dt.
+
+    One kernel call covers a block of steps of _BLOCK_ELEMENTS elements.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // x_sites.size)
+    for s0 in range(0, steps + 1, rows):
+        x_d = x_d0 + v_d * (np.arange(s0, min(s0 + rows, steps + 1)) * dt)
+        block = kernel_h_deriv(2, x_sites, x_d[:, None], w)
+        block *= big_g
+        yield from block
 
 
 def force_field(state: ChainState, params: SystemParams,
@@ -113,10 +142,10 @@ def force_field(state: ChainState, params: SystemParams,
     include_detector=False zeroes the detector force (prescribed-trajectory
     mode, where back-action on the center of mass is neglected).
     """
-    x_sites = site_positions(params)
-    f_chain = _chain_forces(state.phi, x_sites, state.x_d, params)
-    f_det = (_detector_force(state.phi, x_sites, state.x_d, params)
-             if include_detector else 0.0)
+    n = state.phi.size
+    f_chain = np.empty(n)
+    f_det = _point_forces(state.phi, state.x_d, site_positions(params), params,
+                          np.zeros(n + 1), f_chain, include_detector)
     return f_chain, f_det
 
 
@@ -167,7 +196,11 @@ def integrate(state: ChainState, params: SystemParams, dt: float, steps: int,
     dynamic:    detector kicked and drifted alongside the chain.
 
     dt may be negative (time-reversed run).  Raises StabilityError when
-    |dt| exceeds a tenth of the shortest chain period.
+    |dt| exceeds max_stable_dt, a tenth of the shortest chain period.
+
+    The steps update fixed buffers in place.  In prescribed mode G h'' along
+    the known trajectory comes from one kernel call per block of steps; in
+    dynamic mode each step evaluates h'' and h''' once each.
     """
     chain, det = params.chain, params.detector
     if mode not in ("prescribed", "dynamic"):
@@ -176,49 +209,62 @@ def integrate(state: ChainState, params: SystemParams, dt: float, steps: int,
         raise ValidationError(f"steps must be >= 1, got {steps}")
     if store_every < 1:
         raise ValidationError(f"store_every must be >= 1, got {store_every}")
-    omega_max = 2.0 * math.sqrt(chain.k_c / chain.m_c)
-    dt_max = 0.1 * 2.0 * math.pi / omega_max
+    dt_max = max_stable_dt(params)
     if dt == 0.0 or abs(dt) > dt_max:
         raise StabilityError(
             f"|dt| = {abs(dt):.3e} outside (0, {dt_max:.3e}] "
             "(0.1 x shortest chain period)")
     state.validate(params)
 
+    n = chain.N
     x_sites = site_positions(params)
     phi = state.phi.copy()
     p = state.p.copy()
     t0, x_d, p_d = state.t, state.x_d, state.p_d
     v_d = p_d / det.M_d
     dynamic = mode == "dynamic"
+    big_g = params.g * det.a_d * chain.a_c
+    pull = (_prescribed_pull(x_sites, state.x_d, v_d, dt, steps, big_g, det.w)
+            if not dynamic and big_g != 0.0 else None)
+    half = 0.5 * dt
+    diff = np.zeros(n + 1)
+    f = np.empty(n)
+    work = np.empty(n)
 
-    rec_t, rec_phi, rec_p, rec_xd, rec_pd = [], [], [], [], []
-
-    def record(t):
-        rec_t.append(t)
-        rec_phi.append(phi.copy())
-        rec_p.append(p.copy())
-        rec_xd.append(x_d)
-        rec_pd.append(p_d)
-
-    record(t0)
-    f_chain = _chain_forces(phi, x_sites, x_d, params)
-    f_det = _detector_force(phi, x_sites, x_d, params) if dynamic else 0.0
-    for step in range(1, steps + 1):
-        p += 0.5 * dt * f_chain
-        phi += dt * p / chain.m_c
+    n_rec = 1 + steps // store_every + (steps % store_every != 0)
+    times = np.empty(n_rec)
+    rec_phi = np.empty((n_rec, n))
+    rec_p = np.empty((n_rec, n))
+    rec_xd = np.empty(n_rec)
+    rec_pd = np.empty(n_rec)
+    times[0], rec_phi[0], rec_p[0], rec_xd[0], rec_pd[0] = t0, phi, p, x_d, p_d
+    rec = 1
+    for step in range(steps + 1):
+        # forces at this step's positions serve the second half kick of this
+        # step and the first half kick of the next
         if dynamic:
-            p_d += 0.5 * dt * f_det
-            x_d += dt * p_d / det.M_d
+            f_det = _point_forces(phi, x_d, x_sites, params, diff, f, True)
         else:
-            x_d = state.x_d + v_d * (step * dt)
-        f_chain = _chain_forces(phi, x_sites, x_d, params)
-        p += 0.5 * dt * f_chain
-        if dynamic:
-            f_det = _detector_force(phi, x_sites, x_d, params)
-            p_d += 0.5 * dt * f_det
-        if step % store_every == 0 or step == steps:
-            record(t0 + step * dt)
+            _elastic_force(phi, chain.k_c, diff, f)
+            if pull is not None:
+                f -= next(pull)
+        if step:
+            p += np.multiply(f, half, out=work)
+            if dynamic:
+                p_d += half * f_det
+            if step % store_every == 0 or step == steps:
+                times[rec], rec_phi[rec], rec_p[rec] = t0 + step * dt, phi, p
+                rec_xd[rec], rec_pd[rec] = x_d, p_d
+                rec += 1
+        if step < steps:
+            p += np.multiply(f, half, out=work)
+            np.multiply(p, dt, out=work)
+            work /= chain.m_c
+            phi += work
+            if dynamic:
+                p_d += half * f_det
+                x_d += dt * p_d / det.M_d
+            else:
+                x_d = state.x_d + v_d * ((step + 1) * dt)
 
-    return ChainTrajectory(times=np.asarray(rec_t),
-                           phi=np.asarray(rec_phi), p=np.asarray(rec_p),
-                           x_d=np.asarray(rec_xd), p_d=np.asarray(rec_pd))
+    return ChainTrajectory(times=times, phi=rec_phi, p=rec_p, x_d=rec_xd, p_d=rec_pd)

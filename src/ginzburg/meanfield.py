@@ -35,11 +35,10 @@ import numpy as np
 from .errors import PoleError, ToleranceError, ValidationError
 from .modes import DEFAULT_Y_MAX, mode_frequencies
 from .params import SystemParams, _check_time
-from .specfun import cutoff_f, kernel_h, kernel_h_deriv
+from .specfun import _BLOCK_ELEMENTS, cutoff_f, kernel_h, kernel_h_deriv
 
-# chunk cap, in elements, for the series (grid x modes) cosine block and the
-# modesum (time x space) kernel block; also the most modesum's first pass may
-# hold in each of its dense (time nodes x modes) blocks
+# the most (time nodes x modes) elements modesum's first pass may cover; past
+# it the route is refused before any work starts
 _CHUNK_ELEMENTS = 2_000_000
 # detector-centered half-width of the extended integration domain, in units of w
 _EXTENDED_HALFWIDTH_W = 250.0
@@ -137,6 +136,20 @@ def meanfield_closed(x, t, traj: Trajectory, params: SystemParams,
 # -- mode series --------------------------------------------------------------
 
 
+def _trig_dot(fn, a, b, weights):
+    """fn(outer(a, b)) @ weights for fn = np.cos or np.sin.
+
+    Works on blocks of rows of _BLOCK_ELEMENTS elements, so the
+    (len(a) x len(b)) matrix is never held whole.
+    """
+    out = np.empty((a.size,) + weights.shape[1:])
+    rows = max(1, _BLOCK_ELEMENTS // b.size)
+    for i0 in range(0, a.size, rows):
+        arg = np.multiply.outer(a[i0:i0 + rows], b)
+        out[i0:i0 + rows] = fn(arg, out=arg) @ weights
+    return out
+
+
 def _series_k_and_weights(params: SystemParams, alpha_max):
     chain = params.chain
     if alpha_max is None:
@@ -182,13 +195,7 @@ def meanfield_series(x, t, traj: Trajectory, params: SystemParams,
     }
     weights = np.stack([pref * f * a * np.cos(k * (center + L / 2.0))
                         for center, a in coeff.values()], axis=1)   # (nmodes, 3)
-    # u-matrix cos[k (x + L/2)] on blocks of grid rows, so memory stays
-    # bounded at large grid * N
-    families = np.empty((x.size, len(coeff)))
-    rows = max(1, _CHUNK_ELEMENTS // k.size)
-    for i0 in range(0, x.size, rows):
-        cos_x = np.multiply.outer(x[i0:i0 + rows] + L / 2.0, k)
-        families[i0:i0 + rows] = np.cos(cos_x, out=cos_x) @ weights
+    families = _trig_dot(np.cos, x + L / 2.0, k, weights)
     parts = {name: families[:, j] for j, name in enumerate(coeff)}
     total = parts["comoving"] + parts["ripple_right"] + parts["ripple_left"]
     if scalar:
@@ -215,10 +222,16 @@ def _gauss_panels(a, b, n_panels, n_nodes=8):
 
 def _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
                   longwave, extended_domain):
-    """One fixed-resolution evaluation of the double quadrature."""
+    """One fixed-resolution evaluation of the double quadrature.
+
+    q_alpha = sum_t' w_t' sin[Omega_alpha (t - t')] S_alpha(t') / Omega_alpha
+    is summed over blocks of time nodes, where S_alpha(t') is the spatial
+    integral of u_alpha against h''(x', x_d(t')); no (time nodes x modes)
+    array is held whole.
+    """
     chain, det = params.chain, params.detector
     L, w = chain.L, det.w
-    pref = -params.g * det.a_d / chain.rho_c
+    norm = math.sqrt(2.0 / L)
 
     tq, wt = _gauss_panels(0.0, t, panels_t)
     xd = traj.position(tq)                                 # (nt,)
@@ -229,27 +242,32 @@ def _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
         R = _EXTENDED_HALFWIDTH_W * w
         xiq, wx = _gauss_panels(-R, R, panels_x)
         hpp = kernel_h_deriv(2, xiq, 0.0, w) * wx          # (nx,)
-        cos_k_xi = np.cos(np.multiply.outer(xiq, k))
-        sin_k_xi = np.sin(np.multiply.outer(xiq, k))
-        c_alpha = hpp @ cos_k_xi                           # (nmodes,)
-        s_alpha = hpp @ sin_k_xi
-        phase = np.multiply.outer(xd + L / 2.0, k)         # (nt, nmodes)
-        s_mat = math.sqrt(2.0 / L) * (np.cos(phase) * c_alpha - np.sin(phase) * s_alpha)
+        c_alpha = norm * _trig_dot(np.cos, k, xiq, hpp)    # (nmodes,)
+        s_alpha = norm * _trig_dot(np.sin, k, xiq, hpp)
+        rows = max(1, _BLOCK_ELEMENTS // k.size)
+
+        def spatial(i0, i1):
+            phase = np.multiply.outer(xd[i0:i1] + L / 2.0, k)
+            return np.cos(phase) * c_alpha - np.sin(phase) * s_alpha
     else:
         xq, wx = _gauss_panels(-L / 2.0, L / 2.0, panels_x)
-        u_mat = math.sqrt(2.0 / L) * np.cos(np.multiply.outer(xq + L / 2.0, k))
-        s_mat = np.empty((tq.size, k.size))
-        chunk = max(1, _CHUNK_ELEMENTS // xq.size)
-        for i0 in range(0, tq.size, chunk):
-            i1 = min(i0 + chunk, tq.size)
-            kern = kernel_h_deriv(2, xq[None, :], xd[i0:i1, None], w)
-            s_mat[i0:i1] = (kern * wx[None, :]) @ u_mat
+        u_w = np.multiply.outer(xq + L / 2.0, k)          # (nx, nmodes)
+        np.cos(u_w, out=u_w)
+        u_w *= (norm * wx)[:, None]
+        rows = max(1, _BLOCK_ELEMENTS // xq.size)
 
-    sin_t = np.sin(np.multiply.outer(t - tq, omega)) * wt[:, None]
-    q_alpha = np.einsum("ta,ta->a", sin_t, s_mat) / omega
+        def spatial(i0, i1):
+            return kernel_h_deriv(2, xq, xd[i0:i1, None], w) @ u_w
 
-    u_out = math.sqrt(2.0 / L) * np.cos(np.multiply.outer(x_out + L / 2.0, k))
-    return pref * (u_out @ q_alpha)
+    q_alpha = np.zeros(k.size)
+    for i0 in range(0, tq.size, rows):
+        i1 = min(i0 + rows, tq.size)
+        sin_t = np.multiply.outer(t - tq[i0:i1], omega)
+        np.sin(sin_t, out=sin_t)
+        sin_t *= wt[i0:i1, None]
+        q_alpha += np.einsum("ta,ta->a", sin_t, spatial(i0, i1))
+    q_alpha *= -params.g * det.a_d / chain.rho_c * norm / omega
+    return _trig_dot(np.cos, x_out + L / 2.0, k, q_alpha)
 
 
 def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
@@ -267,10 +285,13 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     evaluation is then repeated with doubled panel counts on both axes until
     two consecutive profiles agree to rel_tol of the profile peak, and the
     finer one is returned, so the cost follows rel_tol.  The default budget
-    of max_doublings=5 reaches 32x the first pass on each axis.  A first
-    pass whose dense (time nodes x modes) blocks would exceed _CHUNK_ELEMENTS
-    elements (at Fig. 2 defaults, t past 4.3 for v=0.5 and 1.8 for v=2.5) is
-    refused with ValidationError.
+    of max_doublings=5 reaches 32x the first pass on each axis.
+
+    Every pass works on blocks of time nodes (and, off the extended domain,
+    holds one (space nodes x modes) matrix), so memory does not grow with t.
+    The work does: a first pass covering more than _CHUNK_ELEMENTS
+    (time nodes x modes) elements (at Fig. 2 defaults, t past 4.3 for v=0.5
+    and 1.8 for v=2.5) is refused with ValidationError before it starts.
 
     longwave switches the mode wavenumber to Omega_alpha/c_s; extended_domain
     integrates over a detector-centered window instead of the physical chain
@@ -311,8 +332,8 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     panels_x = max(8, int(math.ceil(span_x / dx_target)))
     rate = float(omega.max()) + k_max * abs(traj.v)
     panels_t = max(4, int(math.ceil(t * rate / (2.0 * math.pi) * 0.75)))
-    # the time panels grow linearly with t and sin_t / s_mat are not chunked,
-    # so refuse a first pass past the budget instead of allocating it
+    # the time panels, and with them every pass's work, grow linearly with t;
+    # refuse a first pass past the budget instead of starting it
     block = 8 * panels_t * k.size
     if block > _CHUNK_ELEMENTS:
         raise ValidationError(

@@ -28,6 +28,11 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Elements per block (512 KB of float64) in the hot loops of meanfield and
+# discrete_oracle, which evaluate the kernel and mode sums a block at a time
+# so that no temporary leaves the core's cache.
+_BLOCK_ELEMENTS = 65_536
+
 # Generated by scripts/gen_k1_coefficients.py (mpmath, 40 digits):
 # truncated Chebyshev series in power form, sum_k a_k x^k, a_0 first.
 # I1(y)/y on y <= 2, in t = y^2/2 - 1: 11 terms, vs mpmath 1.3e-17
@@ -111,13 +116,28 @@ def kernel_h_deriv(order, x, x_d, w):
         raise ValidationError(f"w must be positive, got {w}")
     if order not in (1, 2, 3):
         raise ValidationError(f"derivative order must be 1, 2 or 3, got {order}")
+    # in place, so that a call holds three arrays; every product keeps the
+    # operands and the order of the formulas above
     s = np.asarray(x, dtype=float) - x_d
-    r2 = s * s + w * w
+    r2 = s * s
+    r2 += w * w
     if order == 1:
-        return -3.0 * s * r2 ** -2.5
-    if order == 2:
-        return 3.0 * (4.0 * s * s - w * w) * r2 ** -3.5
-    return 15.0 * s * (3.0 * w * w - 4.0 * s * s) * r2 ** -4.5
+        out = -3.0 * s
+        r2 **= -2.5
+    elif order == 2:
+        out = 4.0 * s
+        out *= s
+        out -= w * w
+        out *= 3.0
+        r2 **= -3.5
+    else:
+        out = 4.0 * s
+        out *= s
+        out = 3.0 * w * w - out
+        out *= 15.0 * s
+        r2 **= -4.5
+    out *= r2
+    return out
 
 
 def _polynomial(coef, x):

@@ -7,6 +7,7 @@ two independent code paths.
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 
 def fd_kernel_deriv(order, x, x_d, w):
@@ -159,3 +160,87 @@ def magnus2_dense(psi0, t, dt, x0, v, chain_modes, omega_d, L, c_s, hbar):
         evals, vecs = np.linalg.eigh(h)
         amp = vecs @ (np.exp(-1j * evals * dt / hbar) * (vecs.conj().T @ amp))
     return amp
+
+
+def leapfrog_reference(phi, p, x_d, p_d, t0, a_c, m_c, k_c, M_d, big_g, w, dt,
+                       steps, dynamic=False, store_every=1):
+    """Kick-drift-kick stepping of the free-end chain plus detector, one step
+    at a time with freshly built forces.
+
+    Sites n a_c for n = -(N-1)/2 .. (N-1)/2, interaction G h''(n a_c - x_d)
+    with h = [s^2 + w^2]^(-3/2).  Prescribed mode moves the detector as
+    x_d(0) + (p_d/M_d) t; dynamic mode kicks and drifts it.  Returns
+    (times, phi, p, x_d, p_d) at every store_every-th step and the last.
+    """
+    n_sites = phi.size
+    x = (np.arange(n_sites) - (n_sites - 1) // 2) * a_c
+
+    def curvature(xd):
+        s = x - xd
+        r2 = s * s + w * w
+        return 3.0 * (4.0 * s * s - w * w) * r2 ** -3.5
+
+    def third(xd):
+        s = x - xd
+        r2 = s * s + w * w
+        return 15.0 * s * (3.0 * w * w - 4.0 * s * s) * r2 ** -4.5
+
+    def chain_force(phi, xd):
+        d = np.diff(phi)
+        f = np.empty_like(phi)
+        f[0] = k_c * d[0]
+        f[1:-1] = k_c * (d[1:] - d[:-1])
+        f[-1] = -k_c * d[-1]
+        if big_g != 0.0:
+            f -= big_g * curvature(xd)
+        return f
+
+    def detector_force(phi, xd):
+        if not dynamic or big_g == 0.0:
+            return 0.0
+        return big_g * float(np.sum(-curvature(xd) + phi * third(xd)))
+
+    phi, p = phi.copy(), p.copy()
+    x_start, v_d = x_d, p_d / M_d
+    rows = [(t0, phi.copy(), p.copy(), x_d, p_d)]
+    f, f_d = chain_force(phi, x_d), detector_force(phi, x_d)
+    for step in range(1, steps + 1):
+        p += 0.5 * dt * f
+        phi += dt * p / m_c
+        if dynamic:
+            p_d += 0.5 * dt * f_d
+            x_d += dt * p_d / M_d
+        else:
+            x_d = x_start + v_d * (step * dt)
+        f = chain_force(phi, x_d)
+        p += 0.5 * dt * f
+        if dynamic:
+            f_d = detector_force(phi, x_d)
+            p_d += 0.5 * dt * f_d
+        if step % store_every == 0 or step == steps:
+            rows.append((t0 + step * dt, phi.copy(), p.copy(), x_d, p_d))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def dense_series(x, t, x0, v, N, m_c, k_c, a_c, g, a_d, w):
+    """Mean-field mode series on a grid from one dense (grid x modes) matrix.
+
+    phi(x) = sum_alpha A f(y) cos[k (x + L/2)] {cos[k(x0 + c t + L/2)] / (L c (c - v))
+             - 2 cos[k(x0 + v t + L/2)] / (L (c^2 - v^2)) + cos[k(x0 - c t + L/2)]
+             / (L c (c + v))}, A = -2 g a_d / (rho w^2), over all N - 1 modes,
+    with Omega = 2 sqrt(k_c/m_c) sin(alpha pi / (2 (N - 1))), k = Omega / c,
+    f(y) = y K1(y) at y = Omega w / c (scipy's K1).
+    """
+    L = (N - 1) * a_c
+    rho = m_c / a_c
+    c = a_c * np.sqrt(k_c / m_c)
+    alpha = np.arange(1, N)
+    omega = 2.0 * np.sqrt(k_c / m_c) * np.sin(alpha * np.pi / (2.0 * (N - 1)))
+    k = omega / c
+    y = omega * w / c
+    f = y * scipy.special.k1(y)
+    time_part = (np.cos(k * (x0 + c * t + L / 2)) / (L * c * (c - v))
+                 - 2.0 * np.cos(k * (x0 + v * t + L / 2)) / (L * (c * c - v * v))
+                 + np.cos(k * (x0 - c * t + L / 2)) / (L * c * (c + v)))
+    u = np.cos(np.outer(np.asarray(x, dtype=float) + L / 2, k))
+    return u @ (-2.0 * g * a_d / (rho * w * w) * f * time_part)

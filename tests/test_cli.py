@@ -168,12 +168,21 @@ def test_evolve_full_scheme_with_weak_coupling(tmp_path):
     assert float(row["p_excite"]) == pytest.approx(math.sin(0.05) ** 2, rel=1e-2)
 
 
+# --gt value -> the token its usage error must name
+_BAD_GT = {"nan": "nan", "inf": "inf", "-1": "-1", "0.1,-0.2": "-0.2",
+           "0.1,abc": "abc", ",": ","}
+
+
 @pytest.mark.parametrize("argv", [
     ["--scheme", "full", "--gt", "nan"],
     ["--scheme", "full", "--gt", "inf"],
     ["--scheme", "exact", "--gt", "nan"],
     ["--scheme", "full", "--gt", "0.1", "--window", "-5"],
     ["--scheme", "perturbative", "--gt", "nan"],
+    ["--scheme", "exact", "--gt", "-1"],
+    ["--scheme", "exact", "--gt", "0.1,-0.2"],
+    ["--scheme", "full", "--gt", "0.1,abc"],
+    ["--scheme", "perturbative", "--gt", ","],
 ])
 def test_evolve_bad_time_or_window_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "bad.csv"
@@ -181,6 +190,11 @@ def test_evolve_bad_time_or_window_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
     assert not out.exists()
+    gt = argv[argv.index("--gt") + 1]
+    if gt in _BAD_GT:
+        # a usage error naming the option and the token given
+        assert len(err.strip().splitlines()) == 1
+        assert "--gt" in err and repr(_BAD_GT[gt]) in err
 
 
 @pytest.mark.parametrize("argv", [

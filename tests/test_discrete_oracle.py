@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from ginzburg import StabilityError, ValidationError, build_params, mode_frequency
 from ginzburg.discrete_oracle import (ChainState, force_field, initial_state,
-                                      integrate, site_positions, total_energy)
-from ginzburg.specfun import kernel_h_deriv
+                                      integrate, max_stable_dt, site_positions,
+                                      total_energy)
+from ginzburg.specfun import _BLOCK_ELEMENTS, kernel_h_deriv
 
-from oracles import frequency_from_crossings
+from oracles import frequency_from_crossings, leapfrog_reference
 
 
 def paper(N=2001, w=0.01, g=None):
@@ -145,6 +146,7 @@ def test_stability_guard():
     with pytest.raises(StabilityError):
         integrate(st0, p, 0.0, 10)
     integrate(st0, p, 0.99 * dt_max, 10)
+    assert max_stable_dt(p) == dt_max
 
 
 def test_prescribed_trajectory_is_exact():
@@ -218,6 +220,37 @@ def test_trajectory_recording(paper_params):
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.01)
     assert traj[0].phi.shape == (paper_params.chain.N,)
+
+
+# N = 101 sites; prescribed runs span two full force blocks and a partial one
+_N_REF = 101
+_BLOCK_STEPS = _BLOCK_ELEMENTS // _N_REF
+_REF_STEPS = 2 * _BLOCK_STEPS + _BLOCK_STEPS // 3
+
+
+@pytest.mark.parametrize("mode, g, dt, steps, store_every", [
+    ("prescribed", None, 1e-3, _REF_STEPS, 1),
+    ("prescribed", None, -1e-3, _REF_STEPS, 7),
+    ("prescribed", 0.0, 1e-3, 300, 1),
+    ("dynamic", 1e-4, 5e-4, 400, 1),
+    ("dynamic", 1e-4, -5e-4, 400, 9),
+    ("dynamic", 0.0, 1e-3, 300, 4),
+])
+def test_integrate_matches_per_step_reference(mode, g, dt, steps, store_every):
+    p = paper(N=_N_REF, w=0.05, g=g)
+    chain, det = p.chain, p.detector
+    phi0 = mode_profile(p, [1, 3], [1e-3, 4e-4])
+    p0 = 0.5 * mode_profile(p, [2], [2e-3])
+    st0 = initial_state(p, x_d=0.02, v=0.3, phi=phi0, p=p0)
+    run = integrate(st0, p, dt, steps, mode=mode, store_every=store_every)
+    ref = leapfrog_reference(st0.phi, st0.p, st0.x_d, st0.p_d, st0.t, chain.a_c,
+                             chain.m_c, chain.k_c, det.M_d,
+                             p.g * det.a_d * chain.a_c, det.w, dt, steps,
+                             dynamic=mode == "dynamic", store_every=store_every)
+    got = (run.times, run.phi, run.p, run.x_d, run.p_d)
+    for name, a, b in zip(("times", "phi", "p", "x_d", "p_d"), got, ref):
+        assert a.shape == b.shape, name
+        assert np.array_equal(a, b), name
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from ginzburg import (DEFAULT_Y_MAX, PoleError, ToleranceError, ValidationError,
                       build_params, mode_frequencies)
 from ginzburg.meanfield import (Trajectory, _modesum_once, meanfield_closed,
                                 meanfield_modesum, meanfield_series, profile)
+
+from oracles import dense_series
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +180,16 @@ def test_series_components(p2001):
                                rtol=0, atol=1e-9 * np.max(np.abs(total)))
 
 
+@pytest.mark.parametrize("v, t, x0", [(0.5, 0.25, 0.013), (2.5, 0.1, -0.02)])
+def test_blocked_series_matches_dense_oracle(v, t, x0, p2001):
+    chain, det = p2001.chain, p2001.detector
+    grid = np.linspace(-chain.L / 2, chain.L / 2, 4001)
+    phi = meanfield_series(grid, t, Trajectory(x0, v), p2001)
+    ref = dense_series(grid, t, x0, v, chain.N, chain.m_c, chain.k_c, chain.a_c,
+                       p2001.g, det.a_d, det.w)
+    assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 # -- mode-sum route -----------------------------------------------------------
 
 def test_modesum_matches_closed(p2001):
@@ -267,3 +280,27 @@ def test_profile_modesum_attaches_quadrature_report(p2001):
     grid = np.linspace(-0.2, 0.2, 5)
     prof = profile("modesum", grid, 0.1, fig2a(), p2001)
     assert prof.meta["quadrature"].converged
+
+
+# -- memory -----------------------------------------------------------------------
+
+_GRID_801 = np.linspace(-0.5, 0.5, 801)
+_GRID_4001 = np.linspace(-0.5, 0.5, 4001)
+
+
+@pytest.mark.parametrize("run", [
+    lambda p: meanfield_series(_GRID_4001, 0.25, fig2a(0.5), p),
+    lambda p: meanfield_modesum(_GRID_801, 0.25, fig2a(0.5), p),
+    lambda p: meanfield_modesum(_GRID_801, 4.0, fig2a(0.5), p),
+    lambda p: meanfield_modesum(_GRID_801, 0.25, fig2a(0.5), p, longwave=True,
+                                extended_domain=True),
+], ids=["series_grid4001", "modesum_fig2", "modesum_t4", "modesum_extended"])
+def test_blocked_routes_bound_peak_allocation(run, p2001):
+    # the routes hold blocks of _BLOCK_ELEMENTS, not (nodes x modes) matrices
+    tracemalloc.start()
+    try:
+        run(p2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
