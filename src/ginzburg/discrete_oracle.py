@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import StabilityError, ValidationError
 from .params import SystemParams
-from .specfun import _BLOCK_ELEMENTS, kernel_h_deriv
+from .specfun import kernel_h_deriv
 
 # center-of-mass constraint slack per site, relative to the field scale
 _CONSTRAINT_TOL = 1e-10
@@ -122,19 +122,6 @@ def _point_forces(phi, x_d, x_sites, params: SystemParams, diff, f,
     return big_g * float(np.sum(-h2 + phi * h3))
 
 
-def _prescribed_pull(x_sites, x_d0, v_d, dt, steps, big_g, w):
-    """Rows G h''(n a_c - x_d) for steps s = 0..steps, x_d = x_d0 + v_d s dt.
-
-    One kernel call covers a block of steps of _BLOCK_ELEMENTS elements.
-    """
-    rows = max(1, _BLOCK_ELEMENTS // x_sites.size)
-    for s0 in range(0, steps + 1, rows):
-        x_d = x_d0 + v_d * (np.arange(s0, min(s0 + rows, steps + 1)) * dt)
-        block = kernel_h_deriv(2, x_sites, x_d[:, None], w)
-        block *= big_g
-        yield from block
-
-
 def force_field(state: ChainState, params: SystemParams,
                 include_detector: bool = True):
     """(dp_n/dt, dp_d/dt) at the given phase-space point.
@@ -198,9 +185,8 @@ def integrate(state: ChainState, params: SystemParams, dt: float, steps: int,
     dt may be negative (time-reversed run).  Raises StabilityError when
     |dt| exceeds max_stable_dt, a tenth of the shortest chain period.
 
-    The steps update fixed buffers in place.  In prescribed mode G h'' along
-    the known trajectory comes from one kernel call per block of steps; in
-    dynamic mode each step evaluates h'' and h''' once each.
+    The steps update fixed buffers in place.  Each step evaluates h'' once,
+    and in dynamic mode h''' once, for the chain and detector forces together.
     """
     chain, det = params.chain, params.detector
     if mode not in ("prescribed", "dynamic"):
@@ -223,9 +209,6 @@ def integrate(state: ChainState, params: SystemParams, dt: float, steps: int,
     t0, x_d, p_d = state.t, state.x_d, state.p_d
     v_d = p_d / det.M_d
     dynamic = mode == "dynamic"
-    big_g = params.g * det.a_d * chain.a_c
-    pull = (_prescribed_pull(x_sites, state.x_d, v_d, dt, steps, big_g, det.w)
-            if not dynamic and big_g != 0.0 else None)
     half = 0.5 * dt
     diff = np.zeros(n + 1)
     f = np.empty(n)
@@ -242,12 +225,7 @@ def integrate(state: ChainState, params: SystemParams, dt: float, steps: int,
     for step in range(steps + 1):
         # forces at this step's positions serve the second half kick of this
         # step and the first half kick of the next
-        if dynamic:
-            f_det = _point_forces(phi, x_d, x_sites, params, diff, f, True)
-        else:
-            _elastic_force(phi, chain.k_c, diff, f)
-            if pull is not None:
-                f -= next(pull)
+        f_det = _point_forces(phi, x_d, x_sites, params, diff, f, dynamic)
         if step:
             p += np.multiply(f, half, out=work)
             if dynamic:

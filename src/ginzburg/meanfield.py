@@ -35,8 +35,12 @@ import numpy as np
 from .errors import PoleError, ToleranceError, ValidationError
 from .modes import DEFAULT_Y_MAX, mode_frequencies
 from .params import SystemParams, _check_time
-from .specfun import _BLOCK_ELEMENTS, cutoff_f, kernel_h, kernel_h_deriv
+from .specfun import cutoff_f, kernel_h, kernel_h_deriv
 
+# elements per block (512 KB of float64): the series and modesum sums take
+# their kernel and cos/sin matrices a block at a time, so that no temporary
+# leaves the core's cache
+_BLOCK_ELEMENTS = 65_536
 # the most (time nodes x modes) elements modesum's first pass may cover; past
 # it the route is refused before any work starts
 _CHUNK_ELEMENTS = 2_000_000

@@ -8,7 +8,7 @@ from ginzburg import StabilityError, ValidationError, build_params, mode_frequen
 from ginzburg.discrete_oracle import (ChainState, force_field, initial_state,
                                       integrate, max_stable_dt, site_positions,
                                       total_energy)
-from ginzburg.specfun import _BLOCK_ELEMENTS, kernel_h_deriv
+from ginzburg.specfun import kernel_h_deriv
 
 from oracles import frequency_from_crossings, leapfrog_reference
 
@@ -222,10 +222,9 @@ def test_trajectory_recording(paper_params):
     assert traj[0].phi.shape == (paper_params.chain.N,)
 
 
-# N = 101 sites; prescribed runs span two full force blocks and a partial one
+# N = 101 sites; the prescribed runs take 1512 steps
 _N_REF = 101
-_BLOCK_STEPS = _BLOCK_ELEMENTS // _N_REF
-_REF_STEPS = 2 * _BLOCK_STEPS + _BLOCK_STEPS // 3
+_REF_STEPS = 1512
 
 
 @pytest.mark.parametrize("mode, g, dt, steps, store_every", [

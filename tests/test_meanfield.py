@@ -303,4 +303,4 @@ def test_blocked_routes_bound_peak_allocation(run, p2001):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert peak <= 16e6
