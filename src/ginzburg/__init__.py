@@ -36,9 +36,8 @@ from .discrete_oracle import (ChainState, ChainTrajectory, force_field,
                               initial_state, integrate, site_positions,
                               total_energy)
 from .quantum import (DensityMatrix, FockSpace, QuantumState, build_ndpa,
-                      build_two_mode_squeezer, evolve_exact, evolve_full,
-                      evolve_perturbative, free_hamiltonian,
-                      interaction_hamiltonian_full, trace_distance)
+                      evolve_exact, evolve_full, evolve_perturbative,
+                      trace_distance)
 from .superpose import (Branch, BranchSpec, BranchedState, DiscriminationReport,
                         branch_spec_from_resonance, density_matrix, discriminate,
                         evolve_superposed, mixed_density_matrix, reduce_chain,
@@ -61,9 +60,7 @@ __all__ = [
     "ChainState", "ChainTrajectory", "force_field", "initial_state",
     "integrate", "site_positions", "total_energy",
     "DensityMatrix", "FockSpace", "QuantumState", "build_ndpa",
-    "build_two_mode_squeezer", "evolve_exact", "evolve_full",
-    "evolve_perturbative", "free_hamiltonian", "interaction_hamiltonian_full",
-    "trace_distance",
+    "evolve_exact", "evolve_full", "evolve_perturbative", "trace_distance",
     "Branch", "BranchSpec", "BranchedState", "DiscriminationReport",
     "branch_spec_from_resonance", "density_matrix", "discriminate",
     "evolve_superposed", "mixed_density_matrix", "reduce_chain",

@@ -9,10 +9,11 @@ also writes a manifest (see io_utils) that `rerun` can replay and verify.
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import re
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,11 @@ from .io_utils import (RunManifest, load_manifest, sha256_file, write_csv,
 from .params import _check_time, build_params, load_params, regime_check
 from .modes import (DEFAULT_Y_MAX, coupling_strengths, mode_coupling,
                     mode_spectrum, resonance_mode, resonance_pair)
-from .meanfield import Trajectory, profile
+from .meanfield import Trajectory, meanfield_closed, profile
 from .discrete_oracle import (initial_state, integrate, max_stable_dt,
                               site_positions)
-from .quantum import FockSpace, build_ndpa, evolve_exact, evolve_full, \
-    evolve_perturbative
+from .quantum import (FockSpace, build_ndpa, evolve_exact, evolve_full,
+                      evolve_perturbative, trace_distance)
 from .specfun import cutoff_f
 from .superpose import (branch_spec_from_resonance, density_matrix,
                         discriminate, evolve_superposed, mixed_density_matrix,
@@ -45,11 +46,17 @@ _PHI_SWEEP = (0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0)
 def _load_params(args):
     if getattr(args, "params", None):
         return load_params(args.params)
-    return build_params(json.loads(json.dumps(_DEFAULT_CONFIG)))
+    return build_params(_DEFAULT_CONFIG)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one line, like the handlers' errors."""
+    """Reports a usage error as one line, like the handlers' errors, and
+    takes -1e-3 and -1,2 for values, not for option flags."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(,.*)?$")
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message} (see {self.prog} -h)\n")
@@ -150,6 +157,8 @@ def _cmd_oracle_compare(args, params):
     traj = Trajectory(x0=args.x0, v=args.v)
     traj.validate(params)
     _check_time(args.t)
+    if args.stride < 1:
+        raise ValidationError(f"--stride must be >= 1, got {args.stride}")
     dt = args.dt if args.dt else 0.5 * max_stable_dt(params)
     steps = max(1, int(round(args.t / dt)))
     dt = args.t / steps
@@ -158,14 +167,12 @@ def _cmd_oracle_compare(args, params):
     run = integrate(state, params, dt, steps, mode="prescribed", store_every=steps)
     phi_d = run.final.phi
     x = site_positions(params)
-    from .meanfield import meanfield_closed
     phi_c = meanfield_closed(x, args.t, traj, params)
 
     peak = float(np.max(np.abs(phi_c)))
     l2 = float(np.sqrt(np.mean((phi_d - phi_c) ** 2))) / peak
-    stride = max(1, args.stride)
     rows = [(float(x[i]), float(phi_d[i]), float(phi_c[i]))
-            for i in range(0, x.size, stride)]
+            for i in range(0, x.size, args.stride)]
     out = write_csv(args.csv, ["x", "phi_discrete", "phi_closed"], rows)
     summary = (f"oracle-compare: N={chain.N}, steps={steps}, "
                f"L2/peak = {l2:.4e} (tol {args.tol}) -> {out}")
@@ -259,13 +266,6 @@ def _cmd_evolve(args, params):
             [out])
 
 
-def _populations(rho) -> dict:
-    return {str(tuple(int(v) for v in np.unravel_index(k, rho.dims))):
-            float(np.real(rho.matrix[k, k]))
-            for k in range(rho.matrix.shape[0])
-            if abs(rho.matrix[k, k]) > 1e-300}
-
-
 def _cmd_reduced_state(args, params):
     omega_d = args.omega_d if args.omega_d else params.detector.omega_d1
     omega_d2 = args.omega_d2
@@ -289,7 +289,7 @@ def _cmd_reduced_state(args, params):
     rho = density_matrix(state)
     rho_chain = reduce_chain(rho)
     rho_det = reduce_detector(rho)
-    rho_mix = mixed_density_matrix(spec, t, detector=detector, method=args.method)
+    rho_mix = mixed_density_matrix(state)
     chain_rep = discriminate([rho_chain, reduce_chain(rho_mix)],
                              labels=["coherent", "mixed"])
     det_rep = discriminate([rho_det, reduce_detector(rho_mix)],
@@ -303,8 +303,8 @@ def _cmd_reduced_state(args, params):
                       "omega_alpha": b.coupling.omega_alpha,
                       "omega_d": b.coupling.omega_d}
                      for b in spec.branches],
-        "populations": {"chain": _populations(rho_chain),
-                        "detector": _populations(rho_det)},
+        "populations": {"chain": chain_rep.populations["coherent"],
+                        "detector": det_rep.populations["coherent"]},
         "coherent_vs_mixed": {"chain": chain_rep.to_dict(),
                               "detector": det_rep.to_dict()},
         "params": params.to_dict(),
@@ -315,16 +315,11 @@ def _cmd_reduced_state(args, params):
         ref_chain = ref_det = None
         rows = []
         for phi in _PHI_SWEEP:
-            s = branch_spec_from_resonance(
-                params, args.v1, args.v2, args.theta, phi, omega_d=omega_d,
-                omega_d2=omega_d2 if detector == "two-level" else None,
-                x0_1=args.x0, x0_2=args.x0_2, y_max=args.y_max)
-            r = density_matrix(evolve_superposed(s, t, detector=detector,
-                                                 method=args.method))
+            # the phase only reweights the branches already evolved
+            r = density_matrix(replace(state, spec=replace(spec, phi=phi)))
             rc, rd = reduce_chain(r), reduce_detector(r)
             if ref_chain is None:
                 ref_chain, ref_det = rc, rd
-            from .quantum import trace_distance
             p00 = rc.population((0, 0))
             p10 = rc.population((1, 0))
             p01 = rc.population((0, 1))
@@ -523,10 +518,7 @@ def run(argv) -> int:
     except ToleranceError as exc:
         print(f"ginzburg {args.subcommand}: tolerance failure: {exc}", file=sys.stderr)
         return 3
-    except (ValidationError, FileNotFoundError, OSError) as exc:
-        print(f"ginzburg {args.subcommand}: error: {exc}", file=sys.stderr)
-        return 2
-    except GinzburgError as exc:
+    except (GinzburgError, OSError) as exc:
         print(f"ginzburg {args.subcommand}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -96,11 +96,10 @@ def manifest_path_for(primary_output) -> Path:
     return primary_output.with_name(primary_output.stem + ".manifest.json")
 
 
-def write_manifest(manifest: RunManifest, path=None) -> Path:
-    if path is None:
-        if not manifest.outputs:
-            raise ValidationError("manifest has no outputs to sit next to")
-        path = manifest_path_for(manifest.outputs[0]["path"])
+def write_manifest(manifest: RunManifest) -> Path:
+    if not manifest.outputs:
+        raise ValidationError("manifest has no outputs to sit next to")
+    path = manifest_path_for(manifest.outputs[0]["path"])
     manifest.created_utc = manifest.created_utc or time.strftime(
         "%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return write_json(path, manifest.to_dict())

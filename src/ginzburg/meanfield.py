@@ -225,7 +225,7 @@ def _gauss_panels(a, b, n_panels, n_nodes=8):
 
 
 def _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
-                  longwave, extended_domain):
+                  extended_domain):
     """One fixed-resolution evaluation of the double quadrature.
 
     q_alpha = sum_t' w_t' sin[Omega_alpha (t - t')] S_alpha(t') / Omega_alpha
@@ -346,14 +346,14 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
             "or the series/closed route")
 
     prev = _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
-                         longwave, extended_domain)
+                         extended_domain)
     est = math.inf
     doublings = 0
     for doublings in range(1, max_doublings + 1):
         panels_x *= 2
         panels_t *= 2
         cur = _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
-                            longwave, extended_domain)
+                            extended_domain)
         scale = float(np.max(np.abs(cur))) or 1.0
         est = float(np.max(np.abs(cur - prev))) / scale
         prev = cur

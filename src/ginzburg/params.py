@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 from .errors import ValidationError
+from .specfun import cutoff_f
 
 # factor such that "x much greater than y" means x/y >= MUCH_FACTOR
 MUCH_FACTOR = 10.0
@@ -372,7 +373,6 @@ def regime_check(params: SystemParams, window, trajectories,
 
     spec = mode_spectrum(params, y_max=y_max)
     y = spec.omega * w / c_s
-    from .specfun import cutoff_f
     f_vals = cutoff_f(y[spec.retained])
     significant = spec.omega[spec.retained][f_vals >= 0.5]
     if significant.size:

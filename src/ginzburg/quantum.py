@@ -219,12 +219,6 @@ class DensityMatrix:
         return float(np.real(self.matrix[idx, idx]))
 
 
-def density_from_state(state: QuantumState, dims: tuple[int, ...],
-                       names: tuple[str, ...]) -> DensityMatrix:
-    amp = state.amplitudes
-    return DensityMatrix(np.outer(amp, amp.conj()), dims, names)
-
-
 def trace_distance(rho_a: DensityMatrix, rho_b: DensityMatrix) -> float:
     """Half the trace norm of the difference (singular values = |eigenvalues|
     for the Hermitian difference)."""
@@ -249,35 +243,11 @@ def build_ndpa(coupling: ModeCoupling, space: FockSpace | None = None) -> np.nda
     if space is None:
         space = _minimal_space(coupling)
     if space.detector_qubits < 1:
-        raise ValidationError("build_ndpa needs a detector qubit; "
-                              "use build_two_mode_squeezer for bosonic pairs")
+        raise ValidationError("build_ndpa needs a space with a detector qubit")
     a = space.annihilation(coupling.alpha)
     b = space.detector_lowering(0)
     ab = a @ b
     return 0.5 * coupling.g_alpha * (ab + ab.conj().T)
-
-
-def build_two_mode_squeezer(g: float, space: FockSpace,
-                            alpha_a: int, alpha_b: int) -> np.ndarray:
-    """(g/2)(ab + a^dag b^dag) on two bosonic ladders (test-only detector
-    variant exhibiting the sinh^2 pair spectrum)."""
-    a = space.annihilation(alpha_a)
-    b = space.annihilation(alpha_b)
-    ab = a @ b
-    return 0.5 * g * (ab + ab.conj().T)
-
-
-def free_hamiltonian(space: FockSpace, mode_omegas: Sequence[float],
-                     omega_d: float, hbar: float) -> np.ndarray:
-    """H0 = sum_a hbar Omega_a n_a + hbar omega_d P_excited (per qubit)."""
-    if len(mode_omegas) != len(space.modes):
-        raise ValidationError("one frequency per mode factor required")
-    h0 = np.zeros((space.dim, space.dim), dtype=complex)
-    for (alpha, _), omega in zip(space.modes, mode_omegas):
-        h0 += hbar * omega * space.number_operator(alpha)
-    for q in range(space.detector_qubits):
-        h0 += hbar * omega_d * space.detector_excited_projector(q)
-    return h0
 
 
 def _check_hermitian(h: np.ndarray):

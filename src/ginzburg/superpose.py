@@ -147,10 +147,6 @@ class BranchedState:
             vec[i * dim:(i + 1) * dim] = w * psi.amplitudes
         return vec
 
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.global_vector()))
-
 
 def _branch_space(spec: BranchSpec, detector_model: str) -> FockSpace:
     a1, a2 = (b.alpha for b in spec.branches)
@@ -223,16 +219,13 @@ def density_matrix(state: BranchedState) -> DensityMatrix:
     return rho
 
 
-def mixed_density_matrix(spec: BranchSpec, t: float, detector: str = "single",
-                         method: str = "perturbative",
-                         guard: float = DEFAULT_PERTURBATIVE_GUARD) -> DensityMatrix:
+def mixed_density_matrix(state: BranchedState) -> DensityMatrix:
     """Classical cos^2/sin^2 mixture of the two localized evolutions.
 
-    Each branch evolves alone and is normalized as its own run, then the
-    runs are mixed with the squared superposition weights on the same global
+    Each evolved branch is normalized as its own run, then the runs are
+    mixed with the squared superposition weights on the same global
     factorization (branch label diagonal).
     """
-    state = evolve_superposed(spec, t, detector, method, guard)
     dim = state.space.dim
     rho = np.zeros((2 * dim, 2 * dim), dtype=complex)
     for i, (w, psi) in enumerate(zip(state.weights, state.branch_states)):

@@ -296,7 +296,7 @@ def test_criterion_10_reduced_states_hide_branch_coherence():
     t = 0.2
     spec = equal_coupling_spec(math.pi / 4.0, 0.0)
     coherent = density_matrix(evolve_superposed(spec, t))
-    mixed = mixed_density_matrix(spec, t)
+    mixed = mixed_density_matrix(evolve_superposed(spec, t))
     assert trace_distance(reduce_chain(coherent), reduce_chain(mixed)) <= 1e-10
     assert trace_distance(reduce_detector(coherent),
                           reduce_detector(mixed)) <= 1e-10

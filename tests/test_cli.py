@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 import ginzburg
+import ginzburg.cli
 from ginzburg.cli import run
+from ginzburg.superpose import evolve_superposed
 
 from reference_values import G_ALPHA_10, OMEGA_10
 
@@ -51,6 +53,9 @@ def test_usage_errors_exit_2(tmp_path):
     # validation failures inside a handler use the same code
     assert run(["meanfield", "--route", "closed", "--v", "0.5", "--t", "0.1",
                 "--grid", "1", "--csv", str(tmp_path / "x.csv")]) == 2
+    assert run(["oracle-compare", "--v", "0.5", "--t", "0.1", "--stride", "-4",
+                "--csv", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_version_flag(capsys):
@@ -100,6 +105,9 @@ def test_meanfield_csv_components(tmp_path):
              + table["phi_ripple_left"])
     np.testing.assert_allclose(table["phi_total"], total, atol=1e-6)
     assert np.max(table["phi_total"]) > 0  # subsonic pile-up is positive
+    # a negative number in exponent form is a value, not an option flag
+    assert run(["meanfield", "--route", "closed", "--v", "-1e-3", "--t", "0.1",
+                "--grid", "201", "--csv", str(out)]) == 0
 
 
 def test_meanfield_route_flag_conflicts(tmp_path):
@@ -170,7 +178,7 @@ def test_evolve_full_scheme_with_weak_coupling(tmp_path):
 
 # --gt value -> the token its usage error must name
 _BAD_GT = {"nan": "nan", "inf": "inf", "-1": "-1", "0.1,-0.2": "-0.2",
-           "0.1,abc": "abc", ",": ","}
+           "0.1,abc": "abc", ",": ",", "-1,2": "-1"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -183,6 +191,7 @@ _BAD_GT = {"nan": "nan", "inf": "inf", "-1": "-1", "0.1,-0.2": "-0.2",
     ["--scheme", "exact", "--gt", "0.1,-0.2"],
     ["--scheme", "full", "--gt", "0.1,abc"],
     ["--scheme", "perturbative", "--gt", ","],
+    ["--scheme", "exact", "--gt", "-1,2"],
 ])
 def test_evolve_bad_time_or_window_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "bad.csv"
@@ -244,9 +253,18 @@ def test_modesum_refuses_oversized_first_pass(tmp_path, capsys):
 
 # -- reduced-state ---------------------------------------------------------------
 
-def test_reduced_state_json_and_sweep(tmp_path):
+def test_reduced_state_json_and_sweep(tmp_path, monkeypatch):
     # the exact method normalizes each branch unitarily, making the mixture
     # comparison exact; the perturbative route is covered in test_superpose
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evolve_superposed(*args, **kwargs)
+
+    # the mixture and every sweep phase reuse the one evolution
+    monkeypatch.setattr(ginzburg.cli, "evolve_superposed", counted)
+    monkeypatch.setattr(ginzburg.superpose, "evolve_superposed", counted)
     out = tmp_path / "red.json"
     sweep = tmp_path / "sweep.csv"
     assert run(["reduced-state", "--theta", str(math.pi / 4.0), "--v1", "2.0",
@@ -271,6 +289,7 @@ def test_reduced_state_json_and_sweep(tmp_path):
     assert np.max(table["td_chain_vs_phi0"]) < 1e-12
     assert np.max(table["td_det_vs_phi0"]) < 1e-12
     assert np.all(np.isnan(table["p_det_e2"]))  # single detector has one level
+    assert len(calls) == 1
 
 
 def test_reduced_state_two_level(tmp_path):

@@ -242,7 +242,7 @@ def test_modesum_coarse_start_matches_fine_pass(v, t, p2001):
     grid = np.linspace(-0.5, 0.5, 801)
     traj = Trajectory(0.0, v)
     ref = _modesum_once(grid, t, traj, p2001, k, omega, *_FINE_FIRST_PASS[v, t],
-                        longwave=False, extended_domain=False)
+                        extended_domain=False)
     phi, report = meanfield_modesum(grid, t, traj, p2001, return_report=True)
     assert np.max(np.abs(phi - ref)) <= 1e-9 * np.max(np.abs(ref))
     if (v, t) == (0.5, 0.25):

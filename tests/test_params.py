@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -109,6 +110,17 @@ def test_dipole_sign_makes_g_finite_and_signed():
     c = CouplingParams.from_dipoles(p_d=-2.0, p_c=3.0, epsilon0=0.25,
                                     w=5.0, a_d=1.0, a_c=1.0, hbar=1.0)
     assert math.isfinite(c.g) and c.g < 0
+
+
+@pytest.mark.parametrize("config", [
+    explicit_config(),
+    {"units": {"preset": "paper"}, "chain": {"N": 2001}, "detector": {"w": 0.01}},
+], ids=["explicit", "preset"])
+def test_build_params_leaves_config_unchanged(config):
+    # the CLI passes its module-level default config without copying it
+    before = copy.deepcopy(config)
+    build_params(config)
+    assert config == before
 
 
 def test_round_trip_identical(tmp_path):

@@ -16,9 +16,8 @@ from ginzburg.meanfield import Trajectory
 from ginzburg.modes import mode_coupling, mode_frequency, resonance_mode
 from ginzburg.params import build_params
 from ginzburg.quantum import (DensityMatrix, FockSpace, QuantumState,
-                              build_ndpa, build_two_mode_squeezer,
-                              density_from_state, evolve_exact, evolve_full,
-                              evolve_perturbative, free_hamiltonian,
+                              build_ndpa, evolve_exact, evolve_full,
+                              evolve_perturbative,
                               interaction_hamiltonian_full, trace_distance)
 
 from oracles import (dense_full_hamiltonian, loop_partial_trace,
@@ -240,7 +239,9 @@ def test_excitation_energy_grows_monotonically(scaled, c10):
     params, omega_d = scaled
     space = FockSpace(modes=((10, 1),), detector_qubits=1)
     h = build_ndpa(c10, space)
-    h0 = free_hamiltonian(space, [c10.omega_alpha], omega_d, params.hbar)
+    # free Hamiltonian hbar Omega n + hbar omega_d |e><e|
+    h0 = params.hbar * (c10.omega_alpha * space.number_operator(10)
+                        + omega_d * space.detector_excited_projector(0))
     quantum = params.hbar * (c10.omega_alpha + omega_d)
     energies = []
     for gt in np.linspace(0.05, 1.0, 12):
@@ -251,19 +252,14 @@ def test_excitation_energy_grows_monotonically(scaled, c10):
     assert all(b > a for a, b in zip(energies, energies[1:]))
 
 
-def test_free_hamiltonian_validation():
-    space = FockSpace(modes=((1, 1), (2, 1)), detector_qubits=1)
-    with pytest.raises(ValidationError):
-        free_hamiltonian(space, [1.0], 2.0, 1.0)
-
-
 # -- two-mode squeezer (bosonic detector stand-in) ----------------------------
 
 def test_squeezer_pair_spectrum():
     n_max = 10
     space = FockSpace(modes=((1, n_max), (2, n_max)), detector_qubits=0)
     g, r = 1.0, 0.3
-    h = build_two_mode_squeezer(g, space, 1, 2)
+    ab = space.annihilation(1) @ space.annihilation(2)
+    h = 0.5 * g * (ab + ab.conj().T)
     psi = evolve_exact(h, space.vacuum(), 2.0 * r / g)
 
     expected = squeezing_pair_populations(r, n_max)
@@ -435,8 +431,7 @@ def test_partial_trace_matches_loop_oracle(rng):
     names = ("det", "m9", "m4")
     amp = rng.normal(size=12) + 1j * rng.normal(size=12)
     amp /= np.linalg.norm(amp)
-    space = FockSpace(modes=((9, 2), (4, 1)), detector_qubits=1)
-    rho = density_from_state(QuantumState(space, amp), dims, names)
+    rho = DensityMatrix(np.outer(amp, amp.conj()), dims, names)
     rho.validate()
 
     for keep_names, keep_idx in ((("det",), (0,)),

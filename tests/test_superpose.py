@@ -275,7 +275,7 @@ def test_reduced_states_are_phase_blind():
 def test_coherent_matches_classical_mixture():
     spec = hand_spec(math.pi / 4.0, 0.0)
     coherent = density_matrix(evolve_superposed(spec, 0.2))
-    mixed = mixed_density_matrix(spec, 0.2)
+    mixed = mixed_density_matrix(evolve_superposed(spec, 0.2))
     assert abs(mixed.trace - 1.0) < 1e-12
 
     # off-diagonal branch blocks vanish by construction
