@@ -6,7 +6,8 @@ tree and writes tests/golden/cases.json next to this script.  The cases are
 
   * the benchmark's CLI calls (perfbench/workloads.py, cli_calls) at seeds
     7 and 301, the seed-independent ones once, `rerun` left out,
-  * the README examples, `regime --params` given the README's sample config,
+  * the README examples the benchmark does not already run, `regime --params`
+    given the README's sample config,
   * a `reduced-state` run with the default perturbative method, and a
     two-level `reduced-state --sweep-csv` run on the weak-coupling config of
     tests/test_cli.py::test_reduced_state_two_level.
@@ -118,8 +119,9 @@ def output_files(d: Path, inputs) -> list[Path]:
 
 
 def collect_cases(workloads) -> list:
-    """The benchmark's CLI calls at SEEDS, a call whose argv is the same at
-    every seed once, then EXTRA_CASES."""
+    """The benchmark's CLI calls at SEEDS, then EXTRA_CASES; an argv that
+    repeats (a call the same at every seed, a README example the benchmark
+    already runs) is kept once."""
     calls = {seed: workloads.cli_calls(workloads.draw_inputs(seed)) for seed in SEEDS}
     cases, seen = [], set()
     for seed in SEEDS:
@@ -129,7 +131,7 @@ def collect_cases(workloads) -> list:
             seen.add(tuple(argv))
             shared = all(argv in (a for _, a, _ in calls[s]) for s in SEEDS)
             cases.append((label if shared else f"{label}_seed{seed}", argv, {}))
-    return cases + EXTRA_CASES
+    return cases + [c for c in EXTRA_CASES if tuple(c[1]) not in seen]
 
 
 def main() -> int:
