@@ -93,11 +93,17 @@ def _grid(params, n: int) -> np.ndarray:
     return np.linspace(-half, half, n)
 
 
+def _omega_d(args, params) -> float:
+    """--omega-d if given (0 included, for the library to reject), else the
+    first detector frequency of the parameters."""
+    return params.detector.omega_d1 if args.omega_d is None else args.omega_d
+
+
 # -- subcommand handlers (return (summary, [output paths])) --------------------
 
 
 def _cmd_modes(args, params):
-    omega_d = args.omega_d if args.omega_d else params.detector.omega_d1
+    omega_d = _omega_d(args, params)
     spec = mode_spectrum(params, y_max=args.y_max)
     g = coupling_strengths(params, omega_d, alphas=spec.alphas, y_max=args.y_max)
     f = cutoff_f(spec.omega * params.detector.w / params.chain.c_s)
@@ -159,7 +165,9 @@ def _cmd_oracle_compare(args, params):
     _check_time(args.t)
     if args.stride < 1:
         raise ValidationError(f"--stride must be >= 1, got {args.stride}")
-    dt = args.dt if args.dt else 0.5 * max_stable_dt(params)
+    if args.dt is not None and args.dt <= 0:
+        raise ValidationError(f"--dt must be > 0, got {args.dt}")
+    dt = 0.5 * max_stable_dt(params) if args.dt is None else args.dt
     steps = max(1, int(round(args.t / dt)))
     dt = args.t / steps
 
@@ -185,7 +193,7 @@ def _cmd_oracle_compare(args, params):
 
 
 def _cmd_resonance(args, params):
-    omega_d = args.omega_d if args.omega_d else params.detector.omega_d1
+    omega_d = _omega_d(args, params)
     outputs = []
     if args.v2 is not None:
         omega_d2 = args.omega_d2
@@ -227,7 +235,7 @@ def _window_couplings(params, alpha0, omega_d, window, y_max):
 
 
 def _cmd_evolve(args, params):
-    omega_d = args.omega_d if args.omega_d else params.detector.omega_d1
+    omega_d = _omega_d(args, params)
     res = resonance_mode(args.v, omega_d, params, y_max=args.y_max)
     coupling = mode_coupling(res.alpha0, params, omega_d, y_max=args.y_max)
     g_abs = abs(coupling.g_alpha)
@@ -267,7 +275,7 @@ def _cmd_evolve(args, params):
 
 
 def _cmd_reduced_state(args, params):
-    omega_d = args.omega_d if args.omega_d else params.detector.omega_d1
+    omega_d = _omega_d(args, params)
     omega_d2 = args.omega_d2
     if omega_d2 is None and params.detector.two_level:
         omega_d2 = params.detector.omega_d2

@@ -9,7 +9,15 @@ paths validate each other:
   evolve_full           fixed-step midpoint-exponential (Magnus-2) stepping
                         of the time-dependent pre-RWA Hamiltonian, unitary to
                         round-off: Taylor action with a norm-bounded degree
-                        and sub-steps
+                        and sub-steps, matrix-free
+
+evolve_full never forms an operator.  Every pair term a b, a b^dag and
+adjoint is a weighted partial permutation of the basis, so one sparse pair
+stencil (a column, a coefficient index and a sqrt(n) weight per basis row
+and slot, built once per call from the space's dims) applies H(t) to the
+amplitude vector by a gather and a row-wise dot: O(dim * modes) memory and
+work.  interaction_hamiltonian_full scatters the same stencil into a dense
+matrix, so H(t) is defined in one place.
 
 The rotating-wave Hamiltonian for the resonant mode is the non-degenerate
 parametric amplifier H = (g_alpha/2)(a b + a^dag b^dag), which creates
@@ -102,10 +110,13 @@ class FockSpace:
         a = self.annihilation(alpha)
         return a.conj().T @ a
 
-    def _detector_op(self, op2: np.ndarray, which: int) -> np.ndarray:
-        if which >= self.detector_qubits:
+    def _check_qubit(self, which: int):
+        if not 0 <= which < self.detector_qubits:
             raise ValidationError(
                 f"detector qubit {which} absent ({self.detector_qubits} present)")
+
+    def _detector_op(self, op2: np.ndarray, which: int) -> np.ndarray:
+        self._check_qubit(which)
         mats = [np.eye(2, dtype=complex)] * self.detector_qubits
         mats[which] = op2
         det = mats[0]
@@ -162,7 +173,14 @@ class QuantumState:
         return float(np.real(self.amplitudes.conj() @ (op @ self.amplitudes)))
 
     def excitation_probability(self, which: int = 0) -> float:
-        return self.expectation(self.space.detector_excited_projector(which))
+        """Sum of |amplitude|^2 over the excited level of detector qubit
+        `which`, in O(dim) without the projector matrix."""
+        space = self.space
+        space._check_qubit(which)
+        qubits = (2,) * space.detector_qubits
+        excited = self.amplitudes.reshape(qubits + space.dims[1:])[
+            (slice(None),) * which + (1,)]
+        return float(np.vdot(excited, excited).real)
 
 
 @dataclass
@@ -296,20 +314,10 @@ def evolve_perturbative(coupling: ModeCoupling, t: float, hbar: float = 1.0,
     return QuantumState(space, amp).normalized()
 
 
-def _pair_operators(space: FockSpace) -> np.ndarray:
-    """The fixed operators a_alpha b and a_alpha b^dag of every mode, in
-    Fock-space mode order, one flattened (dim * dim) row each."""
-    b = space.detector_lowering(0)
-    ops = []
-    for alpha in space.mode_labels:
-        a = space.annihilation(alpha)
-        ops += [a @ b, a @ b.conj().T]
-    return np.array(ops).reshape(len(ops), -1)
-
-
 def _pair_coefficients(t, x_d, couplings: Sequence[ModeCoupling],
                        params: SystemParams, omega_d: float) -> np.ndarray:
-    """Coefficients of the _pair_operators rows at times t, detector at x_d:
+    """Coefficients of the pair terms a_a b and a_a b^dag of every mode, in
+    Fock-space mode order, at times t, detector at x_d:
 
         g_a cos[Omega_a (x_d + L/2) / c_s] e^{-i (Omega_a +/- omega_d) t}
 
@@ -324,6 +332,42 @@ def _pair_coefficients(t, x_d, couplings: Sequence[ModeCoupling],
     coef = np.stack([geom * np.exp(-1j * (omega + omega_d) * t),
                      geom * np.exp(-1j * (omega - omega_d) * t)], axis=-1)
     return coef.reshape(coef.shape[:-2] + (-1,))
+
+
+def _pair_stencil(space: FockSpace):
+    """Sparse rows of K = sum_k c_k A_k and K^dag, where A_k runs over the
+    pair terms a_a b, a_a b^dag of _pair_coefficients, then their adjoints.
+
+    Each term flips detector qubit 0 and moves one mode by one quantum, so a
+    basis row has two slots per mode: a_a (column with n_a + 1) and a_a^dag
+    (column with n_a - 1), with the qubit-0 flip set by the row's level.
+    Returns (cols, cidx, weight), each (dim, 2 n_modes): the column, the
+    index of the term in the 4 n_modes coefficients [c, adjoint
+    coefficients], and the sqrt(n) ladder weight, 0 where the ladder ends.
+    """
+    if space.detector_qubits < 1:
+        raise ValidationError("the pair terms need a space with a detector qubit")
+    dims, dim, n_modes = space.dims, space.dim, len(space.modes)
+    rows = np.arange(dim)
+    levels = np.unravel_index(rows, dims)
+    # qubit 0 is the slowest bit of the detector index, so its stride is dim/2
+    excited = (levels[0] >= dims[0] // 2).astype(np.intp)
+    flipped = rows + (dim // 2) * (1 - 2 * excited)
+    cols = np.empty((dim, 2 * n_modes), dtype=np.intp)
+    cidx = np.empty_like(cols)
+    weight = np.empty(cols.shape)
+    for k, ((_, n_max), n) in enumerate(zip(space.modes, levels[1:])):
+        stride = int(np.prod(dims[k + 2:]))
+        # a_a b on a ground row, a_a b^dag on an excited one
+        up = n < n_max
+        cols[:, 2 * k] = np.where(up, flipped + stride, rows)
+        cidx[:, 2 * k] = 2 * k + excited
+        weight[:, 2 * k] = np.sqrt(np.where(up, n + 1, 0))
+        # (a_a b^dag)^dag on a ground row, (a_a b)^dag on an excited one
+        cols[:, 2 * k + 1] = np.where(n > 0, flipped - stride, rows)
+        cidx[:, 2 * k + 1] = 2 * n_modes + 2 * k + 1 - excited
+        weight[:, 2 * k + 1] = np.sqrt(n)
+    return cols, cidx, weight
 
 
 def _check_couplings(couplings: Sequence[ModeCoupling], space: FockSpace):
@@ -352,8 +396,12 @@ def interaction_hamiltonian_full(t: float, x_d: float,
     if omega_d is None:
         omega_d = couplings[0].omega_d
     coef = _pair_coefficients(t, x_d, couplings, params, omega_d)
-    k = (coef @ _pair_operators(space)).reshape(space.dim, space.dim)
-    return k + k.conj().T
+    cols, cidx, weight = _pair_stencil(space)
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    # the padded slots repeat the zero diagonal, so plain assignment is safe
+    h[np.arange(space.dim)[:, None], cols] = (
+        np.concatenate([coef, coef.conj()])[cidx] * weight)
+    return h
 
 
 # (theta/s)^m / m! <= 2^-53 bounds the truncated Taylor tail of each sub-step
@@ -399,19 +447,20 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
         n_terms += 1
         tail *= ratio / n_terms
 
-    ops = _pair_operators(space)
+    cols, cidx, weight = _pair_stencil(space)
     amp = psi0.amplitudes
     for start in range(0, n_steps, _STEP_BLOCK):
         t_mid = (np.arange(start, min(start + _STEP_BLOCK, n_steps)) + 0.5) * dt
         # sub-step generator is X - X^dag with X = -i (dt / hbar s) K(t_mid)
         coef = (-1j * dt / (params.hbar * n_sub)) * _pair_coefficients(
             t_mid, traj.position(t_mid), couplings, params, omega_d)
-        for c in coef:
-            x = (c @ ops).reshape(space.dim, space.dim)
-            gen = x - x.conj().T
+        # np.vecdot conjugates its first argument, so each step's vals holds
+        # the conjugated stencil entries of X - X^dag
+        for c in np.concatenate([coef.conj(), -coef], axis=-1):
+            vals = c[cidx] * weight
             for _ in range(n_sub):
                 term = amp
                 for j in range(1, n_terms + 1):
-                    term = (gen @ term) / j
+                    term = np.vecdot(vals, term[cols]) / j
                     amp = amp + term
     return QuantumState(space, amp)

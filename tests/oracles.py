@@ -111,9 +111,10 @@ def fit_order(scales, errors):
                       np.log(np.asarray(errors, float)), 1)[0]
 
 
-def _kron_ladders(n_maxes):
-    """Detector lowering b and mode lowerings a_k on qubit x modes by np.kron."""
-    dims = [2] + [n + 1 for n in n_maxes]
+def _kron_ladders(n_maxes, detector_qubits=1):
+    """Detector lowering b of the first qubit and mode lowerings a_k on
+    qubits x modes by np.kron."""
+    dims = [2] * detector_qubits + [n + 1 for n in n_maxes]
 
     def embed(op, slot):
         out = np.eye(1)
@@ -122,18 +123,21 @@ def _kron_ladders(n_maxes):
         return out.astype(complex)
 
     b = embed(np.array([[0.0, 1.0], [0.0, 0.0]]), 0)
-    a = [embed(np.diag(np.sqrt(np.arange(1.0, n + 1)), 1), k + 1)
+    a = [embed(np.diag(np.sqrt(np.arange(1.0, n + 1)), 1), k + detector_qubits)
          for k, n in enumerate(n_maxes)]
     return b, a
 
 
-def dense_full_hamiltonian(t, x_d, chain_modes, omega_d, L, c_s, ladders=None):
+def dense_full_hamiltonian(t, x_d, chain_modes, omega_d, L, c_s, ladders=None,
+                           detector_qubits=1):
     """Pre-RWA H(t) = sum_k g_k (a_k e^{-i W_k t} + h.c.)(b e^{-i w_d t} + h.c.)
-    cos[W_k (x_d + L/2) / c_s] from explicit kron ladders.
+    cos[W_k (x_d + L/2) / c_s] from explicit kron ladders, b on the first of
+    detector_qubits qubits.
 
-    chain_modes: ((n_max, g, W), ...) in tensor order after the qubit.
+    chain_modes: ((n_max, g, W), ...) in tensor order after the qubits.
     """
-    b, a = ladders or _kron_ladders([n for n, _, _ in chain_modes])
+    b, a = ladders or _kron_ladders([n for n, _, _ in chain_modes],
+                                    detector_qubits)
     b_t = b * np.exp(-1j * omega_d * t)
     b_full = b_t + b_t.conj().T
     h = np.zeros_like(b)

@@ -46,7 +46,7 @@ def read_csv(path):
 
 # -- exit codes ----------------------------------------------------------------
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["modes", "--nope"]) == 2
     assert run(["not-a-subcommand"]) == 2
     assert run([]) == 2
@@ -55,6 +55,16 @@ def test_usage_errors_exit_2(tmp_path):
                 "--grid", "1", "--csv", str(tmp_path / "x.csv")]) == 2
     assert run(["oracle-compare", "--v", "0.5", "--t", "0.1", "--stride", "-4",
                 "--csv", str(tmp_path / "x.csv")]) == 2
+    # an explicit 0 reaches the library instead of selecting the default
+    assert run(["modes", "--omega-d", "0", "--csv", str(tmp_path / "x.csv")]) == 2
+    assert run(["oracle-compare", "--v", "0.5", "--t", "0.01", "--dt", "0",
+                "--csv", str(tmp_path / "x.csv")]) == 2
+    capsys.readouterr()
+    assert run(["oracle-compare", "--v", "0.5", "--t", "0.01", "--dt", "-1e-5",
+                "--csv", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "--dt" in err and "-1e-05" in err
     assert not (tmp_path / "x.csv").exists()
 
 

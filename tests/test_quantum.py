@@ -6,6 +6,7 @@ NDPA P_e = sin^2(g t / 2 hbar), squeezer P(n,n) = tanh^{2n} r / cosh^2 r.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ def test_two_qubit_detector_ordering():
     lowered = space.detector_lowering(0) @ amp
     assert abs(lowered[space.basis_index(0, (0,))] - 1.0) < 1e-15
     assert np.max(np.abs(space.detector_lowering(1) @ amp)) == 0.0
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_excitation_probability_matches_projector(qubits):
+    space = FockSpace(modes=((7, 2), (8, 1)), detector_qubits=qubits)
+    rng = np.random.default_rng(qubits)
+    psi = QuantumState(space, rng.normal(size=space.dim)
+                       + 1j * rng.normal(size=space.dim)).normalized()
+    for which in range(qubits):
+        expected = psi.expectation(space.detector_excited_projector(which))
+        assert psi.excitation_probability(which) == pytest.approx(expected,
+                                                                  abs=1e-15)
+    for absent in (-1, qubits):
+        with pytest.raises(ValidationError):
+            psi.excitation_probability(absent)
 
 
 @settings(max_examples=60, deadline=None)
@@ -281,32 +297,36 @@ def chain_modes(space, couplings):
             for (_, n_max), c in zip(space.modes, couplings)]
 
 
-def cli_default_setup():
-    """`evolve --scheme full --v 2.0` at the CLI defaults: Fig. 2 params,
-    unscaled coupling, modes alpha0 +/- 2, n_max 2 resonant and 1 off."""
+def cli_default_setup(window=2):
+    """`evolve --scheme full --v 2.0 --window W` at the CLI defaults: Fig. 2
+    params, unscaled coupling, modes alpha0 +/- W, n_max 2 resonant and 1 off."""
     params = build_params({"units": {"preset": "paper"}, "chain": {"N": 2001},
                            "detector": {"w": 0.01}})
     omega_d = params.detector.omega_d1
     alpha0 = resonance_mode(2.0, omega_d, params).alpha0
     couplings = [mode_coupling(a, params, omega_d)
-                 for a in range(alpha0 - 2, alpha0 + 3)]
+                 for a in range(alpha0 - window, alpha0 + window + 1)]
     space = FockSpace(modes=tuple((c.alpha, 2 if c.alpha == alpha0 else 1)
                                   for c in couplings), detector_qubits=1)
-    return params, omega_d, couplings, space, abs(couplings[2].g_alpha)
+    return params, omega_d, couplings, space, abs(couplings[window].g_alpha)
 
 
 def test_full_interaction_is_hermitian(scaled):
-    """H(t) is Hermitian and equals the oracle's kron-built H(t)."""
+    """H(t) is Hermitian and equals the oracle's kron-built H(t), with one
+    detector qubit and with two (b lowers the first)."""
     params, omega_d = scaled
     couplings = [mode_coupling(a, params, omega_d=omega_d) for a in (9, 10, 11)]
-    space = FockSpace(modes=((9, 1), (10, 2), (11, 1)), detector_qubits=1)
-    h = interaction_hamiltonian_full(0.37, 0.21, couplings, space, params,
-                                     omega_d)
-    scale = np.max(np.abs(h))
-    assert np.max(np.abs(h - h.conj().T)) < 1e-14 * scale
-    expected = dense_full_hamiltonian(0.37, 0.21, chain_modes(space, couplings),
-                                      omega_d, params.chain.L, params.chain.c_s)
-    assert np.max(np.abs(h - expected)) <= 1e-14 * scale
+    for qubits in (1, 2):
+        space = FockSpace(modes=((9, 1), (10, 2), (11, 1)),
+                          detector_qubits=qubits)
+        h = interaction_hamiltonian_full(0.37, 0.21, couplings, space, params,
+                                         omega_d)
+        scale = np.max(np.abs(h))
+        assert np.max(np.abs(h - h.conj().T)) < 1e-14 * scale
+        expected = dense_full_hamiltonian(
+            0.37, 0.21, chain_modes(space, couplings), omega_d, params.chain.L,
+            params.chain.c_s, detector_qubits=qubits)
+        assert np.max(np.abs(h - expected)) <= 1e-14 * scale
 
 
 def test_full_zero_time_and_dt_guard(scaled, c10):
@@ -332,6 +352,11 @@ def test_full_zero_time_and_dt_guard(scaled, c10):
     wrong_space = FockSpace(modes=((9, 1), (10, 1)), detector_qubits=1)
     with pytest.raises(ValidationError):
         evolve_full(wrong_space.vacuum(), 0.1, traj, [c10], wrong_space, params)
+    no_detector = FockSpace(modes=((10, 1),), detector_qubits=0)
+    with pytest.raises(ValidationError):
+        evolve_full(no_detector.vacuum(), 0.1, traj, [c10], no_detector, params)
+    with pytest.raises(ValidationError):
+        interaction_hamiltonian_full(0.1, 0.0, [c10], no_detector, params)
 
 
 def test_full_matches_ndpa_on_resonance(scaled):
@@ -364,10 +389,12 @@ def test_full_matches_ndpa_on_resonance(scaled):
     ("cli_default", 3.0, None),    # one step, norm bound ~65
     ("cli_default", 10.0, None),   # one step; unsplit Taylor loses ~0.07
     ("window", 0.2, 0.5),          # 4200 steps, more than one block
+    ("cli_window3", 1.0, None),    # dim 384, seven modes
 ])
 def test_full_matches_dense_magnus2_oracle(scaled, setup, gt, dt_scale):
-    if setup == "cli_default":
-        params, omega_d, couplings, space, g_res = cli_default_setup()
+    if setup.startswith("cli"):
+        params, omega_d, couplings, space, g_res = cli_default_setup(
+            3 if setup == "cli_window3" else 2)
     else:
         params, omega_d = scaled
         couplings = [mode_coupling(a, params, omega_d=omega_d)
@@ -393,6 +420,29 @@ def test_full_matches_dense_magnus2_oracle(scaled, setup, gt, dt_scale):
                              traj.x0, traj.v, modes_in, omega_d,
                              params.chain.L, params.chain.c_s, params.hbar)
     assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-12
+
+
+def test_full_window_converged_in_flat_memory():
+    """One step at gt = 1 for --window 4 (dim 1536) and 5 (dim 6144): the
+    matrix-free step stays under 16 MB of allocations, where dense operators
+    would need 0.7 GB and 13 GB, and p_excite has converged in the window."""
+    p_excite = []
+    for window in (4, 5):
+        params, omega_d, couplings, space, g_res = cli_default_setup(window)
+        t = params.hbar / g_res
+        assert t < 2.0 * math.pi / (50.0 * (couplings[-1].omega_alpha + omega_d))
+        psi0 = space.vacuum()
+        tracemalloc.start()
+        try:
+            psi = evolve_full(psi0, t, Trajectory(0.0, V_RES), couplings, space,
+                              params, omega_d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, (window, space.dim, peak)
+        assert abs(psi.norm - 1.0) <= 1e-12
+        p_excite.append(psi.excitation_probability())
+    assert abs(p_excite[0] - p_excite[1]) <= 1e-7
 
 
 def test_full_unitary_to_round_off(scaled):
