@@ -22,7 +22,7 @@ from . import __version__
 from .errors import GinzburgError, ToleranceError, ValidationError
 from .io_utils import (RunManifest, load_manifest, sha256_file, write_csv,
                        write_json, write_manifest)
-from .params import _check_time, build_params, load_params, regime_check
+from .params import build_params, load_params, regime_check
 from .modes import (DEFAULT_Y_MAX, coupling_strengths, mode_coupling,
                     mode_spectrum, resonance_mode, resonance_pair)
 from .meanfield import Trajectory, meanfield_closed, profile
@@ -73,6 +73,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a finite number > 0."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
+
+
 def _times_list(text: str) -> list[float]:
     """argparse type for a comma-separated list of finite numbers >= 0."""
     values = []
@@ -105,7 +113,7 @@ def _omega_d(args, params) -> float:
 def _cmd_modes(args, params):
     omega_d = _omega_d(args, params)
     spec = mode_spectrum(params, y_max=args.y_max)
-    g = coupling_strengths(params, omega_d, alphas=spec.alphas, y_max=args.y_max)
+    g = coupling_strengths(params, omega_d, alphas=spec.alphas)
     f = cutoff_f(spec.omega * params.detector.w / params.chain.c_s)
     rows = [(int(a), float(om), float(gv), float(fv), bool(r))
             for a, om, gv, fv, r in zip(spec.alphas, spec.omega, g, f, spec.retained)]
@@ -162,7 +170,6 @@ def _cmd_oracle_compare(args, params):
     chain = params.chain
     traj = Trajectory(x0=args.x0, v=args.v)
     traj.validate(params)
-    _check_time(args.t)
     if args.stride < 1:
         raise ValidationError(f"--stride must be >= 1, got {args.stride}")
     if args.dt is not None and args.dt <= 0:
@@ -370,7 +377,7 @@ def _cmd_regime(args, params):
     return summary, outputs
 
 
-def _cmd_rerun(args, _params_unused=None):
+def _cmd_rerun(args):
     data = load_manifest(args.manifest)
     argv = list(data["argv"])
     if argv and argv[0] == "rerun":
@@ -407,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="accepted for interface stability; every code path "
                              "is deterministic, the value is unused")
-    common.add_argument("--y-max", type=_finite_float, default=DEFAULT_Y_MAX,
+    common.add_argument("--y-max", type=_positive_float, default=DEFAULT_Y_MAX,
                         help="mode cutoff Omega*w/c_s (default %(default)s)")
 
     p = sub.add_parser("modes", parents=[common],
@@ -435,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="discrete leapfrog vs closed form")
     p.add_argument("--v", type=_finite_float, required=True)
     p.add_argument("--x0", type=_finite_float, default=0.0)
-    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--t", type=_positive_float, required=True)
     p.add_argument("--dt", type=_finite_float, default=None)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--tol", type=_finite_float, default=0.05)

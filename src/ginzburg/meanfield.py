@@ -213,9 +213,10 @@ def meanfield_series(x, t, traj: Trajectory, params: SystemParams,
 # -- brute-force mode sum ------------------------------------------------------
 
 
-def _gauss_panels(a, b, n_panels, n_nodes=8):
-    """Composite Gauss-Legendre nodes/weights on [a, b] with uniform panels."""
-    xg, wg = np.polynomial.legendre.leggauss(n_nodes)
+def _gauss_panels(a, b, n_panels):
+    """Composite 8-node Gauss-Legendre nodes/weights on [a, b] with uniform
+    panels."""
+    xg, wg = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

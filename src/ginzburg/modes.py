@@ -109,8 +109,7 @@ class ModeCoupling:
     f_factor: float
 
 
-def coupling_strengths(params: SystemParams, omega_d, alphas=None,
-                       y_max: float = DEFAULT_Y_MAX) -> np.ndarray:
+def coupling_strengths(params: SystemParams, omega_d, alphas=None) -> np.ndarray:
     """g_alpha for an index array, cutoff applied as a factor (no truncation).
 
     The cutoff enters only through f; indices past y_max still get their
@@ -140,8 +139,7 @@ def mode_coupling(alpha, params: SystemParams, omega_d,
     if y > y_max:
         raise ModeCutoffError(
             f"mode {alpha} truncated: Omega_alpha*w/c_s = {y:.4g} > y_max = {y_max}")
-    g_alpha = float(coupling_strengths(params, omega_d, alphas=np.array([alpha]),
-                                       y_max=y_max)[0])
+    g_alpha = float(coupling_strengths(params, omega_d, alphas=np.array([alpha]))[0])
     return ModeCoupling(alpha=int(alpha), g_alpha=g_alpha, omega_d=float(omega_d),
                         omega_alpha=omega, f_factor=float(cutoff_f(y)))
 

@@ -28,6 +28,8 @@ from .specfun import cutoff_f
 
 # factor such that "x much greater than y" means x/y >= MUCH_FACTOR
 MUCH_FACTOR = 10.0
+# weak coupling means max |g_alpha| t / hbar <= WEAK_COUPLING_MAX
+WEAK_COUPLING_MAX = 0.1
 
 
 def _require_positive(**kwargs):
@@ -36,6 +38,13 @@ def _require_positive(**kwargs):
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if value <= 0:
             raise ValidationError(f"{name} must be strictly positive, got {value}")
+
+
+def _check_chain_size(N):
+    if not isinstance(N, int):
+        raise ValidationError(f"N must be an integer, got {N!r}")
+    if N < 3:
+        raise ValidationError(f"N must be >= 3, got {N}")
 
 
 def _check_time(t: float):
@@ -53,10 +62,7 @@ class ChainParams:
     a_c: float
 
     def __post_init__(self):
-        if not isinstance(self.N, int):
-            raise ValidationError(f"N must be an integer, got {self.N!r}")
-        if self.N < 3:
-            raise ValidationError(f"N must be >= 3, got {self.N}")
+        _check_chain_size(self.N)
         if self.N % 2 == 0:
             raise ValidationError(f"N must be odd, got {self.N}")
         _require_positive(m_c=self.m_c, k_c=self.k_c, a_c=self.a_c)
@@ -220,13 +226,8 @@ def build_params(config: dict) -> SystemParams:
             raise ValidationError("paper-units preset requires chain.N")
         if "w" not in det_cfg:
             raise ValidationError("paper-units preset requires detector.w")
-        N = chain_cfg["N"]
-        if not isinstance(N, int):
-            raise ValidationError(f"N must be an integer, got {N!r}")
-        if N < 3:
-            raise ValidationError(f"N must be >= 3, got {N}")
-        a_c = 1.0 / (N - 1)          # L = 1
-        chain_cfg.setdefault("a_c", a_c)
+        _check_chain_size(chain_cfg["N"])
+        chain_cfg.setdefault("a_c", 1.0 / (chain_cfg["N"] - 1))  # L = 1
         chain_cfg.setdefault("m_c", chain_cfg["a_c"])       # rho_c = 1
         chain_cfg.setdefault("k_c", 1.0 / chain_cfg["a_c"])  # c_s = 1
         det_cfg.setdefault("m_tilde_d", 1.0)
@@ -328,22 +329,21 @@ class RegimeReport:
 
 
 def regime_check(params: SystemParams, window, trajectories,
-                 factor: float = MUCH_FACTOR, y_max: float = 10.0,
-                 weak_coupling_max: float = 0.1) -> RegimeReport:
+                 y_max: float = 10.0) -> RegimeReport:
     """Evaluate the regime flags for a run window and a set of trajectories.
 
     window: (t_start, t_end) in the active units; trajectories: iterable of
-    (x0, v) pairs.  Flags (defaults: "much greater" = factor 10):
+    (x0, v) pairs.  Flags ("much greater" means a ratio >= MUCH_FACTOR):
 
       w_over_ac        w >> a_c
       L_over_w         L >> w
       edge_distance    detector stays far from the chain edges: the minimum
                        distance (L/2 - |x_d|) over the window, measured in
-                       units of w, must be >= factor
+                       units of w, must be >= MUCH_FACTOR
       mode_wavelength  lambda_alpha >= w for the modes that actually couple
                        (cutoff f >= 1/2); the shorter retained modes carry
                        negligible weight by construction
-      weak_coupling    max_alpha |g_alpha| * t_end / hbar <= weak_coupling_max
+      weak_coupling    max_alpha |g_alpha| * t_end / hbar <= WEAK_COUPLING_MAX
     """
     # local import: modes imports params for types
     from .modes import mode_spectrum, coupling_strengths
@@ -359,16 +359,16 @@ def regime_check(params: SystemParams, window, trajectories,
 
     checks = []
     r = w / chain.a_c
-    checks.append(RegimeCheck("w_over_ac", r, factor, "ge", r >= factor))
+    checks.append(RegimeCheck("w_over_ac", r, MUCH_FACTOR, "ge", r >= MUCH_FACTOR))
     r = L / w
-    checks.append(RegimeCheck("L_over_w", r, factor, "ge", r >= factor))
+    checks.append(RegimeCheck("L_over_w", r, MUCH_FACTOR, "ge", r >= MUCH_FACTOR))
 
     max_excursion = 0.0
     for x0, v in trajectories:
         for t in (t0, t1):
             max_excursion = max(max_excursion, abs(x0 + v * t))
     r = (L / 2.0 - max_excursion) / w
-    checks.append(RegimeCheck("edge_distance", r, factor, "ge", r >= factor,
+    checks.append(RegimeCheck("edge_distance", r, MUCH_FACTOR, "ge", r >= MUCH_FACTOR,
                               note=f"max |x_d| = {max_excursion:.6g}"))
 
     spec = mode_spectrum(params, y_max=y_max)
@@ -383,10 +383,10 @@ def regime_check(params: SystemParams, window, trajectories,
     checks.append(RegimeCheck("mode_wavelength", r, 1.0, "ge", r >= 1.0,
                               note="min lambda/w over modes with f >= 1/2"))
 
-    g_abs = abs(coupling_strengths(params, det.omega_d1, y_max=y_max)[spec.retained])
+    g_abs = abs(coupling_strengths(params, det.omega_d1)[spec.retained])
     gt_max = float(g_abs.max()) * max(abs(t0), abs(t1)) / params.hbar if g_abs.size else 0.0
-    checks.append(RegimeCheck("weak_coupling", gt_max, weak_coupling_max, "le",
-                              gt_max <= weak_coupling_max,
+    checks.append(RegimeCheck("weak_coupling", gt_max, WEAK_COUPLING_MAX, "le",
+                              gt_max <= WEAK_COUPLING_MAX,
                               note="max |g_alpha| t / hbar over retained modes"))
 
     return RegimeReport(checks=tuple(checks))

@@ -1,7 +1,7 @@
 """Quantized phonon-detector dynamics for a single localized trajectory.
 
 Truncated Fock representation of a few retained chain modes tensored with a
-two-level detector (one qubit per internal frequency).  Three evolution
+detector of one or two qubits (one per internal frequency).  Three evolution
 paths validate each other:
 
   evolve_exact          exp(-i H t / hbar) by dense eigendecomposition
@@ -11,13 +11,14 @@ paths validate each other:
                         round-off: Taylor action with a norm-bounded degree
                         and sub-steps, matrix-free
 
-evolve_full never forms an operator.  Every pair term a b, a b^dag and
-adjoint is a weighted partial permutation of the basis, so one sparse pair
-stencil (a column, a coefficient index and a sqrt(n) weight per basis row
-and slot, built once per call from the space's dims) applies H(t) to the
-amplitude vector by a gather and a row-wise dot: O(dim * modes) memory and
-work.  interaction_hamiltonian_full scatters the same stencil into a dense
-matrix, so H(t) is defined in one place.
+Every Hamiltonian comes from one sparse pair stencil.  Each pair term a b,
+a b^dag and adjoint flips one detector qubit and moves one mode by one
+quantum, so it is a weighted partial permutation of the basis: per basis row
+and slot, a column, a coefficient index and a sqrt(n) weight, built from the
+space's dims.  evolve_full applies H(t) to the amplitude vector by a gather
+and a row-wise dot, O(dim * modes) memory and work; build_ndpa and
+interaction_hamiltonian_full scatter the same stencil into a dense matrix.
+Every operator allocation is checked against OPERATOR_BYTES first.
 
 The rotating-wave Hamiltonian for the resonant mode is the non-degenerate
 parametric amplifier H = (g_alpha/2)(a b + a^dag b^dag), which creates
@@ -39,24 +40,30 @@ from .params import SystemParams, _check_time
 DEFAULT_PERTURBATIVE_GUARD = 0.3
 # fixed-step integrator resolves the fastest phase by this many steps/cycle
 FULL_STEPS_PER_CYCLE = 50.0
+# bytes one operator build may hold, checked before it allocates
+OPERATOR_BYTES = 2 ** 28
+# density-matrix checks: Hermitian to this fraction of the largest entry,
+# no eigenvalue below the floor, trace within the tolerance of 1
+_HERM_TOL = 1e-12
+_EIG_FLOOR = -1e-10
+_TRACE_TOL = 1e-12
 
-_qubit_lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 
-
-def _boson_lower(n_levels: int) -> np.ndarray:
-    a = np.zeros((n_levels, n_levels), dtype=complex)
-    for n in range(1, n_levels):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+def _check_budget(dim: int, n_bytes: int):
+    if n_bytes > OPERATOR_BYTES:
+        raise ValidationError(
+            f"Fock space of dim {dim} needs {n_bytes / 2 ** 20:.0f} MiB for its "
+            f"operators, over the {OPERATOR_BYTES >> 20} MiB budget")
 
 
 @dataclass(frozen=True)
 class FockSpace:
     """Detector qubits (slowest index) tensored with truncated mode ladders.
 
-    modes: ((alpha, n_max), ...) in tensor order; detector_qubits is the
-    number of internal frequencies (0 gives a purely bosonic space, used by
-    the two-mode-squeezing tests).
+    modes: ((alpha, n_max), ...) in tensor order; detector_qubits (1 or 2)
+    is the number of internal frequencies, qubit 0 the slowest bit of the
+    detector level.  Operators come from the pair stencil, not from this
+    class; number_operator reads the occupations off the basis.
     """
 
     modes: tuple[tuple[int, int], ...]
@@ -68,10 +75,8 @@ class FockSpace:
             raise ValidationError(f"duplicate mode labels: {labels}")
         if any(n_max < 1 for _, n_max in self.modes):
             raise ValidationError("every mode needs n_max >= 1")
-        if self.detector_qubits not in (0, 1, 2):
-            raise ValidationError("detector_qubits must be 0, 1, or 2")
-        if not self.modes and self.detector_qubits == 0:
-            raise ValidationError("empty Fock space")
+        if self.detector_qubits not in (1, 2):
+            raise ValidationError("detector_qubits must be 1 or 2")
 
     @property
     def mode_labels(self) -> tuple[int, ...]:
@@ -79,8 +84,7 @@ class FockSpace:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        det = (2 ** self.detector_qubits,) if self.detector_qubits else ()
-        return det + tuple(n_max + 1 for _, n_max in self.modes)
+        return (2 ** self.detector_qubits,) + tuple(n_max + 1 for _, n_max in self.modes)
 
     @property
     def dim(self) -> int:
@@ -88,53 +92,28 @@ class FockSpace:
 
     def _mode_slot(self, alpha: int) -> int:
         try:
-            pos = self.mode_labels.index(alpha)
+            return self.mode_labels.index(alpha) + 1
         except ValueError:
             raise ValidationError(
                 f"mode {alpha} not in Fock space {self.mode_labels}") from None
-        return pos + (1 if self.detector_qubits else 0)
-
-    def _embed(self, op: np.ndarray, slot: int) -> np.ndarray:
-        mats = [np.eye(d, dtype=complex) for d in self.dims]
-        mats[slot] = op
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
-
-    def annihilation(self, alpha: int) -> np.ndarray:
-        slot = self._mode_slot(alpha)
-        return self._embed(_boson_lower(self.dims[slot]), slot)
 
     def number_operator(self, alpha: int) -> np.ndarray:
-        a = self.annihilation(alpha)
-        return a.conj().T @ a
+        """Diagonal a_alpha^dag a_alpha: the mode's occupation of each row."""
+        slot = self._mode_slot(alpha)
+        # the dense diagonal, the row index and one level per factor
+        _check_budget(self.dim, 8 * self.dim * (self.dim + len(self.dims) + 2))
+        return np.diag(np.unravel_index(np.arange(self.dim), self.dims)[slot]
+                       .astype(float))
 
     def _check_qubit(self, which: int):
         if not 0 <= which < self.detector_qubits:
             raise ValidationError(
                 f"detector qubit {which} absent ({self.detector_qubits} present)")
 
-    def _detector_op(self, op2: np.ndarray, which: int) -> np.ndarray:
-        self._check_qubit(which)
-        mats = [np.eye(2, dtype=complex)] * self.detector_qubits
-        mats[which] = op2
-        det = mats[0]
-        for m in mats[1:]:
-            det = np.kron(det, m)
-        return self._embed(det, 0)
-
-    def detector_lowering(self, which: int = 0) -> np.ndarray:
-        return self._detector_op(_qubit_lower, which)
-
-    def detector_excited_projector(self, which: int = 0) -> np.ndarray:
-        return self._detector_op(np.diag([0.0, 1.0]).astype(complex), which)
-
     def basis_index(self, detector_level: int, occupations: Sequence[int]) -> int:
         if len(occupations) != len(self.modes):
             raise ValidationError("occupation list does not match mode count")
-        multi = ((detector_level,) if self.detector_qubits else ()) + tuple(occupations)
-        return int(np.ravel_multi_index(multi, self.dims))
+        return int(np.ravel_multi_index((detector_level, *occupations), self.dims))
 
     def vacuum(self) -> "QuantumState":
         amp = np.zeros(self.dim, dtype=complex)
@@ -203,14 +182,13 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
 
-    def validate(self, herm_tol: float = 1e-12, eig_floor: float = -1e-10,
-                 trace_tol: float = 1e-12):
+    def validate(self):
         scale = max(float(np.max(np.abs(self.matrix))), 1e-300)
-        if float(np.max(np.abs(self.matrix - self.matrix.conj().T))) > herm_tol * scale:
+        if float(np.max(np.abs(self.matrix - self.matrix.conj().T))) > _HERM_TOL * scale:
             raise ValidationError("density matrix not Hermitian")
-        if float(np.min(np.linalg.eigvalsh(self.matrix))) < eig_floor:
+        if float(np.min(np.linalg.eigvalsh(self.matrix))) < _EIG_FLOOR:
             raise ValidationError("density matrix has a negative eigenvalue")
-        if abs(self.trace - 1.0) > trace_tol:
+        if abs(self.trace - 1.0) > _TRACE_TOL:
             raise ValidationError(f"trace = {self.trace} is not 1")
 
     def partial_trace(self, keep: Sequence[str]) -> "DensityMatrix":
@@ -249,23 +227,24 @@ def trace_distance(rho_a: DensityMatrix, rho_b: DensityMatrix) -> float:
 # -- Hamiltonians ---------------------------------------------------------------
 
 
-def _minimal_space(coupling: ModeCoupling, n_max: int = 1) -> FockSpace:
-    return FockSpace(modes=((coupling.alpha, n_max),), detector_qubits=1)
+def _minimal_space(coupling: ModeCoupling) -> FockSpace:
+    return FockSpace(modes=((coupling.alpha, 1),), detector_qubits=1)
 
 
-def build_ndpa(coupling: ModeCoupling, space: FockSpace | None = None) -> np.ndarray:
-    """Resonant-mode parametric-amplifier Hamiltonian (g_alpha/2)(ab + h.c.).
+def build_ndpa(coupling: ModeCoupling, space: FockSpace | None = None,
+               qubit: int = 0) -> np.ndarray:
+    """Resonant-mode parametric-amplifier Hamiltonian (g_alpha/2)(ab + h.c.),
+    b lowering detector qubit `qubit`.
 
     <n+1, e| H |n, g> = (g_alpha/2) sqrt(n+1); Hermitian by construction.
     """
     if space is None:
         space = _minimal_space(coupling)
-    if space.detector_qubits < 1:
-        raise ValidationError("build_ndpa needs a space with a detector qubit")
-    a = space.annihilation(coupling.alpha)
-    b = space.detector_lowering(0)
-    ab = a @ b
-    return 0.5 * coupling.g_alpha * (ab + ab.conj().T)
+    k, n_modes = space._mode_slot(coupling.alpha) - 1, len(space.modes)
+    # g/2 on a_alpha b and on its adjoint, every other pair term 0
+    coef = np.zeros(4 * n_modes, dtype=complex)
+    coef[[2 * k, 2 * n_modes + 2 * k]] = 0.5 * coupling.g_alpha
+    return _scatter(space, coef, qubit)
 
 
 def _check_hermitian(h: np.ndarray):
@@ -290,14 +269,12 @@ def evolve_exact(h: np.ndarray, psi0: QuantumState, t: float,
 
 def evolve_perturbative(coupling: ModeCoupling, t: float, hbar: float = 1.0,
                         space: FockSpace | None = None,
-                        psi0: QuantumState | None = None,
                         guard: float = DEFAULT_PERTURBATIVE_GUARD) -> QuantumState:
-    """First-order state (1 - i H t/hbar)|psi0>, normalized.
+    """First-order state (1 - i H t/hbar)|vac>, normalized.
 
-    From the vacuum this is |0,g> - i (g_alpha t / 2 hbar) |1,e> up to
-    normalization.  Guarded to |g_alpha| t / hbar <= guard; beyond that the
-    third-order error is no longer negligible and evolve_exact should be
-    used instead.
+    This is |0,g> - i (g_alpha t / 2 hbar) |1,e> up to normalization.
+    Guarded to |g_alpha| t / hbar <= guard; beyond that the third-order
+    error is no longer negligible and evolve_exact should be used instead.
     """
     _check_time(t)
     gt = abs(coupling.g_alpha) * t / hbar
@@ -306,11 +283,10 @@ def evolve_perturbative(coupling: ModeCoupling, t: float, hbar: float = 1.0,
             f"|g_alpha| t / hbar = {gt:.3f} exceeds the perturbative guard "
             f"{guard}; use evolve_exact")
     if space is None:
-        space = psi0.space if psi0 is not None else _minimal_space(coupling)
-    if psi0 is None:
-        psi0 = space.vacuum()
+        space = _minimal_space(coupling)
+    vac = space.vacuum().amplitudes
     h = build_ndpa(coupling, space)
-    amp = psi0.amplitudes - 1j * (t / hbar) * (h @ psi0.amplitudes)
+    amp = vac - 1j * (t / hbar) * (h @ vac)
     return QuantumState(space, amp).normalized()
 
 
@@ -334,25 +310,29 @@ def _pair_coefficients(t, x_d, couplings: Sequence[ModeCoupling],
     return coef.reshape(coef.shape[:-2] + (-1,))
 
 
-def _pair_stencil(space: FockSpace):
+def _pair_stencil(space: FockSpace, qubit: int, row_bytes: int):
     """Sparse rows of K = sum_k c_k A_k and K^dag, where A_k runs over the
-    pair terms a_a b, a_a b^dag of _pair_coefficients, then their adjoints.
+    pair terms a_a b, a_a b^dag of _pair_coefficients, then their adjoints,
+    and b lowers detector qubit `qubit`.
 
-    Each term flips detector qubit 0 and moves one mode by one quantum, so a
-    basis row has two slots per mode: a_a (column with n_a + 1) and a_a^dag
-    (column with n_a - 1), with the qubit-0 flip set by the row's level.
+    Each term flips the qubit and moves one mode by one quantum, so a basis
+    row has two slots per mode: a_a (column with n_a + 1) and a_a^dag
+    (column with n_a - 1), with the qubit flip set by the row's level.
     Returns (cols, cidx, weight), each (dim, 2 n_modes): the column, the
     index of the term in the 4 n_modes coefficients [c, adjoint
     coefficients], and the sqrt(n) ladder weight, 0 where the ladder ends.
+    row_bytes is what the caller holds per basis row next to the stencil;
+    both count against OPERATOR_BYTES before anything is allocated.
     """
-    if space.detector_qubits < 1:
-        raise ValidationError("the pair terms need a space with a detector qubit")
+    space._check_qubit(qubit)
     dims, dim, n_modes = space.dims, space.dim, len(space.modes)
+    # row, flip, level and temporary indices, three entries per slot
+    _check_budget(dim, dim * (8 * (len(dims) + 6) + 48 * n_modes + row_bytes))
     rows = np.arange(dim)
     levels = np.unravel_index(rows, dims)
-    # qubit 0 is the slowest bit of the detector index, so its stride is dim/2
-    excited = (levels[0] >= dims[0] // 2).astype(np.intp)
-    flipped = rows + (dim // 2) * (1 - 2 * excited)
+    # qubit 0 is the slowest bit of the detector level
+    excited = (levels[0] >> (space.detector_qubits - 1 - qubit)) & 1
+    flipped = rows + (dim >> (qubit + 1)) * (1 - 2 * excited)
     cols = np.empty((dim, 2 * n_modes), dtype=np.intp)
     cidx = np.empty_like(cols)
     weight = np.empty(cols.shape)
@@ -368,6 +348,19 @@ def _pair_stencil(space: FockSpace):
         cidx[:, 2 * k + 1] = 2 * n_modes + 2 * k + 1 - excited
         weight[:, 2 * k + 1] = np.sqrt(n)
     return cols, cidx, weight
+
+
+def _scatter(space: FockSpace, coef: np.ndarray, qubit: int) -> np.ndarray:
+    """Dense H = K + K^dag from the 4 n_modes coefficients [c, adjoint
+    coefficients] of the pair terms of detector qubit `qubit`."""
+    dim = space.dim
+    # one dense row, and the gathered coefficients and their products
+    cols, cidx, weight = _pair_stencil(space, qubit,
+                                       16 * (dim + 4 * len(space.modes)))
+    h = np.zeros((dim, dim), dtype=complex)
+    # the padded slots repeat the zero diagonal, so plain assignment is safe
+    h[np.arange(dim)[:, None], cols] = coef[cidx] * weight
+    return h
 
 
 def _check_couplings(couplings: Sequence[ModeCoupling], space: FockSpace):
@@ -387,7 +380,7 @@ def interaction_hamiltonian_full(t: float, x_d: float,
                * cos[Omega_a (x_d + L/2) / c_s]
              = K + K^dag,  K = sum_a c_a^+ a b + c_a^- a b^dag
 
-    with c_a^+/- from _pair_coefficients.
+    with c_a^+/- from _pair_coefficients and b lowering detector qubit 0.
 
     All retained modes enter; the co- and counter-rotating terms are kept so
     that stepping this operator validates the rotating-wave reduction.
@@ -396,12 +389,7 @@ def interaction_hamiltonian_full(t: float, x_d: float,
     if omega_d is None:
         omega_d = couplings[0].omega_d
     coef = _pair_coefficients(t, x_d, couplings, params, omega_d)
-    cols, cidx, weight = _pair_stencil(space)
-    h = np.zeros((space.dim, space.dim), dtype=complex)
-    # the padded slots repeat the zero diagonal, so plain assignment is safe
-    h[np.arange(space.dim)[:, None], cols] = (
-        np.concatenate([coef, coef.conj()])[cidx] * weight)
-    return h
+    return _scatter(space, np.concatenate([coef, coef.conj()]), 0)
 
 
 # (theta/s)^m / m! <= 2^-53 bounds the truncated Taylor tail of each sub-step
@@ -447,7 +435,9 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
         n_terms += 1
         tail *= ratio / n_terms
 
-    cols, cidx, weight = _pair_stencil(space)
+    # per row, a step holds vals and term[cols] (16 B per slot each) and
+    # four amplitude vectors
+    cols, cidx, weight = _pair_stencil(space, 0, 64 * len(space.modes) + 64)
     amp = psi0.amplitudes
     for start in range(0, n_steps, _STEP_BLOCK):
         t_mid = (np.arange(start, min(start + _STEP_BLOCK, n_steps)) + 0.5) * dt

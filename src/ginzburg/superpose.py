@@ -31,7 +31,7 @@ from .modes import (DEFAULT_Y_MAX, ModeCoupling, mode_coupling, resonance_mode,
                     resonance_pair)
 from .params import SystemParams, _check_time
 from .quantum import (DEFAULT_PERTURBATIVE_GUARD, DensityMatrix, FockSpace,
-                      QuantumState, evolve_exact, trace_distance)
+                      QuantumState, build_ndpa, evolve_exact, trace_distance)
 
 _DETECTOR_MODELS = ("single", "two-level")
 _METHODS = ("perturbative", "exact")
@@ -154,21 +154,15 @@ def _branch_space(spec: BranchSpec, detector_model: str) -> FockSpace:
     return FockSpace(modes=((a1, 1), (a2, 1)), detector_qubits=qubits)
 
 
-def _excited_detector_index(detector_model: str, branch: int, qubits: int) -> int:
-    if detector_model == "single":
-        return 1
-    # qubit `branch` excited, the other ground; qubit 0 is the slow index
-    return 1 << (qubits - 1 - branch)
-
-
 def evolve_superposed(spec: BranchSpec, t: float, detector: str = "single",
                       method: str = "perturbative",
                       guard: float = DEFAULT_PERTURBATIVE_GUARD) -> BranchedState:
     """Evolve both branches from the joint vacuum for time t.
 
-    perturbative: branch i carries |vac, ground> - i (g_i t / 2 hbar) |1_i, e_i>
-    (unnormalized).  exact: unitary evolution of each branch's resonant
-    2x2 block, bypassing the weak-coupling guard.
+    Branch i evolves under build_ndpa of its mode on its detector qubit.
+    perturbative: (1 - i H_i t / hbar)|vac, ground>, that is
+    |vac, ground> - i (g_i t / 2 hbar) |1_i, e_i> (unnormalized).  exact:
+    exp(-i H_i t / hbar)|vac, ground>, bypassing the weak-coupling guard.
     """
     if detector not in _DETECTOR_MODELS:
         raise ValidationError(f"detector must be one of {_DETECTOR_MODELS}")
@@ -180,30 +174,22 @@ def evolve_superposed(spec: BranchSpec, t: float, detector: str = "single",
             "resonance selectivity violated: a cross detuning sits inside the "
             "guard band, so branch/mode pairing is not clean")
     space = _branch_space(spec, detector)
-    qubits = space.detector_qubits
+    vac = space.vacuum()
     hbar = spec.hbar
 
     states = []
     for i, branch in enumerate(spec.branches):
-        g = branch.coupling.g_alpha
+        h = build_ndpa(branch.coupling, space, 0 if detector == "single" else i)
         if method == "perturbative":
-            gt = abs(g) * t / hbar
+            gt = abs(branch.coupling.g_alpha) * t / hbar
             if gt > guard:
                 raise GuardError(
                     f"branch {i + 1}: |g| t / hbar = {gt:.3f} exceeds the "
                     f"perturbative guard {guard}; use method='exact'")
-            amp = np.zeros(space.dim, dtype=complex)
-            amp[0] = 1.0
-            det_idx = _excited_detector_index(detector, i, qubits)
-            occ = (1, 0) if i == 0 else (0, 1)
-            amp[space.basis_index(det_idx, occ)] = -1j * g * t / (2.0 * hbar)
+            amp = vac.amplitudes - 1j * (t / hbar) * (h @ vac.amplitudes)
             states.append(QuantumState(space, amp))
         else:
-            a = space.annihilation(branch.alpha)
-            b = space.detector_lowering(0 if detector == "single" else i)
-            ab = a @ b
-            h = 0.5 * g * (ab + ab.conj().T)
-            states.append(evolve_exact(h, space.vacuum(), t, hbar))
+            states.append(evolve_exact(h, vac, t, hbar))
     return BranchedState(spec=spec, t=t, detector_model=detector, method=method,
                          space=space, branch_states=(states[0], states[1]))
 

@@ -111,9 +111,9 @@ def fit_order(scales, errors):
                       np.log(np.asarray(errors, float)), 1)[0]
 
 
-def _kron_ladders(n_maxes, detector_qubits=1):
-    """Detector lowering b of the first qubit and mode lowerings a_k on
-    qubits x modes by np.kron."""
+def _kron_ladders(n_maxes, detector_qubits=1, qubit=0):
+    """Detector lowering b of qubit `qubit` (qubit 0 the slowest) and mode
+    lowerings a_k on qubits x modes by np.kron."""
     dims = [2] * detector_qubits + [n + 1 for n in n_maxes]
 
     def embed(op, slot):
@@ -122,10 +122,16 @@ def _kron_ladders(n_maxes, detector_qubits=1):
             out = np.kron(out, op if i == slot else np.eye(d))
         return out.astype(complex)
 
-    b = embed(np.array([[0.0, 1.0], [0.0, 0.0]]), 0)
+    b = embed(np.array([[0.0, 1.0], [0.0, 0.0]]), qubit)
     a = [embed(np.diag(np.sqrt(np.arange(1.0, n + 1)), 1), k + detector_qubits)
          for k, n in enumerate(n_maxes)]
     return b, a
+
+
+def excited_projector(n_maxes, detector_qubits=1, qubit=0):
+    """|e><e| of detector qubit `qubit` on qubits x modes, as b^dag b."""
+    b, _ = _kron_ladders(n_maxes, detector_qubits, qubit)
+    return b.conj().T @ b
 
 
 def dense_full_hamiltonian(t, x_d, chain_modes, omega_d, L, c_s, ladders=None,

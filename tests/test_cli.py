@@ -65,6 +65,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert "--dt" in err and "-1e-05" in err
+    # a zero time or a negative cutoff is named as the option given
+    for argv, option in ((["oracle-compare", "--v", "0.5", "--t", "0"], "--t"),
+                         (["modes", "--y-max", "-1"], "--y-max")):
+        assert run([*argv, "--csv", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and f"argument {option}:" in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -214,6 +220,18 @@ def test_evolve_bad_time_or_window_exits_2(tmp_path, capsys, argv):
         # a usage error naming the option and the token given
         assert len(err.strip().splitlines()) == 1
         assert "--gt" in err and repr(_BAD_GT[gt]) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scheme", "full", "--gt", "0.1", "--window", "8"],      # dim 393,216
+    ["--scheme", "exact", "--gt", "0.1", "--n-max", "20000"],  # dense 25.6 GB
+])
+def test_evolve_over_operator_budget_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "big.csv"
+    assert run(["evolve", "--v", "2.0", *argv, "--csv", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "MiB budget" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

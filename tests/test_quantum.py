@@ -5,8 +5,10 @@ evolution times then sit inside the perturbative window.  Closed forms used:
 NDPA P_e = sin^2(g t / 2 hbar), squeezer P(n,n) = tanh^{2n} r / cosh^2 r.
 """
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +23,9 @@ from ginzburg.quantum import (DensityMatrix, FockSpace, QuantumState,
                               evolve_perturbative,
                               interaction_hamiltonian_full, trace_distance)
 
-from oracles import (dense_full_hamiltonian, loop_partial_trace,
-                     magnus2_dense, squeezing_pair_populations)
+from oracles import (_kron_ladders, dense_full_hamiltonian, excited_projector,
+                     loop_partial_trace, magnus2_dense,
+                     squeezing_pair_populations)
 
 V_RES = 2.0  # alpha* = 10 on the paper chain
 GT_UNIT = 0.05  # |g_10| t / hbar per unit time after rescaling
@@ -74,11 +77,12 @@ def test_fock_space_validation():
         FockSpace(modes=((5, 0),), detector_qubits=1)
     with pytest.raises(ValidationError):
         FockSpace(modes=((5, 1),), detector_qubits=3)
-    with pytest.raises(ValidationError):
-        FockSpace(modes=(), detector_qubits=0)
+    for no_detector in ((), ((5, 1),)):
+        with pytest.raises(ValidationError):
+            FockSpace(modes=no_detector, detector_qubits=0)
     space = FockSpace(modes=((5, 1),), detector_qubits=1)
     with pytest.raises(ValidationError):
-        space.annihilation(99)
+        space.number_operator(99)
     with pytest.raises(ValidationError):
         space.basis_index(0, (0, 0))
 
@@ -91,9 +95,9 @@ def test_two_qubit_detector_ordering():
     eg = QuantumState(space, amp)
     assert eg.excitation_probability(0) == 1.0
     assert eg.excitation_probability(1) == 0.0
-    lowered = space.detector_lowering(0) @ amp
+    lowered = _kron_ladders([1], 2, 0)[0] @ amp
     assert abs(lowered[space.basis_index(0, (0,))] - 1.0) < 1e-15
-    assert np.max(np.abs(space.detector_lowering(1) @ amp)) == 0.0
+    assert np.max(np.abs(_kron_ladders([1], 2, 1)[0] @ amp)) == 0.0
 
 
 @pytest.mark.parametrize("qubits", [1, 2])
@@ -103,7 +107,7 @@ def test_excitation_probability_matches_projector(qubits):
     psi = QuantumState(space, rng.normal(size=space.dim)
                        + 1j * rng.normal(size=space.dim)).normalized()
     for which in range(qubits):
-        expected = psi.expectation(space.detector_excited_projector(which))
+        expected = psi.expectation(excited_projector([2, 1], qubits, which))
         assert psi.excitation_probability(which) == pytest.approx(expected,
                                                                   abs=1e-15)
     for absent in (-1, qubits):
@@ -112,16 +116,11 @@ def test_excitation_probability_matches_projector(qubits):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n1=st.integers(1, 4), n2=st.integers(1, 4), qubits=st.integers(0, 2))
+@given(n1=st.integers(1, 4), n2=st.integers(1, 4), qubits=st.integers(1, 2))
 def test_basis_index_bijection(n1, n2, qubits):
-    if qubits == 0:
-        space = FockSpace(modes=((1, n1), (2, n2)), detector_qubits=0)
-        levels = [0]
-    else:
-        space = FockSpace(modes=((1, n1), (2, n2)), detector_qubits=qubits)
-        levels = range(2 ** qubits)
-    idx = [space.basis_index(d, (a, b))
-           for d in levels for a in range(n1 + 1) for b in range(n2 + 1)]
+    space = FockSpace(modes=((1, n1), (2, n2)), detector_qubits=qubits)
+    idx = [space.basis_index(d, (a, b)) for d in range(2 ** qubits)
+           for a in range(n1 + 1) for b in range(n2 + 1)]
     assert sorted(idx) == list(range(space.dim))
 
 
@@ -145,9 +144,42 @@ def test_ndpa_matrix_elements(c10):
 
 
 def test_ndpa_requires_detector(c10):
-    bosonic = FockSpace(modes=((10, 2), (11, 2)), detector_qubits=0)
     with pytest.raises(ValidationError):
-        build_ndpa(c10, bosonic)
+        build_ndpa(c10, FockSpace(modes=((10, 2), (11, 2)), detector_qubits=0))
+    with pytest.raises(ValidationError):
+        build_ndpa(c10, FockSpace(modes=((10, 2), (11, 2))), qubit=1)
+    with pytest.raises(ValidationError):
+        build_ndpa(c10, FockSpace(modes=((9, 2), (11, 2))))
+
+
+@pytest.mark.parametrize("qubit", [0, 1])
+def test_ndpa_equals_kron_oracle(c10, qubit):
+    """Stencil-built NDPA on 2 qubits x 2 modes equals (g/2)(a b_q + h.c.)
+    from kron ladders, entry for entry."""
+    space = FockSpace(modes=((9, 2), (10, 3)), detector_qubits=2)
+    b, (_, a10) = _kron_ladders([2, 3], 2, qubit)
+    ab = a10 @ b
+    expected = 0.5 * c10.g_alpha * (ab + ab.conj().T)
+    assert np.array_equal(build_ndpa(c10, space, qubit), expected)
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert not [m for m in imported if m.split(".")[0] == "ginzburg"], imported
+
+
+def test_operator_budget(c10):
+    """A space whose operators exceed OPERATOR_BYTES raises before any
+    dim-sized allocation."""
+    huge = FockSpace(modes=((10, 20000),))
+    with pytest.raises(ValidationError, match="dim 40002.*256 MiB budget"):
+        build_ndpa(c10, huge)
+    with pytest.raises(ValidationError, match="dim 40002"):
+        huge.number_operator(10)
 
 
 # -- exact propagator ---------------------------------------------------------
@@ -257,7 +289,7 @@ def test_excitation_energy_grows_monotonically(scaled, c10):
     h = build_ndpa(c10, space)
     # free Hamiltonian hbar Omega n + hbar omega_d |e><e|
     h0 = params.hbar * (c10.omega_alpha * space.number_operator(10)
-                        + omega_d * space.detector_excited_projector(0))
+                        + omega_d * excited_projector([1]))
     quantum = params.hbar * (c10.omega_alpha + omega_d)
     energies = []
     for gt in np.linspace(0.05, 1.0, 12):
@@ -271,19 +303,23 @@ def test_excitation_energy_grows_monotonically(scaled, c10):
 # -- two-mode squeezer (bosonic detector stand-in) ----------------------------
 
 def test_squeezer_pair_spectrum():
+    """Two modes squeezed by kron ladders; the detector qubit stays ground."""
     n_max = 10
-    space = FockSpace(modes=((1, n_max), (2, n_max)), detector_qubits=0)
+    space = FockSpace(modes=((1, n_max), (2, n_max)), detector_qubits=1)
     g, r = 1.0, 0.3
-    ab = space.annihilation(1) @ space.annihilation(2)
+    _, (a1, a2) = _kron_ladders([n_max, n_max])
+    ab = a1 @ a2
     h = 0.5 * g * (ab + ab.conj().T)
     psi = evolve_exact(h, space.vacuum(), 2.0 * r / g)
+    assert psi.excitation_probability() == 0.0
 
     expected = squeezing_pair_populations(r, n_max)
     for n in range(7):
         got = psi.probability(0, (n, n))
         assert got == pytest.approx(expected[n], rel=1e-6, abs=1e-9)
 
-    probs = np.abs(psi.amplitudes.reshape(n_max + 1, n_max + 1)) ** 2
+    probs = np.abs(psi.amplitudes[:space.dim // 2]
+                   .reshape(n_max + 1, n_max + 1)) ** 2
     off_pair = probs.sum() - np.trace(probs)
     assert off_pair < 1e-12
     assert abs(psi.norm - 1.0) < 1e-12
@@ -352,11 +388,8 @@ def test_full_zero_time_and_dt_guard(scaled, c10):
     wrong_space = FockSpace(modes=((9, 1), (10, 1)), detector_qubits=1)
     with pytest.raises(ValidationError):
         evolve_full(wrong_space.vacuum(), 0.1, traj, [c10], wrong_space, params)
-    no_detector = FockSpace(modes=((10, 1),), detector_qubits=0)
     with pytest.raises(ValidationError):
-        evolve_full(no_detector.vacuum(), 0.1, traj, [c10], no_detector, params)
-    with pytest.raises(ValidationError):
-        interaction_hamiltonian_full(0.1, 0.0, [c10], no_detector, params)
+        FockSpace(modes=((10, 1),), detector_qubits=0)
 
 
 def test_full_matches_ndpa_on_resonance(scaled):
