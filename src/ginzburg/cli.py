@@ -13,7 +13,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,6 @@ from .discrete_oracle import (initial_state, integrate, max_stable_dt,
                               site_positions)
 from .quantum import (FockSpace, build_ndpa, evolve_exact, evolve_full,
                       evolve_perturbative, trace_distance)
-from .specfun import cutoff_f
 from .superpose import (branch_spec_from_resonance, density_matrix,
                         discriminate, evolve_superposed, mixed_density_matrix,
                         reduce_chain, reduce_detector)
@@ -114,12 +113,10 @@ def _cmd_modes(args, params):
     omega_d = _omega_d(args, params)
     spec = mode_spectrum(params, y_max=args.y_max)
     g = coupling_strengths(params, omega_d, alphas=spec.alphas)
-    f = cutoff_f(spec.omega * params.detector.w / params.chain.c_s)
     rows = [(int(a), float(om), float(gv), float(fv), bool(r))
-            for a, om, gv, fv, r in zip(spec.alphas, spec.omega, g, f, spec.retained)]
+            for a, om, gv, fv, r in zip(spec.alphas, spec.omega, g, spec.f, spec.retained)]
     out = write_csv(args.csv, ["alpha", "omega", "g_alpha", "f_factor", "retained"], rows)
-    n_ret = int(spec.retained.sum())
-    return (f"modes: {len(rows)} modes, {n_ret} retained (y_max={args.y_max}), "
+    return (f"modes: {len(rows)} modes, {spec.n_retained} retained (y_max={args.y_max}), "
             f"max |g_alpha|/hbar = {np.max(np.abs(g)) / params.hbar:.6g} -> {out}",
             [out])
 
@@ -146,16 +143,11 @@ def _cmd_meanfield(args, params):
         raise ValidationError("--longwave/--extended-domain apply to modesum only")
 
     prof = profile(args.route, grid, args.t, traj, params, **kwargs)
-    comp = prof.components or {}
-    nan = float("nan")
-    rows = []
-    for i, x in enumerate(grid):
-        rows.append((float(x), float(prof.values[i]),
-                     float(comp["comoving"][i]) if comp else nan,
-                     float(comp["ripple_right"][i]) if comp else nan,
-                     float(comp["ripple_left"][i]) if comp else nan))
-    out = write_csv(args.csv, ["x", "phi_total", "phi_comoving",
-                               "phi_ripple_right", "phi_ripple_left"], rows)
+    # the modesum route has no packet decomposition: NaN columns
+    packets = ("comoving", "ripple_right", "ripple_left")
+    comp = prof.components or dict.fromkeys(packets, np.full(grid.size, np.nan))
+    out = write_csv(args.csv, ["x", "phi_total", *(f"phi_{p}" for p in packets)],
+                    zip(grid, prof.values, *(comp[p] for p in packets)))
     extra = ""
     if "quadrature" in prof.meta:
         q = prof.meta["quadrature"]
@@ -209,22 +201,13 @@ def _cmd_resonance(args, params):
                         else omega_d)
         pair = resonance_pair(args.v, args.v2, omega_d, omega_d2, params,
                               y_max=args.y_max)
-        payload = {"mode": "pair", "v1": args.v, "v2": args.v2,
-                   "omega_d1": omega_d, "omega_d2": omega_d2,
-                   "alpha1": pair.alpha1, "alpha2": pair.alpha2,
-                   "detuning1": pair.detuning1, "detuning2": pair.detuning2,
-                   "cross_detunings": pair.cross_detunings,
-                   "cross_nearest": pair.cross_nearest,
-                   "guard_band": pair.guard_band,
-                   "selectivity_violated": pair.selectivity_violated,
-                   "degenerate_modes": pair.degenerate_modes}
+        payload = {**asdict(pair), "mode": "pair", "v1": args.v, "v2": args.v2,
+                   "omega_d1": omega_d, "omega_d2": omega_d2}
         summary = (f"resonance pair: alpha1={pair.alpha1}, alpha2={pair.alpha2}, "
                    f"selectivity_violated={pair.selectivity_violated}")
     else:
         res = resonance_mode(args.v, omega_d, params, y_max=args.y_max)
-        payload = {"mode": "single", "v": args.v, "omega_d": omega_d,
-                   "alpha0": res.alpha0, "detuning": res.detuning,
-                   "omega_star": res.omega_star, "alpha_linear": res.alpha_linear}
+        payload = {**asdict(res), "mode": "single", "v": args.v, "omega_d": omega_d}
         summary = (f"resonance: alpha0={res.alpha0}, Omega*={res.omega_star:.6g}, "
                    f"detuning={res.detuning:.4e}")
     if args.json:
@@ -414,10 +397,12 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="accepted for interface stability; every code path "
                              "is deterministic, the value is unused")
-    common.add_argument("--y-max", type=_positive_float, default=DEFAULT_Y_MAX,
+    # only the subcommands that pick modes by the cutoff take --y-max
+    cutoff = argparse.ArgumentParser(add_help=False, parents=[common])
+    cutoff.add_argument("--y-max", type=_positive_float, default=DEFAULT_Y_MAX,
                         help="mode cutoff Omega*w/c_s (default %(default)s)")
 
-    p = sub.add_parser("modes", parents=[common],
+    p = sub.add_parser("modes", parents=[cutoff],
                        help="mode table: frequency, coupling, cutoff factor")
     p.add_argument("--csv", required=True)
     p.add_argument("--omega-d", type=_finite_float, default=None)
@@ -449,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.set_defaults(func=_cmd_oracle_compare)
 
-    p = sub.add_parser("resonance", parents=[common],
+    p = sub.add_parser("resonance", parents=[cutoff],
                        help="resonant mode index for one or two trajectories")
     p.add_argument("--v", type=_finite_float, required=True)
     p.add_argument("--omega-d", type=_finite_float, default=None)
@@ -458,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", type=str, default=None)
     p.set_defaults(func=_cmd_resonance)
 
-    p = sub.add_parser("evolve", parents=[common],
+    p = sub.add_parser("evolve", parents=[cutoff],
                        help="detector excitation for a localized trajectory")
     p.add_argument("--scheme", required=True,
                    choices=["exact", "perturbative", "full"])
@@ -475,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("reduced-state", parents=[common],
+    p = sub.add_parser("reduced-state", parents=[cutoff],
                        help="superposed-trajectory reduced states and verdicts")
     p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("--phi", type=_finite_float, default=0.0)
@@ -497,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also sweep phi over {0, pi/4, pi/2, 3pi/4}")
     p.set_defaults(func=_cmd_reduced_state)
 
-    p = sub.add_parser("regime", parents=[common],
+    p = sub.add_parser("regime", parents=[cutoff],
                        help="approximation-regime report for a run window")
     p.add_argument("--v", type=_finite_float, required=True)
     p.add_argument("--x0", type=_finite_float, default=0.0)

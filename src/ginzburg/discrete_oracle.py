@@ -85,9 +85,7 @@ def initial_state(params: SystemParams, x_d: float = 0.0, v: float = 0.0,
 
 def max_stable_dt(params: SystemParams) -> float:
     """Leapfrog stability bound: a tenth of the shortest chain period."""
-    chain = params.chain
-    omega_max = 2.0 * math.sqrt(chain.k_c / chain.m_c)
-    return 0.1 * 2.0 * math.pi / omega_max
+    return 0.1 * 2.0 * math.pi / params.chain.omega_max
 
 
 def _elastic_force(phi, k_c, diff, out):

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PoleError, ToleranceError, ValidationError
-from .modes import DEFAULT_Y_MAX, mode_frequencies
+from .modes import _on_chain, mode_spectrum
 from .params import SystemParams, _check_time
-from .specfun import cutoff_f, kernel_h, kernel_h_deriv
+from .specfun import kernel_h, kernel_h_deriv
 
 # elements per block (512 KB of float64): the series and modesum sums take
 # their kernel and cos/sin matrices a block at a time, so that no temporary
@@ -154,19 +154,6 @@ def _trig_dot(fn, a, b, weights):
     return out
 
 
-def _series_k_and_weights(params: SystemParams, alpha_max):
-    chain = params.chain
-    if alpha_max is None:
-        alpha_max = chain.N - 1
-    if not 1 <= alpha_max <= chain.N - 1:
-        raise ValidationError(f"alpha_max must be in 1..{chain.N - 1}, got {alpha_max}")
-    alphas = np.arange(1, alpha_max + 1)
-    omega = mode_frequencies(chain, alphas)
-    k = omega / chain.c_s          # long-wavelength convention
-    f = cutoff_f(omega * params.detector.w / chain.c_s)
-    return k, f
-
-
 def meanfield_series(x, t, traj: Trajectory, params: SystemParams,
                      alpha_max: int | None = None, components: bool = False):
     """Analytic-time-integral mode series (three cosine families per mode).
@@ -184,13 +171,11 @@ def meanfield_series(x, t, traj: Trajectory, params: SystemParams,
     c, v, w, L = chain.c_s, traj.v, det.w, chain.L
     _check_time(t)
     _pole_check(v, c)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if np.any(np.abs(x) > L / 2 * (1 + 1e-12)):
-        raise ValidationError("grid outside the chain [-L/2, L/2]")
-
-    k, f = _series_k_and_weights(params, alpha_max)
+    x = np.atleast_1d(_on_chain(x, chain))
+    spec = mode_spectrum(params)
+    if alpha_max is not None:
+        spec = spec.upto(alpha_max)
+    k, f = spec.omega / c, spec.f          # long-wavelength convention
     pref = -2.0 * params.g * det.a_d / (chain.rho_c * w * w)
     coeff = {
         "ripple_right": (traj.x0 + c * t, 1.0 / (L * c * (c - v))),
@@ -202,9 +187,6 @@ def meanfield_series(x, t, traj: Trajectory, params: SystemParams,
     families = _trig_dot(np.cos, x + L / 2.0, k, weights)
     parts = {name: families[:, j] for j, name in enumerate(coeff)}
     total = parts["comoving"] + parts["ripple_right"] + parts["ripple_left"]
-    if scalar:
-        total = float(total[0])
-        parts = {n: float(p[0]) for n, p in parts.items()}
     if components:
         return total, parts
     return total
@@ -308,25 +290,18 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     _check_time(t)
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ValidationError(f"rel_tol must be finite and > 0, got {rel_tol}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x_out = np.atleast_1d(x)
-    if np.any(np.abs(x_out) > chain.L / 2 * (1 + 1e-12)):
-        raise ValidationError("grid outside the chain [-L/2, L/2]")
+    x_out = np.atleast_1d(_on_chain(x, chain))
     if t == 0.0:
         out = np.zeros_like(x_out)
         report = QuadReport(0, 0, 0, 0.0, rel_tol, True)
-        out = float(out[0]) if scalar else out
         return (out, report) if return_report else out
 
+    spec = mode_spectrum(params)
     if alpha_max is None:
-        y = mode_frequencies(chain) * det.w / chain.c_s
-        alpha_max = int(np.count_nonzero(y <= DEFAULT_Y_MAX)) or 1
-    if not 1 <= alpha_max <= chain.N - 1:
-        raise ValidationError(f"alpha_max must be in 1..{chain.N - 1}, got {alpha_max}")
-    alphas = np.arange(1, alpha_max + 1)
-    omega = mode_frequencies(chain, alphas)
-    k = omega / chain.c_s if longwave else alphas * math.pi / chain.L
+        alpha_max = spec.n_retained or 1
+    spec = spec.upto(alpha_max)
+    omega = spec.omega
+    k = omega / chain.c_s if longwave else spec.alphas * math.pi / chain.L
 
     c_s, w = chain.c_s, det.w
     k_max = float(k.max())
@@ -368,8 +343,7 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
 
     report = QuadReport(panels_x=panels_x, panels_t=panels_t, doublings=doublings,
                         error_estimate=est, tolerance=rel_tol, converged=True)
-    out = float(prev[0]) if scalar else prev
-    return (out, report) if return_report else out
+    return (prev, report) if return_report else prev
 
 
 # -- profiles ------------------------------------------------------------------
@@ -391,9 +365,7 @@ def profile(route: str, grid, t, traj: Trajectory, params: SystemParams,
         raise ValidationError("grid must be a 1-d array with at least 2 points")
     if np.any(np.diff(grid) <= 0):
         raise ValidationError("grid must be strictly increasing")
-    half = params.chain.L / 2.0
-    if grid[0] < -half * (1 + 1e-12) or grid[-1] > half * (1 + 1e-12):
-        raise ValidationError(f"grid outside the chain [-{half}, {half}]")
+    _on_chain(grid, params.chain)
     traj.validate(params)
 
     meta = {"trajectory": {"x0": traj.x0, "v": traj.v}}

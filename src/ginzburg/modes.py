@@ -32,10 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModeCutoffError, ModeIndexError, SubsonicError, ValidationError
-from .params import ChainParams, SystemParams
+from .params import DEFAULT_Y_MAX, ChainParams, SystemParams
 from .specfun import cutoff_f
-
-DEFAULT_Y_MAX = 10.0
 
 
 def _check_alpha(alpha, N):
@@ -43,11 +41,23 @@ def _check_alpha(alpha, N):
         raise ModeIndexError(f"mode index must be an integer in 1..{N - 1}, got {alpha!r}")
 
 
+def _on_chain(x, chain: ChainParams) -> np.ndarray:
+    """x as a float array; ValidationError if any |x| exceeds L/2."""
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > chain.L / 2 * (1.0 + 1e-12)):
+        raise ValidationError(f"position outside the chain [-L/2, L/2], L={chain.L}")
+    return x
+
+
+def _cutoff_y(omega, params: SystemParams):
+    """The cutoff argument y = Omega w / c_s."""
+    return omega * params.detector.w / params.chain.c_s
+
+
 def mode_frequency(alpha, chain: ChainParams):
     """Omega_alpha from the exact sine dispersion (no small-angle shortcut)."""
     _check_alpha(alpha, chain.N)
-    return 2.0 * math.sqrt(chain.k_c / chain.m_c) * math.sin(
-        alpha * math.pi * chain.a_c / (2.0 * chain.L))
+    return chain.omega_max * math.sin(alpha * math.pi * chain.a_c / (2.0 * chain.L))
 
 
 def mode_frequencies(chain: ChainParams, alphas=None):
@@ -55,8 +65,7 @@ def mode_frequencies(chain: ChainParams, alphas=None):
     if alphas is None:
         alphas = np.arange(1, chain.N)
     alphas = np.asarray(alphas)
-    return 2.0 * math.sqrt(chain.k_c / chain.m_c) * np.sin(
-        alphas * math.pi * chain.a_c / (2.0 * chain.L))
+    return chain.omega_max * np.sin(alphas * math.pi * chain.a_c / (2.0 * chain.L))
 
 
 def mode_function(alpha, x, chain: ChainParams, longwave: bool = False):
@@ -67,9 +76,7 @@ def mode_function(alpha, x, chain: ChainParams, longwave: bool = False):
     """
     _check_alpha(alpha, chain.N)
     L = chain.L
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > L / 2 * (1.0 + 1e-12)):
-        raise ValidationError(f"position outside the chain [-L/2, L/2], L={L}")
+    x = _on_chain(x, chain)
     if longwave:
         k = mode_frequency(alpha, chain) / chain.c_s
     else:
@@ -80,10 +87,11 @@ def mode_function(alpha, x, chain: ChainParams, longwave: bool = False):
 
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """Full spectrum plus the retained-mode mask after the cutoff."""
+    """The mode table: frequencies, cutoff factors and the retained mask."""
 
     alphas: np.ndarray     # 1..N-1
     omega: np.ndarray      # Omega_alpha
+    f: np.ndarray          # cutoff factor f(Omega_alpha w / c_s)
     retained: np.ndarray   # bool: Omega_alpha * w / c_s <= y_max
     y_max: float
 
@@ -91,13 +99,29 @@ class ModeSpectrum:
     def retained_alphas(self) -> np.ndarray:
         return self.alphas[self.retained]
 
+    @property
+    def n_retained(self) -> int:
+        return int(np.count_nonzero(self.retained))
+
+    def upto(self, alpha_max) -> "ModeSpectrum":
+        """Modes 1..alpha_max of this table."""
+        n = self.alphas.size
+        if not (isinstance(alpha_max, (int, np.integer)) and 1 <= alpha_max <= n):
+            raise ModeIndexError(f"alpha_max must be an integer in 1..{n}, got {alpha_max!r}")
+        head = slice(0, alpha_max)
+        return ModeSpectrum(alphas=self.alphas[head], omega=self.omega[head],
+                            f=self.f[head], retained=self.retained[head],
+                            y_max=self.y_max)
+
 
 def mode_spectrum(params: SystemParams, y_max: float = DEFAULT_Y_MAX) -> ModeSpectrum:
-    chain = params.chain
-    alphas = np.arange(1, chain.N)
-    omega = mode_frequencies(chain, alphas)
-    y = omega * params.detector.w / chain.c_s
-    return ModeSpectrum(alphas=alphas, omega=omega, retained=y <= y_max, y_max=y_max)
+    """All modes 1..N-1: the series and mode-sum routes, the resonance
+    pair, the mode CSV and the regime report read their modes from here."""
+    alphas = np.arange(1, params.chain.N)
+    omega = mode_frequencies(params.chain, alphas)
+    y = _cutoff_y(omega, params)
+    return ModeSpectrum(alphas=alphas, omega=omega, f=cutoff_f(y),
+                        retained=y <= y_max, y_max=y_max)
 
 
 @dataclass(frozen=True)
@@ -122,7 +146,7 @@ def coupling_strengths(params: SystemParams, omega_d, alphas=None) -> np.ndarray
     c_s, w = chain.c_s, det.w
     pref = -(params.g * params.hbar * omega) / (w ** 2 * c_s ** 2)
     root = np.sqrt(2.0 * omega / (chain.rho_c * chain.L * det.m_tilde_d * omega_d))
-    return pref * root * cutoff_f(omega * w / c_s)
+    return pref * root * cutoff_f(_cutoff_y(omega, params))
 
 
 def mode_coupling(alpha, params: SystemParams, omega_d,
@@ -135,7 +159,7 @@ def mode_coupling(alpha, params: SystemParams, omega_d,
     chain = params.chain
     _check_alpha(alpha, chain.N)
     omega = mode_frequency(alpha, chain)
-    y = omega * params.detector.w / chain.c_s
+    y = _cutoff_y(omega, params)
     if y > y_max:
         raise ModeCutoffError(
             f"mode {alpha} truncated: Omega_alpha*w/c_s = {y:.4g} > y_max = {y_max}")
@@ -178,7 +202,7 @@ def resonance_mode(v, omega_d, params: SystemParams,
     omega_star = omega_d * c_s / (v - c_s)
     alpha_linear = omega_star * chain.L / (math.pi * c_s)
 
-    omega_top = 2.0 * math.sqrt(chain.k_c / chain.m_c)
+    omega_top = chain.omega_max
     if omega_star >= omega_top:
         alpha_cont = float(chain.N - 1)
     else:
@@ -188,7 +212,7 @@ def resonance_mode(v, omega_d, params: SystemParams,
                   for f in (math.floor, math.ceil)}
     alpha0 = min(candidates, key=lambda a: _detuning(a, v, omega_d, chain))
 
-    y = mode_frequency(alpha0, chain) * params.detector.w / c_s
+    y = _cutoff_y(mode_frequency(alpha0, chain), params)
     if y > y_max:
         raise ModeCutoffError(
             f"resonant mode {alpha0} lies past the cutoff (y = {y:.4g} > {y_max})")
@@ -238,7 +262,7 @@ def resonance_pair(v1, v2, omega_d1, omega_d2, params: SystemParams,
 
     cross_nearest = {}
     spectrum = mode_spectrum(params, y_max=y_max)
-    retained = spectrum.alphas[spectrum.retained]
+    retained = spectrum.retained_alphas
     omega_ret = spectrum.omega[spectrum.retained]
     violated = False
     cross_detunings = {

@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass, field, asdict
 
 from .errors import ValidationError
-from .specfun import cutoff_f
 
+# modes with Omega_alpha w / c_s above this are cut off (f < 1e-3 there)
+DEFAULT_Y_MAX = 10.0
 # factor such that "x much greater than y" means x/y >= MUCH_FACTOR
 MUCH_FACTOR = 10.0
 # weak coupling means max |g_alpha| t / hbar <= WEAK_COUPLING_MAX
@@ -82,6 +83,11 @@ class ChainParams:
     @property
     def c_s(self) -> float:
         return self.a_c * math.sqrt(self.k_c / self.m_c)
+
+    @property
+    def omega_max(self) -> float:
+        """Top of the sine dispersion, 2 sqrt(k_c/m_c)."""
+        return 2.0 * math.sqrt(self.k_c / self.m_c)
 
 
 @dataclass(frozen=True)
@@ -329,7 +335,7 @@ class RegimeReport:
 
 
 def regime_check(params: SystemParams, window, trajectories,
-                 y_max: float = 10.0) -> RegimeReport:
+                 y_max: float = DEFAULT_Y_MAX) -> RegimeReport:
     """Evaluate the regime flags for a run window and a set of trajectories.
 
     window: (t_start, t_end) in the active units; trajectories: iterable of
@@ -346,7 +352,7 @@ def regime_check(params: SystemParams, window, trajectories,
       weak_coupling    max_alpha |g_alpha| * t_end / hbar <= WEAK_COUPLING_MAX
     """
     # local import: modes imports params for types
-    from .modes import mode_spectrum, coupling_strengths
+    from .modes import coupling_strengths, mode_spectrum
 
     if not trajectories:
         raise ValidationError("regime_check requires at least one trajectory")
@@ -355,7 +361,7 @@ def regime_check(params: SystemParams, window, trajectories,
         raise ValidationError(f"window must be a finite interval, got {window}")
 
     chain, det = params.chain, params.detector
-    L, w, c_s = chain.L, det.w, chain.c_s
+    L, w = chain.L, det.w
 
     checks = []
     r = w / chain.a_c
@@ -372,11 +378,9 @@ def regime_check(params: SystemParams, window, trajectories,
                               note=f"max |x_d| = {max_excursion:.6g}"))
 
     spec = mode_spectrum(params, y_max=y_max)
-    y = spec.omega * w / c_s
-    f_vals = cutoff_f(y[spec.retained])
-    significant = spec.omega[spec.retained][f_vals >= 0.5]
+    significant = spec.omega[spec.retained & (spec.f >= 0.5)]
     if significant.size:
-        lam_min = float((2.0 * math.pi * c_s / significant).min())
+        lam_min = float((2.0 * math.pi * chain.c_s / significant).min())
         r = lam_min / w
     else:
         r = math.inf

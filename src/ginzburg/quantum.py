@@ -18,7 +18,8 @@ and slot, a column, a coefficient index and a sqrt(n) weight, built from the
 space's dims.  evolve_full applies H(t) to the amplitude vector by a gather
 and a row-wise dot, O(dim * modes) memory and work; build_ndpa and
 interaction_hamiltonian_full scatter the same stencil into a dense matrix.
-Every operator allocation is checked against OPERATOR_BYTES first.
+Every operator allocation, the amplitude vector and evolve_exact's dense
+temporaries are checked against OPERATOR_BYTES first.
 
 The rotating-wave Hamiltonian for the resonant mode is the non-degenerate
 parametric amplifier H = (g_alpha/2)(a b + a^dag b^dag), which creates
@@ -52,8 +53,8 @@ _TRACE_TOL = 1e-12
 def _check_budget(dim: int, n_bytes: int):
     if n_bytes > OPERATOR_BYTES:
         raise ValidationError(
-            f"Fock space of dim {dim} needs {n_bytes / 2 ** 20:.0f} MiB for its "
-            f"operators, over the {OPERATOR_BYTES >> 20} MiB budget")
+            f"Fock space of dim {dim} needs {n_bytes / 2 ** 20:.0f} MiB, "
+            f"over the {OPERATOR_BYTES >> 20} MiB budget")
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class FockSpace:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def _mode_slot(self, alpha: int) -> int:
         try:
@@ -116,6 +117,7 @@ class FockSpace:
         return int(np.ravel_multi_index((detector_level, *occupations), self.dims))
 
     def vacuum(self) -> "QuantumState":
+        _check_budget(self.dim, 16 * self.dim)
         amp = np.zeros(self.dim, dtype=complex)
         amp[0] = 1.0
         return QuantumState(self, amp)
@@ -260,6 +262,10 @@ def evolve_exact(h: np.ndarray, psi0: QuantumState, t: float,
                  hbar: float = 1.0) -> QuantumState:
     """psi(t) = exp(-i H t / hbar) psi0 via dense eigendecomposition."""
     _check_time(t)
+    # H with the dense copies made from it: the adjoint and difference of the
+    # Hermiticity check, eigh's eigenvectors and workspace, and their
+    # adjoint, about 80 B per entry of H at the peak
+    _check_budget(len(h), 80 * h.size)
     _check_hermitian(h)
     evals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1j * evals * t / hbar)

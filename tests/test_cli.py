@@ -74,6 +74,26 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_y_max_only_where_the_cutoff_is_read(tmp_path, capsys):
+    # meanfield and oracle-compare never read the cutoff, so they refuse it
+    for argv in (["meanfield", "--route", "modesum", "--v", "0.5", "--t", "0.01",
+                  "--grid", "11", "--csv"],
+                 ["oracle-compare", "--v", "0.5", "--t", "0.01", "--csv"]):
+        assert run([*argv, str(tmp_path / "x.csv"), "--y-max", "2"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "--y-max" in err
+    assert list(tmp_path.iterdir()) == []
+    for argv in (["modes", "--csv", "{}.csv"],
+                 ["resonance", "--v", "2.0", "--json", "{}.json"],
+                 ["evolve", "--scheme", "exact", "--v", "2.0", "--gt", "0.1",
+                  "--csv", "{}.csv"],
+                 ["reduced-state", "--theta", "0.5", "--v1", "2.0", "--v2", "1.5",
+                  "--gt", "0.1", "--json", "{}.json"],
+                 ["regime", "--v", "0.5", "--t-end", "0.25"]):
+        argv = [a.format(tmp_path / argv[0]) for a in argv]
+        assert run([*argv, "--y-max", "20"]) == 0, argv
+
+
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     assert ginzburg.__version__ in capsys.readouterr().out
@@ -224,7 +244,10 @@ def test_evolve_bad_time_or_window_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["--scheme", "full", "--gt", "0.1", "--window", "8"],      # dim 393,216
+    ["--scheme", "full", "--gt", "0.1", "--window", "20"],     # 48 GiB vector
+    ["--scheme", "full", "--gt", "0.1", "--window", "60"],     # dim past int64
     ["--scheme", "exact", "--gt", "0.1", "--n-max", "20000"],  # dense 25.6 GB
+    ["--scheme", "exact", "--gt", "0.1", "--n-max", "1000"],   # eigh copies
 ])
 def test_evolve_over_operator_budget_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "big.csv"

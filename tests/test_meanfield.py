@@ -50,6 +50,24 @@ def test_routes_reject_bad_time(route, t, p2001):
         route(np.array([0.0]), t, fig2a(), p2001)
 
 
+@pytest.mark.parametrize("route", ["closed", "series", "modesum"])
+def test_routes_reject_grid_off_chain(route, p2001):
+    off = np.array([0.0, 0.5 + 1e-9])
+    with pytest.raises(ValidationError, match="outside the chain"):
+        profile(route, off, 0.1, fig2a(), p2001)
+    if route != "closed":
+        fn = meanfield_series if route == "series" else meanfield_modesum
+        with pytest.raises(ValidationError, match="outside the chain"):
+            fn(off[::-1], 0.1, fig2a(), p2001)
+
+
+@pytest.mark.parametrize("alpha_max", [0, 2000 + 1, 7.0])
+def test_series_and_modesum_reject_alpha_max(alpha_max, p2001):
+    for fn in (meanfield_series, meanfield_modesum):
+        with pytest.raises(ValidationError, match="alpha_max"):
+            fn(np.array([0.0]), 0.1, fig2a(), p2001, alpha_max=alpha_max)
+
+
 @pytest.mark.parametrize("rel_tol", [0.0, -1e-4, math.nan, math.inf])
 def test_modesum_rejects_bad_rel_tol(rel_tol, p2001):
     with pytest.raises(ValidationError):

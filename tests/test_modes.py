@@ -71,8 +71,16 @@ def test_spectrum_retained_set():
     spec = mode_spectrum(p, y_max=10.0)
     y = spec.omega * p.detector.w / p.chain.c_s
     assert np.array_equal(spec.retained, y <= 10.0)
+    assert np.array_equal(spec.f, cutoff_f(y))
     assert spec.retained_alphas[0] == 1
     assert not spec.retained[-1]
+    head = spec.upto(7)
+    assert head.alphas.tolist() == list(range(1, 8))
+    assert np.array_equal(head.omega, spec.omega[:7])
+    assert np.array_equal(head.f, spec.f[:7])
+    for bad in (0, 2000 + 1, 7.0):
+        with pytest.raises(ModeIndexError, match="alpha_max"):
+            spec.upto(bad)
 
 
 # -- mode functions ----------------------------------------------------------

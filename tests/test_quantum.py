@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ginzburg import quantum
 from ginzburg.errors import GuardError, StabilityError, ValidationError
 from ginzburg.meanfield import Trajectory
 from ginzburg.modes import mode_coupling, mode_frequency, resonance_mode
@@ -180,6 +181,27 @@ def test_operator_budget(c10):
         build_ndpa(c10, huge)
     with pytest.raises(ValidationError, match="dim 40002"):
         huge.number_operator(10)
+
+
+def test_exact_budget_counts_dense_copies(c10, monkeypatch):
+    """evolve_exact refuses an H whose Hermiticity check and eigh copies
+    would exceed OPERATOR_BYTES, though H itself fit."""
+    space = FockSpace(modes=((10, 100),))               # dim 202
+    h = build_ndpa(c10, space)
+    monkeypatch.setattr(quantum, "OPERATOR_BYTES", 2 ** 21)
+    with pytest.raises(ValidationError, match="dim 202.*2 MiB budget"):
+        evolve_exact(h, space.vacuum(), 0.1)
+    monkeypatch.setattr(quantum, "OPERATOR_BYTES", 80 * h.size)
+    assert evolve_exact(h, space.vacuum(), 0.1).norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_vacuum_budget_before_allocation():
+    """The amplitude vector is checked before it is allocated, and dim is
+    an exact integer however many modes there are."""
+    space = FockSpace(modes=tuple((a, 2) for a in range(1, 71)))
+    assert space.dim == 2 * 3 ** 70
+    with pytest.raises(ValidationError, match="MiB budget"):
+        space.vacuum()
 
 
 # -- exact propagator ---------------------------------------------------------
