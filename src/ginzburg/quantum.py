@@ -16,8 +16,9 @@ a b^dag and adjoint flips one detector qubit and moves one mode by one
 quantum, so it is a weighted partial permutation of the basis: per basis row
 and slot, a column, a coefficient index and a sqrt(n) weight, built from the
 space's dims.  evolve_full applies H(t) to the amplitude vector by a gather
-and a row-wise dot, O(dim * modes) memory and work; build_ndpa and
-interaction_hamiltonian_full scatter the same stencil into a dense matrix.
+and a row-wise dot into the rows of one preallocated Taylor power buffer,
+O(dim * modes) memory and work; build_ndpa and interaction_hamiltonian_full
+scatter the same stencil into a dense matrix.
 Every operator allocation, the amplitude vector and evolve_exact's dense
 temporaries are checked against OPERATOR_BYTES first.
 
@@ -413,16 +414,22 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
     Each step applies exp(-i H(t_mid) dt / hbar) to the state as a truncated
     Taylor series. A bound theta >= ||H|| dt / hbar, valid for every step,
     sets s = ceil(theta) equal sub-steps and the least degree m with
-    (theta / s)^m / m! <= 2^-53.
+    (theta / s)^m / m! <= 2^-53.  Each sub-step fills the rows G^j psi,
+    j = 1..m, of one (m + 1) x dim buffer, allocated once per call, and sums
+    them as (1/j!) @ buffer back into row 0.
     """
     _check_time(t)
     _check_couplings(couplings, space)
     if omega_d is None:
         omega_d = couplings[0].omega_d
+    if not (math.isfinite(omega_d) and omega_d > 0):
+        raise ValidationError(f"omega_d must be positive, got {omega_d}")
     omega_fast = max(c.omega_alpha for c in couplings) + omega_d
     dt_max = 2.0 * math.pi / (FULL_STEPS_PER_CYCLE * omega_fast)
     if dt is None:
         dt = dt_max
+    elif not math.isfinite(dt):
+        raise ValidationError(f"dt must be finite, got {dt}")
     elif dt > dt_max * (1 + 1e-12) or dt <= 0:
         raise StabilityError(
             f"dt = {dt:.3e} outside (0, {dt_max:.3e}] "
@@ -441,10 +448,16 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
         n_terms += 1
         tail *= ratio / n_terms
 
-    # per row, a step holds vals and term[cols] (16 B per slot each) and
-    # four amplitude vectors
-    cols, cidx, weight = _pair_stencil(space, 0, 64 * len(space.modes) + 64)
-    amp = psi0.amplitudes
+    # per row, a step holds vals and the gather row[cols] (16 B per slot
+    # each), the n_terms + 1 power rows, and the sum's temporary and result
+    cols, cidx, weight = _pair_stencil(space, 0,
+                                       64 * len(space.modes) + 16 * (n_terms + 3))
+    inv_factorials = np.array([1.0 / math.factorial(j)
+                               for j in range(n_terms + 1)], dtype=complex)
+    # row j holds G^j psi, G the sub-step generator; row 0 is the state
+    powers = np.empty((n_terms + 1, space.dim), dtype=complex)
+    powers[0] = psi0.amplitudes
+    pairs = list(zip(powers, powers[1:]))
     for start in range(0, n_steps, _STEP_BLOCK):
         t_mid = (np.arange(start, min(start + _STEP_BLOCK, n_steps)) + 0.5) * dt
         # sub-step generator is X - X^dag with X = -i (dt / hbar s) K(t_mid)
@@ -455,8 +468,8 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
         for c in np.concatenate([coef.conj(), -coef], axis=-1):
             vals = c[cidx] * weight
             for _ in range(n_sub):
-                term = amp
-                for j in range(1, n_terms + 1):
-                    term = np.vecdot(vals, term[cols]) / j
-                    amp = amp + term
-    return QuantumState(space, amp)
+                for prev, row in pairs:
+                    np.vecdot(vals, prev[cols], out=row)
+                # numpy buffers the sum, since its output row 0 is also read
+                np.matmul(inv_factorials, powers, out=powers[0])
+    return QuantumState(space, powers[0].copy())

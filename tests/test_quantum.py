@@ -204,6 +204,30 @@ def test_vacuum_budget_before_allocation():
         space.vacuum()
 
 
+def test_full_budget_counts_power_buffer(monkeypatch):
+    """evolve_full counts its n_terms + 1 Taylor power rows against
+    OPERATOR_BYTES: with a budget that holds the stencil, the step's vals and
+    gather and four amplitude vectors, but not the buffer (gt = 3, 19 terms),
+    it raises before allocating."""
+    params, omega_d, couplings, space, g_res = cli_default_setup(4)
+    n_modes = len(space.modes)
+    row_bytes = 64 * n_modes + 64
+    budget = space.dim * (8 * (len(space.dims) + 6) + 48 * n_modes + row_bytes)
+    monkeypatch.setattr(quantum, "OPERATOR_BYTES", budget)
+    quantum._pair_stencil(space, 0, row_bytes)
+    psi0 = space.vacuum()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=f"dim {space.dim}"):
+            evolve_full(psi0, 3.0 * params.hbar / g_res, Trajectory(0.0, V_RES),
+                        couplings, space, params, omega_d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one stencil array alone would be 8 B x dim x 2 n_modes
+    assert peak < 8 * space.dim * 2 * n_modes / 4, peak
+
+
 # -- exact propagator ---------------------------------------------------------
 
 def test_evolve_exact_identity_and_norm(c10, rng):
@@ -414,6 +438,23 @@ def test_full_zero_time_and_dt_guard(scaled, c10):
         FockSpace(modes=((10, 1),), detector_qubits=0)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"dt": math.nan}, "dt must be finite"),
+    ({"dt": math.inf}, "dt must be finite"),
+    ({"omega_d": math.nan}, "omega_d must be positive"),
+    ({"omega_d": math.inf}, "omega_d must be positive"),
+    ({"omega_d": 0.0}, "omega_d must be positive"),
+    ({"omega_d": -1e6}, "omega_d must be positive"),
+], ids=["dt_nan", "dt_inf", "omega_d_nan", "omega_d_inf", "omega_d_0",
+        "omega_d_negative"])
+def test_full_rejects_bad_dt_and_omega_d(scaled, c10, kwargs, match):
+    params, _ = scaled
+    space = FockSpace(modes=((10, 1),), detector_qubits=1)
+    with pytest.raises(ValidationError, match=match):
+        evolve_full(space.vacuum(), 0.1, Trajectory(0.0, V_RES), [c10], space,
+                    params, **kwargs)
+
+
 def test_full_matches_ndpa_on_resonance(scaled):
     """Stepping the pre-RWA Hamiltonian reproduces the parametric-amplifier
     law on resonance; neighbor modes stay below the detuning bound."""
@@ -445,17 +486,28 @@ def test_full_matches_ndpa_on_resonance(scaled):
     ("cli_default", 10.0, None),   # one step; unsplit Taylor loses ~0.07
     ("window", 0.2, 0.5),          # 4200 steps, more than one block
     ("cli_window3", 1.0, None),    # dim 384, seven modes
+    ("strong_random", 800.0, None),  # random start, 3 sub-steps, 4200 steps
 ])
-def test_full_matches_dense_magnus2_oracle(scaled, setup, gt, dt_scale):
+def test_full_matches_dense_magnus2_oracle(scaled, rng, setup, gt, dt_scale):
     if setup.startswith("cli"):
         params, omega_d, couplings, space, g_res = cli_default_setup(
             3 if setup == "cli_window3" else 2)
     else:
         params, omega_d = scaled
+        if setup == "strong_random":
+            # 2000 times the scaled coupling
+            params = build_params({
+                "units": {"preset": "paper"}, "chain": {"N": 2001},
+                "detector": {"w": 0.01},
+                "coupling": {"g": 2000.0 * params.coupling.g}})
         couplings = [mode_coupling(a, params, omega_d=omega_d)
                      for a in (9, 10, 11)]
         space = FockSpace(modes=((9, 1), (10, 2), (11, 1)), detector_qubits=1)
         g_res = abs(couplings[1].g_alpha)
+    psi0 = space.vacuum()
+    if setup == "strong_random":
+        psi0 = QuantumState(space, rng.normal(size=space.dim)
+                            + 1j * rng.normal(size=space.dim)).normalized()
     t = gt * params.hbar / g_res
     modes_in = chain_modes(space, couplings)
     dt_max = 2.0 * math.pi / (50.0 * (max(c.omega_alpha for c in couplings)
@@ -467,11 +519,18 @@ def test_full_matches_dense_magnus2_oracle(scaled, setup, gt, dt_scale):
                                        omega_d, params.chain.L, params.chain.c_s)
         assert t < dt_max
         assert np.linalg.norm(h_mid, 2) * t / params.hbar > 10.0
+    if setup == "strong_random":
+        # more than one step block, and the norm bound theta of evolve_full
+        # asks for ceil(theta) = 3 sub-steps per step
+        theta = 4.0 * dt_max / params.hbar * sum(
+            abs(g) * math.sqrt(n_max) for n_max, g, _ in modes_in)
+        assert t / dt_max > quantum._STEP_BLOCK
+        assert math.ceil(theta) == 3
 
     traj = Trajectory(0.0, V_RES)
-    psi = evolve_full(space.vacuum(), t, traj, couplings, space, params,
+    psi = evolve_full(psi0, t, traj, couplings, space, params,
                       omega_d, dt=dt)
-    expected = magnus2_dense(space.vacuum().amplitudes, t, dt or dt_max,
+    expected = magnus2_dense(psi0.amplitudes, t, dt or dt_max,
                              traj.x0, traj.v, modes_in, omega_d,
                              params.chain.L, params.chain.c_s, params.hbar)
     assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-12
