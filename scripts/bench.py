@@ -150,8 +150,10 @@ def stats_child(src: str):
     package = Path(src) / "ginzburg"
     lines = src_stats.module_lines(package)
     options = src_stats.cli_options(Path(src))
+    params, fields = src_stats.default_knobs(package)
     print(json.dumps({"lines": lines, "total_lines": sum(lines.values()),
-                      "default_parameters": src_stats.default_parameters(package),
+                      "default_parameters": params,
+                      "default_fields": fields,
                       "cli_options": sum(map(len, options.values()))}))
 
 

@@ -1,12 +1,14 @@
-"""Size of the package: lines per module, default-valued parameters, CLI options.
+"""Size of the package: lines per module, default-valued knobs, CLI options.
 
     python3 scripts/src_stats.py [--src src]
 
 Prints the line count of every module under <src>/ginzburg and the total,
 the number of function parameters that carry a default value (positional
-and keyword-only, counted from the AST), and the options each subcommand
-of the command line accepts (-h left out).  Informational only: it never
-fails on a count.
+and keyword-only) and of dataclass fields that carry one, both counted from
+the AST, and the options each subcommand of the command line accepts (-h
+left out).  A settable field of a config object is as much a knob as a
+keyword parameter, so moving one into the other shows in the sum.
+Informational only: it never fails on a count.
 """
 
 from __future__ import annotations
@@ -23,14 +25,24 @@ def module_lines(package: Path) -> dict[str, int]:
             for p in sorted(package.rglob("*.py"))}
 
 
-def default_parameters(package: Path) -> int:
-    count = 0
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated @dataclass or @dataclass(...)."""
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+               == "dataclass" for d in node.decorator_list)
+
+
+def default_knobs(package: Path) -> tuple[int, int]:
+    """(function parameters with a default, dataclass fields with one)."""
+    params = fields = 0
     for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                count += len(node.args.defaults)
-                count += sum(d is not None for d in node.args.kw_defaults)
-    return count
+                params += len(node.args.defaults)
+                params += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                              for s in node.body)
+    return params, fields
 
 
 def cli_options(src: Path) -> dict[str, list[str]]:
@@ -56,7 +68,10 @@ def main() -> int:
     for name, n in lines.items():
         print(f"{name:<{width}}  {n:>5}")
     print(f"{'total':<{width}}  {sum(lines.values()):>5}")
-    print(f"default-valued parameters: {default_parameters(package)}")
+    params, fields = default_knobs(package)
+    print(f"default-valued parameters: {params}")
+    print(f"default-valued dataclass fields: {fields}")
+    print(f"default-valued knobs: {params + fields}")
     options = cli_options(src)
     print(f"CLI options: {sum(map(len, options.values()))}")
     for name, opts in options.items():

@@ -217,13 +217,6 @@ def _cmd_resonance(args, params):
     return summary, outputs
 
 
-def _window_couplings(params, alpha0, omega_d, window, y_max):
-    lo = max(1, alpha0 - window)
-    hi = min(params.chain.N - 1, alpha0 + window)
-    return [mode_coupling(a, params, omega_d, y_max=y_max)
-            for a in range(lo, hi + 1)]
-
-
 def _cmd_evolve(args, params):
     omega_d = _omega_d(args, params)
     res = resonance_mode(args.v, omega_d, params, y_max=args.y_max)
@@ -232,28 +225,30 @@ def _cmd_evolve(args, params):
     if g_abs == 0.0:
         raise ValidationError("resonant coupling is zero; nothing to evolve")
     hbar = params.hbar
+    if args.scheme == "full":
+        if args.window < 0:
+            raise ValidationError(f"--window must be >= 0, got {args.window}")
+        lo, hi = res.alpha0 - args.window, res.alpha0 + args.window
+        couplings = [mode_coupling(a, params, omega_d, y_max=args.y_max)
+                     for a in range(max(1, lo), min(params.chain.N - 1, hi) + 1)]
+        space = FockSpace(modes=tuple(
+            (c.alpha, args.n_max if c.alpha == res.alpha0 else args.n_max_offres)
+            for c in couplings))
+    else:
+        # from the vacuum the rotating-wave H couples |0, g> with |1, e>
+        # only, so the exact and perturbative schemes need no more than that
+        space = FockSpace(modes=((res.alpha0, 1),))
+        h = build_ndpa(coupling, space) if args.scheme == "exact" else None
     rows = []
     for gt in args.gt:
         t = gt * hbar / g_abs
         if args.scheme == "perturbative":
             psi = evolve_perturbative(coupling, t, hbar=hbar)
-            space = psi.space
         elif args.scheme == "exact":
-            space = FockSpace(modes=((res.alpha0, args.n_max),), detector_qubits=1)
-            h = build_ndpa(coupling, space)
             psi = evolve_exact(h, space.vacuum(), t, hbar=hbar)
         else:
-            if args.window < 0:
-                raise ValidationError(f"--window must be >= 0, got {args.window}")
-            couplings = _window_couplings(params, res.alpha0, omega_d,
-                                          args.window, args.y_max)
-            modes_def = tuple(
-                (c.alpha, args.n_max if c.alpha == res.alpha0 else args.n_max_offres)
-                for c in couplings)
-            space = FockSpace(modes=modes_def, detector_qubits=1)
-            traj = Trajectory(x0=args.x0, v=args.v)
-            psi = evolve_full(space.vacuum(), t, traj, couplings, space, params,
-                              omega_d=omega_d)
+            psi = evolve_full(space.vacuum(), t, Trajectory(x0=args.x0, v=args.v),
+                              couplings, space, params, omega_d=omega_d)
         occ = tuple(1 if a == res.alpha0 else 0 for a in space.mode_labels)
         amp = psi.amplitudes[space.basis_index(1, occ)]
         rows.append((float(gt), float(t), float(psi.excitation_probability()),
@@ -265,25 +260,23 @@ def _cmd_evolve(args, params):
 
 
 def _cmd_reduced_state(args, params):
-    omega_d = _omega_d(args, params)
+    # a second frequency, from --omega-d2 or the params file, makes the
+    # detector two-level unless --detector single asks for one level
     omega_d2 = args.omega_d2
     if omega_d2 is None and params.detector.two_level:
         omega_d2 = params.detector.omega_d2
-    detector = args.detector
-    if detector == "auto":
-        detector = "two-level" if omega_d2 is not None else "single"
-    if detector == "two-level" and omega_d2 is None:
+    if args.detector == "two-level" and omega_d2 is None:
         raise ValidationError("two-level detector needs --omega-d2 (or a params "
                               "file with two omega_d entries)")
-
     spec = branch_spec_from_resonance(
-        params, args.v1, args.v2, args.theta, args.phi, omega_d=omega_d,
-        omega_d2=omega_d2 if detector == "two-level" else None,
+        params, args.v1, args.v2, args.theta, args.phi,
+        omega_d=_omega_d(args, params),
+        omega_d2=None if args.detector == "single" else omega_d2,
         x0_1=args.x0, x0_2=args.x0_2, y_max=args.y_max)
     g1 = abs(spec.branches[0].coupling.g_alpha)
     t = args.t if args.t is not None else args.gt * params.hbar / g1
 
-    state = evolve_superposed(spec, t, detector=detector, method=args.method)
+    state = evolve_superposed(spec, t, method=args.method)
     rho = density_matrix(state)
     rho_chain = reduce_chain(rho)
     rho_det = reduce_detector(rho)
@@ -294,7 +287,7 @@ def _cmd_reduced_state(args, params):
                            labels=["coherent", "mixed"])
 
     payload = {
-        "detector_model": detector, "method": args.method,
+        "detector_model": spec.detector_model, "method": args.method,
         "theta": args.theta, "phi": args.phi, "t": t,
         "branches": [{"x0": b.x0, "v": b.v, "alpha": b.alpha,
                       "g_alpha": b.coupling.g_alpha,
@@ -321,10 +314,10 @@ def _cmd_reduced_state(args, params):
             p00 = rc.population((0, 0))
             p10 = rc.population((1, 0))
             p01 = rc.population((0, 1))
-            if detector == "single":
-                pe1, pe2 = rd.population((1,)), float("nan")
-            else:
+            if spec.two_level:
                 pe1, pe2 = rd.population((2,)), rd.population((1,))
+            else:
+                pe1, pe2 = rd.population((1,)), float("nan")
             rows.append((float(phi), p00, p10, p01, pe1, pe2,
                          trace_distance(rc, ref_chain),
                          trace_distance(rd, ref_det)))
@@ -335,8 +328,9 @@ def _cmd_reduced_state(args, params):
             rows))
 
     worst = max(p.trace_distance for p in chain_rep.pairs + det_rep.pairs)
-    return (f"reduced-state[{detector},{args.method}]: alpha1={spec.branches[0].alpha}, "
-            f"alpha2={spec.branches[1].alpha}, coherent-vs-mixed max trace distance "
+    return (f"reduced-state[{spec.detector_model},{args.method}]: "
+            f"alpha1={spec.branches[0].alpha}, alpha2={spec.branches[1].alpha}, "
+            f"coherent-vs-mixed max trace distance "
             f"= {worst:.3e} -> {outputs[0]}",
             outputs)
 
@@ -453,8 +447,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", type=_times_list, required=True,
                    help="comma-separated |g_alpha| t / hbar values")
     p.add_argument("--n-max", type=int, default=2,
-                   help="resonant-mode Fock truncation")
-    p.add_argument("--n-max-offres", type=int, default=1)
+                   help="full scheme: resonant-mode Fock truncation")
+    p.add_argument("--n-max-offres", type=int, default=1,
+                   help="full scheme: Fock truncation of the other modes")
     p.add_argument("--window", type=int, default=2,
                    help="full scheme: modes alpha0 +/- window")
     p.add_argument("--csv", required=True)

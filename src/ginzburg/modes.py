@@ -41,6 +41,11 @@ def _check_alpha(alpha, N):
         raise ModeIndexError(f"mode index must be an integer in 1..{N - 1}, got {alpha!r}")
 
 
+def _check_omega_d(omega_d):
+    if not (math.isfinite(omega_d) and omega_d > 0):
+        raise ValidationError(f"omega_d must be positive, got {omega_d}")
+
+
 def _on_chain(x, chain: ChainParams) -> np.ndarray:
     """x as a float array; ValidationError if any |x| exceeds L/2."""
     x = np.asarray(x, dtype=float)
@@ -140,8 +145,7 @@ def coupling_strengths(params: SystemParams, omega_d, alphas=None) -> np.ndarray
     formula value here, so CSV emission can show the suppressed tail.
     """
     chain, det = params.chain, params.detector
-    if omega_d <= 0:
-        raise ValidationError(f"omega_d must be positive, got {omega_d}")
+    _check_omega_d(omega_d)
     omega = mode_frequencies(chain, alphas)
     c_s, w = chain.c_s, det.w
     pref = -(params.g * params.hbar * omega) / (w ** 2 * c_s ** 2)
@@ -193,8 +197,7 @@ def resonance_mode(v, omega_d, params: SystemParams,
     Omega* L/(pi c_s) in the long-wavelength regime.
     """
     chain = params.chain
-    if omega_d <= 0:
-        raise ValidationError(f"omega_d must be positive, got {omega_d}")
+    _check_omega_d(omega_d)
     c_s = chain.c_s
     if v <= c_s:
         raise SubsonicError(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .errors import ValidationError
 
@@ -33,10 +33,15 @@ MUCH_FACTOR = 10.0
 WEAK_COUPLING_MAX = 0.1
 
 
-def _require_positive(**kwargs):
+def _require_finite(**kwargs):
     for name, value in kwargs.items():
         if not (isinstance(value, (int, float)) and math.isfinite(value)):
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
+def _require_positive(**kwargs):
+    _require_finite(**kwargs)
+    for name, value in kwargs.items():
         if value <= 0:
             raise ValidationError(f"{name} must be strictly positive, got {value}")
 
@@ -46,6 +51,17 @@ def _check_chain_size(N):
         raise ValidationError(f"N must be an integer, got {N!r}")
     if N < 3:
         raise ValidationError(f"N must be >= 3, got {N}")
+
+
+def _frequencies(omega_d) -> tuple[float, ...]:
+    """One internal frequency or a list of two, as a tuple of floats > 0."""
+    freqs = tuple(omega_d) if isinstance(omega_d, (list, tuple)) else (omega_d,)
+    if len(freqs) not in (1, 2):
+        raise ValidationError(
+            f"omega_d must hold one or two frequencies, got {len(freqs)}")
+    for om in freqs:
+        _require_positive(omega_d=om)
+    return tuple(float(om) for om in freqs)
 
 
 def _check_time(t: float):
@@ -95,7 +111,8 @@ class DetectorParams:
     """Detector: total/reduced masses, internal spring, dipole arm, height w.
 
     omega_d holds one internal frequency (single-level detector) or two
-    (two-level detector, frequencies omega_d1 and omega_d2).
+    (two-level detector, frequencies omega_d1 and omega_d2); a scalar is
+    taken as the one frequency.
     """
 
     M_d: float
@@ -111,13 +128,7 @@ class DetectorParams:
         if self.m_tilde_d >= self.M_d:
             raise ValidationError(
                 f"reduced mass m_tilde_d={self.m_tilde_d} must be < total mass M_d={self.M_d}")
-        freqs = tuple(float(om) for om in self.omega_d)
-        if len(freqs) not in (1, 2):
-            raise ValidationError(
-                f"omega_d must hold one or two frequencies, got {len(freqs)}")
-        for om in freqs:
-            _require_positive(omega_d=om)
-        object.__setattr__(self, "omega_d", freqs)
+        object.__setattr__(self, "omega_d", _frequencies(self.omega_d))
 
     @property
     def omega_d1(self) -> float:
@@ -145,13 +156,13 @@ class CouplingParams:
     epsilon0: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.g):
-            raise ValidationError(f"g must be finite, got {self.g}")
+        _require_finite(g=self.g)
         _require_positive(hbar=self.hbar)
 
     @staticmethod
     def from_dipoles(p_d, p_c, epsilon0, w, a_d, a_c, hbar):
         """Derive g = p_d p_c w / (4 pi eps0 a_d a_c) from raw EM inputs."""
+        _require_finite(p_d=p_d, p_c=p_c)
         _require_positive(epsilon0=epsilon0, w=w, a_d=a_d, a_c=a_c)
         g = p_d * p_c * w / (4.0 * math.pi * epsilon0 * a_d * a_c)
         return CouplingParams(g=g, hbar=hbar, p_d=p_d, p_c=p_c, epsilon0=epsilon0)
@@ -187,103 +198,94 @@ class SystemParams:
 
 # -- construction -----------------------------------------------------------
 
-_CHAIN_KEYS = {"N", "m_c", "k_c", "a_c"}
-_DETECTOR_KEYS = {"M_d", "m_tilde_d", "k_d", "a_d", "omega_d", "w"}
+def _check_keys(section: str, given: dict, known, needed) -> dict:
+    """given, after refusing by name each key outside known and each needed
+    key it lacks; section is the key prefix, like "chain."."""
+    unknown = [k for k in given if k not in known]
+    if unknown:
+        raise ValidationError(f"unknown config key {section}{unknown[0]} "
+                              f"(expected one of: {', '.join(known)})")
+    missing = [k for k in needed if k not in given]
+    if missing:
+        raise ValidationError(f"missing config key {section}{missing[0]}")
+    return given
+
+
+def _schema(cls, *skip):
+    """A section's keys: the fields of cls but skip, and those without a default."""
+    taken = [f for f in fields(cls) if f.name not in skip]
+    return [f.name for f in taken], [f.name for f in taken if f.default is MISSING]
 
 
 def build_params(config: dict) -> SystemParams:
     """Build validated SystemParams from a configuration mapping.
 
-    The config has sections "chain", "detector", "coupling" and optionally
-    "units".  Two unit modes:
+    Sections "chain", "detector" and "coupling" take the fields of
+    ChainParams, DetectorParams and CouplingParams (hbar aside), "units"
+    takes preset and hbar; any other key is refused.  Two unit modes:
 
-      units: {"preset": "paper"}   nondimensional c_s = L = rho_c = hbar = 1:
-                                   requires chain.N and detector.w only; the
-                                   chain scales are derived (a_c = 1/(N-1),
-                                   m_c = a_c, k_c = 1/a_c) and detector /
-                                   coupling fields get documented defaults
-                                   (m_tilde_d=1, M_d=4, a_d=1, omega_d=10*pi,
-                                   k_d=m_tilde_d*omega_d1^2, g=1), each
+      units: {"preset": "paper"}   c_s = L = rho_c = hbar = 1: requires
+                                   chain.N and detector.w only; a_c = 1/(N-1),
+                                   m_c = a_c, k_c = 1/a_c and the defaults
+                                   m_tilde_d=1, M_d=4, a_d=1, omega_d=10*pi,
+                                   k_d=m_tilde_d*omega_d1^2, g=1, each
                                    overridable.
-      units: {"hbar": <value>}     fully explicit: every chain/detector field
-                                   required, g (or raw dipole inputs) required.
+      units: {"hbar": <value>}     every chain/detector field required.
 
-    Coupling accepts either g directly or raw inputs p_d, p_c, epsilon0 from
-    which g is derived.  Supplying both cross-checks them.
+    The coupling takes g, or all of the raw inputs p_d, p_c, epsilon0 from
+    which g is derived (cross-checked when g is given too); the preset's
+    g = 1 applies only when neither is given.
     """
     if not isinstance(config, dict):
         raise ValidationError("config must be a mapping")
-    for section in ("units", "chain", "detector", "coupling"):
-        value = config.get(section)
+    names = _schema(SystemParams)[0]  # chain, detector, coupling, units
+    for name, value in _check_keys("", config, names, ()).items():
         if value is not None and not isinstance(value, dict):
             raise ValidationError(
-                f"config section {section!r} must be a mapping, got {type(value).__name__}")
-    units_cfg = config.get("units", {}) or {}
+                f"config section {name!r} must be a mapping, got {type(value).__name__}")
+    chain_cfg, det_cfg, coup_cfg, units_cfg = (dict(config.get(n) or {}) for n in names)
     preset = units_cfg.get("preset")
-    chain_cfg = dict(config.get("chain", {}) or {})
-    det_cfg = dict(config.get("detector", {}) or {})
-    coup_cfg = dict(config.get("coupling", {}) or {})
-
     if preset not in (None, "paper"):
         raise ValidationError(f"unknown units preset {preset!r} (only 'paper' exists)")
 
     if preset == "paper":
-        if "N" not in chain_cfg:
-            raise ValidationError("paper-units preset requires chain.N")
-        if "w" not in det_cfg:
-            raise ValidationError("paper-units preset requires detector.w")
-        _check_chain_size(chain_cfg["N"])
-        chain_cfg.setdefault("a_c", 1.0 / (chain_cfg["N"] - 1))  # L = 1
-        chain_cfg.setdefault("m_c", chain_cfg["a_c"])       # rho_c = 1
-        chain_cfg.setdefault("k_c", 1.0 / chain_cfg["a_c"])  # c_s = 1
-        det_cfg.setdefault("m_tilde_d", 1.0)
+        units_cfg.setdefault("hbar", 1.0)
+        if "N" in chain_cfg:
+            _check_chain_size(chain_cfg["N"])
+            chain_cfg.setdefault("a_c", 1.0 / (chain_cfg["N"] - 1))  # L = 1
+            chain_cfg.setdefault("m_c", chain_cfg["a_c"])       # rho_c = 1
+            chain_cfg.setdefault("k_c", 1.0 / chain_cfg["a_c"])  # c_s = 1
+        _require_positive(m_tilde_d=det_cfg.setdefault("m_tilde_d", 1.0))
         det_cfg.setdefault("M_d", 4.0 * det_cfg["m_tilde_d"])
         det_cfg.setdefault("a_d", 1.0)
         det_cfg.setdefault("omega_d", 10.0 * math.pi)
-        om = det_cfg["omega_d"]
-        om1 = om[0] if isinstance(om, (list, tuple)) else om
-        det_cfg.setdefault("k_d", det_cfg["m_tilde_d"] * om1 ** 2)
+        det_cfg.setdefault("k_d", det_cfg["m_tilde_d"]
+                           * _frequencies(det_cfg["omega_d"])[0] ** 2)
+    hbar = _check_keys("units.", units_cfg, ("preset", "hbar"), ("hbar",))["hbar"]
+    chain = ChainParams(**_check_keys("chain.", chain_cfg, *_schema(ChainParams)))
+    detector = DetectorParams(**_check_keys("detector.", det_cfg,
+                                            *_schema(DetectorParams)))
+
+    raw = [coup_cfg.get(k) for k in ("p_d", "p_c", "epsilon0")]
+    if raw.count(None) == 0:
+        g = CouplingParams.from_dipoles(*raw, w=detector.w, a_d=detector.a_d,
+                                        a_c=chain.a_c, hbar=hbar).g
+        given = coup_cfg.setdefault("g", g)
+        _require_finite(g=given)
+        if abs(given - g) > 1e-12 * max(abs(g), 1.0):
+            raise ValidationError(
+                f"coupling.g={given} inconsistent with dipole inputs (derived {g})")
+        coup_cfg["g"] = g
+    elif raw.count(None) < 3:
+        raise ValidationError("raw dipole inputs need all of coupling.p_d, "
+                              "coupling.p_c and coupling.epsilon0")
+    elif preset == "paper":
         coup_cfg.setdefault("g", 1.0)
-        hbar = units_cfg.get("hbar", 1.0)
-        units_label = "paper"
-    else:
-        missing = _CHAIN_KEYS - set(chain_cfg)
-        if missing:
-            raise ValidationError(f"missing chain keys: {sorted(missing)}")
-        missing = _DETECTOR_KEYS - set(det_cfg)
-        if missing:
-            raise ValidationError(f"missing detector keys: {sorted(missing)}")
-        if "hbar" not in units_cfg:
-            raise ValidationError("units.hbar required (or use the 'paper' preset)")
-        hbar = units_cfg["hbar"]
-        units_label = "custom"
-
-    om = det_cfg["omega_d"]
-    omega_d = tuple(om) if isinstance(om, (list, tuple)) else (om,)
-    chain = ChainParams(N=chain_cfg["N"], m_c=chain_cfg["m_c"],
-                        k_c=chain_cfg["k_c"], a_c=chain_cfg["a_c"])
-    detector = DetectorParams(M_d=det_cfg["M_d"], m_tilde_d=det_cfg["m_tilde_d"],
-                              k_d=det_cfg["k_d"], a_d=det_cfg["a_d"],
-                              omega_d=omega_d, w=det_cfg["w"])
-
-    raw = {k: coup_cfg.get(k) for k in ("p_d", "p_c", "epsilon0")}
-    have_raw = all(v is not None for v in raw.values())
-    if have_raw:
-        coupling = CouplingParams.from_dipoles(
-            raw["p_d"], raw["p_c"], raw["epsilon0"],
-            w=detector.w, a_d=detector.a_d, a_c=chain.a_c, hbar=hbar)
-        if "g" in coup_cfg and coup_cfg["g"] is not None:
-            g_given = coup_cfg["g"]
-            if abs(g_given - coupling.g) > 1e-12 * max(abs(coupling.g), 1.0):
-                raise ValidationError(
-                    f"coupling.g={g_given} inconsistent with dipole inputs (derived {coupling.g})")
-    elif "g" in coup_cfg and coup_cfg["g"] is not None:
-        coupling = CouplingParams(g=coup_cfg["g"], hbar=hbar)
-    else:
-        raise ValidationError("coupling requires g or all of p_d, p_c, epsilon0")
-
+    coupling = CouplingParams(**_check_keys("coupling.", coup_cfg,
+                                            *_schema(CouplingParams, "hbar")),
+                              hbar=hbar)
     return SystemParams(chain=chain, detector=detector, coupling=coupling,
-                        units=units_label)
+                        units="custom" if preset is None else preset)
 
 
 def load_params(path) -> SystemParams:

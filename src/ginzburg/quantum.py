@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardError, StabilityError, ValidationError
-from .modes import ModeCoupling
+from .modes import ModeCoupling, _check_omega_d
 from .params import SystemParams, _check_time
 
 DEFAULT_PERTURBATIVE_GUARD = 0.3
@@ -422,8 +422,7 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
     _check_couplings(couplings, space)
     if omega_d is None:
         omega_d = couplings[0].omega_d
-    if not (math.isfinite(omega_d) and omega_d > 0):
-        raise ValidationError(f"omega_d must be positive, got {omega_d}")
+    _check_omega_d(omega_d)
     omega_fast = max(c.omega_alpha for c in couplings) + omega_d
     dt_max = 2.0 * math.pi / (FULL_STEPS_PER_CYCLE * omega_fast)
     if dt is None:

@@ -33,8 +33,9 @@ from .params import SystemParams, _check_time
 from .quantum import (DEFAULT_PERTURBATIVE_GUARD, DensityMatrix, FockSpace,
                       QuantumState, build_ndpa, evolve_exact, trace_distance)
 
-_DETECTOR_MODELS = ("single", "two-level")
 _METHODS = ("perturbative", "exact")
+# a trace distance above this makes two reduced states distinguishable
+_TD_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,15 @@ class Branch:
 
 @dataclass(frozen=True)
 class BranchSpec:
-    """Two branches with superposition weights cos(theta), e^{i phi} sin(theta)."""
+    """Two branches with superposition weights cos(theta), e^{i phi} sin(theta),
+    exciting one shared detector level, or level i each when two_level."""
 
     branches: tuple[Branch, Branch]
     theta: float
     phi: float
     hbar: float = 1.0
     selectivity_violated: bool = False
+    two_level: bool = False
 
     def __post_init__(self):
         if len(self.branches) != 2:
@@ -76,6 +79,10 @@ class BranchSpec:
         return (complex(math.cos(self.theta)),
                 np.exp(1j * self.phi) * math.sin(self.theta))
 
+    @property
+    def detector_model(self) -> str:
+        return "two-level" if self.two_level else "single"
+
 
 def branch_spec_from_resonance(params: SystemParams, v1: float, v2: float,
                                theta: float, phi: float,
@@ -85,31 +92,29 @@ def branch_spec_from_resonance(params: SystemParams, v1: float, v2: float,
                                y_max: float = DEFAULT_Y_MAX) -> BranchSpec:
     """Resolve resonant modes/couplings for two trajectories.
 
-    omega_d2 given selects the two-internal-level detector: branch i couples
-    through its own frequency omega_d_i (resonance_pair supplies the
-    selectivity diagnosis).  Otherwise both branches share omega_d.
+    omega_d2 given selects the two-internal-level detector (two_level):
+    branch i couples through its own frequency omega_d_i (resonance_pair
+    supplies the selectivity diagnosis).  Otherwise both share omega_d.
     """
     if omega_d is None:
         omega_d = params.detector.omega_d1
-    selectivity = False
-    if omega_d2 is not None:
-        pair = resonance_pair(v1, v2, omega_d, omega_d2, params, y_max=y_max)
-        a1, a2 = pair.alpha1, pair.alpha2
-        c1 = mode_coupling(a1, params, omega_d, y_max=y_max)
-        c2 = mode_coupling(a2, params, omega_d2, y_max=y_max)
-        selectivity = pair.selectivity_violated
+    two_level, selectivity = omega_d2 is not None, False
+    omegas = (omega_d, omega_d2 if two_level else omega_d)
+    if two_level:
+        pair = resonance_pair(v1, v2, *omegas, params, y_max=y_max)
+        a1, a2, selectivity = pair.alpha1, pair.alpha2, pair.selectivity_violated
     else:
-        a1 = resonance_mode(v1, omega_d, params, y_max=y_max).alpha0
-        a2 = resonance_mode(v2, omega_d, params, y_max=y_max).alpha0
+        a1, a2 = (resonance_mode(v, omega_d, params, y_max=y_max).alpha0
+                  for v in (v1, v2))
         if a1 == a2:
             raise ValidationError(
                 f"v1 and v2 resonate with the same mode alpha = {a1}; "
                 "the branches would be indistinguishable in the chain")
-        c1 = mode_coupling(a1, params, omega_d, y_max=y_max)
-        c2 = mode_coupling(a2, params, omega_d, y_max=y_max)
+    c1, c2 = (mode_coupling(a, params, om, y_max=y_max)
+              for a, om in zip((a1, a2), omegas))
     return BranchSpec(branches=(Branch(x0_1, v1, a1, c1), Branch(x0_2, v2, a2, c2)),
                       theta=theta, phi=phi, hbar=params.hbar,
-                      selectivity_violated=selectivity)
+                      selectivity_violated=selectivity, two_level=two_level)
 
 
 @dataclass
@@ -122,7 +127,6 @@ class BranchedState:
 
     spec: BranchSpec
     t: float
-    detector_model: str
     method: str
     space: FockSpace
     branch_states: tuple[QuantumState, QuantumState]
@@ -130,6 +134,10 @@ class BranchedState:
     @property
     def weights(self) -> tuple[complex, complex]:
         return self.spec.weights
+
+    @property
+    def detector_model(self) -> str:
+        return self.spec.detector_model
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -148,38 +156,31 @@ class BranchedState:
         return vec
 
 
-def _branch_space(spec: BranchSpec, detector_model: str) -> FockSpace:
-    a1, a2 = (b.alpha for b in spec.branches)
-    qubits = 1 if detector_model == "single" else 2
-    return FockSpace(modes=((a1, 1), (a2, 1)), detector_qubits=qubits)
-
-
-def evolve_superposed(spec: BranchSpec, t: float, detector: str = "single",
-                      method: str = "perturbative",
+def evolve_superposed(spec: BranchSpec, t: float, method: str = "perturbative",
                       guard: float = DEFAULT_PERTURBATIVE_GUARD) -> BranchedState:
     """Evolve both branches from the joint vacuum for time t.
 
-    Branch i evolves under build_ndpa of its mode on its detector qubit.
+    Branch i evolves under build_ndpa of its mode on detector qubit i of a
+    two-level spec (whose selectivity must hold), on qubit 0 otherwise.
     perturbative: (1 - i H_i t / hbar)|vac, ground>, that is
     |vac, ground> - i (g_i t / 2 hbar) |1_i, e_i> (unnormalized).  exact:
     exp(-i H_i t / hbar)|vac, ground>, bypassing the weak-coupling guard.
     """
-    if detector not in _DETECTOR_MODELS:
-        raise ValidationError(f"detector must be one of {_DETECTOR_MODELS}")
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}")
     _check_time(t)
-    if detector == "two-level" and spec.selectivity_violated:
+    if spec.two_level and spec.selectivity_violated:
         raise GuardError(
             "resonance selectivity violated: a cross detuning sits inside the "
             "guard band, so branch/mode pairing is not clean")
-    space = _branch_space(spec, detector)
+    space = FockSpace(modes=tuple((b.alpha, 1) for b in spec.branches),
+                      detector_qubits=2 if spec.two_level else 1)
     vac = space.vacuum()
     hbar = spec.hbar
 
     states = []
     for i, branch in enumerate(spec.branches):
-        h = build_ndpa(branch.coupling, space, 0 if detector == "single" else i)
+        h = build_ndpa(branch.coupling, space, i if spec.two_level else 0)
         if method == "perturbative":
             gt = abs(branch.coupling.g_alpha) * t / hbar
             if gt > guard:
@@ -190,8 +191,8 @@ def evolve_superposed(spec: BranchSpec, t: float, detector: str = "single",
             states.append(QuantumState(space, amp))
         else:
             states.append(evolve_exact(h, vac, t, hbar))
-    return BranchedState(spec=spec, t=t, detector_model=detector, method=method,
-                         space=space, branch_states=(states[0], states[1]))
+    return BranchedState(spec=spec, t=t, method=method, space=space,
+                         branch_states=(states[0], states[1]))
 
 
 def density_matrix(state: BranchedState) -> DensityMatrix:
@@ -261,12 +262,11 @@ class PairDistance:
 class DiscriminationReport:
     labels: tuple[str, ...]
     pairs: tuple[PairDistance, ...]
-    threshold: float
     populations: dict
 
     def to_dict(self) -> dict:
         return {
-            "threshold": self.threshold,
+            "threshold": _TD_THRESHOLD,
             "labels": list(self.labels),
             "pairs": [{"a": p.label_a, "b": p.label_b,
                        "trace_distance": p.trace_distance, "verdict": p.verdict}
@@ -275,8 +275,8 @@ class DiscriminationReport:
         }
 
 
-def discriminate(rhos: Sequence[DensityMatrix], labels: Sequence[str] | None = None,
-                 threshold: float = 1e-10) -> DiscriminationReport:
+def discriminate(rhos: Sequence[DensityMatrix],
+                 labels: Sequence[str] | None = None) -> DiscriminationReport:
     """Pairwise trace distances between reduced states on a common
     factorization, with a distinguishable/indistinguishable verdict per pair."""
     if len(rhos) < 2:
@@ -295,7 +295,7 @@ def discriminate(rhos: Sequence[DensityMatrix], labels: Sequence[str] | None = N
     for i in range(len(rhos)):
         for j in range(i + 1, len(rhos)):
             td = trace_distance(rhos[i], rhos[j])
-            verdict = "distinguishable" if td > threshold else "indistinguishable"
+            verdict = "distinguishable" if td > _TD_THRESHOLD else "indistinguishable"
             pairs.append(PairDistance(labels[i], labels[j], td, verdict))
     populations = {
         label: {str(tuple(int(v) for v in np.unravel_index(k, r.dims))):
@@ -305,4 +305,4 @@ def discriminate(rhos: Sequence[DensityMatrix], labels: Sequence[str] | None = N
         for label, r in zip(labels, rhos)
     }
     return DiscriminationReport(labels=labels, pairs=tuple(pairs),
-                                threshold=threshold, populations=populations)
+                                populations=populations)

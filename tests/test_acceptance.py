@@ -44,7 +44,7 @@ def scaled_coupling():
     return params, omega_d, mode_coupling(10, params, omega_d=omega_d)
 
 
-def equal_coupling_spec(theta, phi):
+def equal_coupling_spec(theta, phi, two_level=False):
     """Two branches with unit |g| each, so g t is the only scale."""
     c1 = ModeCoupling(alpha=10, g_alpha=-1.0, omega_d=10.0 * math.pi,
                       omega_alpha=31.4156, f_factor=0.91)
@@ -52,7 +52,7 @@ def equal_coupling_spec(theta, phi):
                       omega_alpha=21.9908, f_factor=0.95)
     return BranchSpec(branches=(Branch(0.0, 2.0, 10, c1),
                                 Branch(0.0, 2.6, 7, c2)),
-                      theta=theta, phi=phi, hbar=1.0)
+                      theta=theta, phi=phi, hbar=1.0, two_level=two_level)
 
 
 def fwhm(x, y):
@@ -274,8 +274,8 @@ def test_criterion_09_superposed_branch_populations():
     assert localized.population((0, 1)) == 0.0
     assert localized.population((1, 0)) > 0.0
 
-    tagged = reduce_detector(density_matrix(
-        evolve_superposed(spec, t, detector="two-level")))
+    two_level = equal_coupling_spec(math.pi / 4.0, 0.0, two_level=True)
+    tagged = reduce_detector(density_matrix(evolve_superposed(two_level, t)))
     assert tagged.population((2,)) == pytest.approx(expect, rel=1e-12)  # |eg>
     assert tagged.population((1,)) == pytest.approx(expect, rel=1e-12)  # |ge>
     assert tagged.population((3,)) < 1e-16                              # |ee>

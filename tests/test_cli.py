@@ -5,12 +5,14 @@ the module entry point and the thread-cap environment hook.
 """
 
 import csv
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,8 +248,6 @@ def test_evolve_bad_time_or_window_exits_2(tmp_path, capsys, argv):
     ["--scheme", "full", "--gt", "0.1", "--window", "8"],      # dim 393,216
     ["--scheme", "full", "--gt", "0.1", "--window", "20"],     # 48 GiB vector
     ["--scheme", "full", "--gt", "0.1", "--window", "60"],     # dim past int64
-    ["--scheme", "exact", "--gt", "0.1", "--n-max", "20000"],  # dense 25.6 GB
-    ["--scheme", "exact", "--gt", "0.1", "--n-max", "1000"],   # eigh copies
 ])
 def test_evolve_over_operator_budget_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "big.csv"
@@ -255,6 +255,20 @@ def test_evolve_over_operator_budget_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "MiB budget" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n_max", ["20000", "1000"])
+def test_evolve_exact_ignores_n_max(tmp_path, n_max):
+    # from the vacuum the exact scheme lives on |0, g> and |1, e>, so a
+    # truncation that once overran the operator budget changes nothing
+    golden = json.loads((Path(__file__).parent / "golden" / "cases.json")
+                        .read_text(encoding="utf-8"))["cases"]
+    sha = next(c for c in golden if c["name"] == "evolve_exact")["outputs"][
+        "exact.csv"]["sha256"]
+    out = tmp_path / "exact.csv"
+    assert run(["evolve", "--v", "2.0", "--scheme", "exact", "--gt", "0.05,0.1,0.2",
+                "--n-max", n_max, "--csv", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
 @pytest.mark.parametrize("argv", [
@@ -384,6 +398,21 @@ def test_regime_json(tmp_path, capsys):
     data2 = json.loads(out2.read_text())
     assert data2["all_pass"] is True
     assert "all pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section,key", [
+    ("chain", "k_C"), ("detector", "omgea_d"), ("coupling", "gg"),
+    ("units", "hbr"), (None, "coupling_"),
+])
+def test_misspelt_params_key_exits_2(tmp_path, capsys, section, key):
+    overrides = {key: {"g": 2.0}} if section is None else {section: {key: 2.0}}
+    pfile = write_config(tmp_path, **overrides)
+    out = tmp_path / "modes.csv"
+    assert run(["modes", "--params", pfile, "--csv", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    name = key if section is None else f"{section}.{key}"
+    assert len(err.splitlines()) == 1 and f"unknown config key {name} " in err
+    assert not out.exists()
 
 
 # -- oracle-compare ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ginzburg import (ModeCutoffError, ModeIndexError, SubsonicError,
-                      build_params, coupling_strengths, cutoff_f,
+                      ValidationError, build_params, coupling_strengths, cutoff_f,
                       mode_coupling, mode_frequency, mode_function,
                       mode_spectrum, resonance_mode, resonance_pair)
 
@@ -200,6 +200,16 @@ def test_resonance_subsonic_rejected():
     for v in (0.5, 1.0):
         with pytest.raises(SubsonicError):
             resonance_mode(v, 10.0 * math.pi, p)
+
+
+@pytest.mark.parametrize("omega_d", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_finite_or_nonpositive_omega_d_rejected(omega_d):
+    p = paper()
+    for call in (lambda: coupling_strengths(p, omega_d, alphas=np.array([10])),
+                 lambda: mode_coupling(10, p, omega_d),
+                 lambda: resonance_mode(2.0, omega_d, p)):
+        with pytest.raises(ValidationError, match="omega_d must be positive"):
+            call()
 
 
 def test_resonance_pair_selectivity_violation():

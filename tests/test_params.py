@@ -106,6 +106,55 @@ def test_g_from_raw_dipole_inputs_matches_shorthand():
         build_params(cfg)
 
 
+PRESET = {"units": {"preset": "paper"}, "chain": {"N": 2001},
+          "detector": {"w": 0.01}}
+
+
+@pytest.mark.parametrize("config,key", [
+    (explicit_config(chain={"k_C": 1.0}), "chain.k_C"),
+    (explicit_config(detector={"omgea_d": 10.0}), "detector.omgea_d"),
+    (explicit_config(coupling={"gg": 2.0}), "coupling.gg"),
+    (explicit_config(units={"hbr": 1.0}), "units.hbr"),
+    ({**explicit_config(), "coupling_": {"g": 2.0}}, "coupling_"),
+    ({**PRESET, "chain": {"N": 2001, "k_C": 1.0}}, "chain.k_C"),
+    ({**PRESET, "detector": {"w": 0.01, "omgea_d": 10.0}}, "detector.omgea_d"),
+    ({**PRESET, "coupling": {"gg": 2.0}}, "coupling.gg"),
+    ({**PRESET, "units": {"preset": "paper", "hbr": 2.0}}, "units.hbr"),
+    ({**PRESET, "coupling_": {"g": 2.0}}, "coupling_"),
+    # hbar belongs to units, not to the coupling section
+    (explicit_config(coupling={"hbar": 2.0}), "coupling.hbar"),
+])
+def test_unknown_keys_rejected_by_name(config, key):
+    with pytest.raises(ValidationError, match=f"unknown config key {key} "):
+        build_params(config)
+
+
+def test_raw_dipole_inputs_under_paper_preset():
+    p_d, p_c, eps0 = 1.0, 2.0, 0.5
+    p = build_params({**PRESET, "coupling": {"p_d": p_d, "p_c": p_c,
+                                             "epsilon0": eps0}})
+    # a_d = 1 and a_c = 1/2000 under the preset
+    expected = p_d * p_c * 0.01 / (4.0 * math.pi * eps0 * 1.0 / 2000.0)
+    assert p.g == pytest.approx(expected, rel=1e-15)
+    assert (p.coupling.p_d, p.coupling.p_c, p.coupling.epsilon0) == (p_d, p_c, eps0)
+    # the cross-check still applies to a g given with them
+    with pytest.raises(ValidationError, match="inconsistent"):
+        build_params({**PRESET, "coupling": {"p_d": p_d, "p_c": p_c,
+                                             "epsilon0": eps0, "g": 1.0}})
+
+
+@pytest.mark.parametrize("coupling", [
+    {"g": 1.0, "p_d": 2.0},
+    {"p_c": 2.0, "epsilon0": 0.5},
+    {"g": 1.0, "p_d": 2.0, "p_c": 3.0},
+])
+@pytest.mark.parametrize("base", [explicit_config(), PRESET],
+                         ids=["explicit", "preset"])
+def test_partial_raw_dipole_set_rejected(base, coupling):
+    with pytest.raises(ValidationError, match="all of coupling.p_d"):
+        build_params({**base, "coupling": coupling})
+
+
 def test_dipole_sign_makes_g_finite_and_signed():
     c = CouplingParams.from_dipoles(p_d=-2.0, p_c=3.0, epsilon0=0.25,
                                     w=5.0, a_d=1.0, a_c=1.0, hbar=1.0)

@@ -25,14 +25,14 @@ OMEGA_A1 = 31.4156035548  # mode 10 on the paper chain
 OMEGA_A2 = 21.9908035869  # mode 7
 
 
-def hand_spec(theta, phi, g1=1.0, g2=1.0, hbar=1.0):
+def hand_spec(theta, phi, g1=1.0, g2=1.0, hbar=1.0, two_level=False):
     c1 = ModeCoupling(alpha=10, g_alpha=-abs(g1), omega_d=10.0 * math.pi,
                       omega_alpha=OMEGA_A1, f_factor=0.91)
     c2 = ModeCoupling(alpha=7, g_alpha=-abs(g2), omega_d=11.2 * math.pi,
                       omega_alpha=OMEGA_A2, f_factor=0.95)
     return BranchSpec(branches=(Branch(0.0, 2.0, 10, c1),
                                 Branch(0.0, 2.6, 7, c2)),
-                      theta=theta, phi=phi, hbar=hbar)
+                      theta=theta, phi=phi, hbar=hbar, two_level=two_level)
 
 
 # -- spec construction --------------------------------------------------------
@@ -95,9 +95,22 @@ def test_spec_from_resonance_two_level_selectivity():
                                        theta=math.pi / 4.0, phi=0.0,
                                        omega_d=10.0 * math.pi,
                                        omega_d2=10.0 * math.pi)
-    assert dirty.selectivity_violated
+    assert dirty.selectivity_violated and dirty.two_level
     with pytest.raises(GuardError):
-        evolve_superposed(dirty, 1e-9, detector="two-level")
+        evolve_superposed(dirty, 1e-9)
+
+    # at a weak coupling the guard band is narrow and the pair selective;
+    # the spec alone makes the evolution two-level
+    weak = build_params({"units": {"preset": "paper"}, "chain": {"N": 2001},
+                         "detector": {"w": 0.01}, "coupling": {"g": 5e-8}})
+    spec = branch_spec_from_resonance(weak, v1=2.0, v2=2.6,
+                                      theta=math.pi / 4.0, phi=0.0,
+                                      omega_d=10.0 * math.pi,
+                                      omega_d2=11.2 * math.pi)
+    assert spec.two_level and not spec.selectivity_violated
+    state = evolve_superposed(spec, 0.1)
+    assert state.detector_model == "two-level"
+    assert state.dims == (2, 4, 2, 2)
 
 
 # -- first-order branch amplitudes --------------------------------------------
@@ -126,8 +139,6 @@ def test_branch_amplitudes_carry_weights_and_phase():
 
 def test_rejects_bad_model_and_negative_time():
     spec = hand_spec(0.3, 0.0)
-    with pytest.raises(ValidationError):
-        evolve_superposed(spec, 0.1, detector="triple")
     with pytest.raises(ValidationError):
         evolve_superposed(spec, 0.1, method="magic")
     for bad in (-0.1, math.nan, math.inf):
@@ -200,15 +211,15 @@ def test_keep_subset_of_modes():
 
 
 def test_two_level_detector_tags_branches():
-    spec = hand_spec(0.0, 0.0)
-    rho0 = density_matrix(evolve_superposed(spec, 0.2, detector="two-level"))
+    spec = hand_spec(0.0, 0.0, two_level=True)
+    rho0 = density_matrix(evolve_superposed(spec, 0.2))
     det0 = reduce_detector(rho0)
     assert det0.dims == (4,)
     assert det0.population((2,)) == pytest.approx(0.01 / 1.01, rel=1e-12)  # |eg>
     assert det0.population((1,)) == 0.0                                    # |ge>
 
-    both = density_matrix(evolve_superposed(hand_spec(math.pi / 4.0, 0.0), 0.2,
-                                            detector="two-level"))
+    both = density_matrix(evolve_superposed(
+        hand_spec(math.pi / 4.0, 0.0, two_level=True), 0.2))
     det = reduce_detector(both)
     assert det.population((2,)) == pytest.approx(0.005 / 1.01, rel=1e-12)
     assert det.population((1,)) == pytest.approx(0.005 / 1.01, rel=1e-12)
@@ -316,8 +327,8 @@ def test_discriminate_separates_localized_from_superposed():
 
 
 def test_reductions_match_loop_trace_oracle():
-    rho = density_matrix(evolve_superposed(hand_spec(0.9, 0.8), 0.2,
-                                           detector="two-level"))
+    rho = density_matrix(evolve_superposed(hand_spec(0.9, 0.8, two_level=True),
+                                           0.2))
     assert rho.dims == (2, 4, 2, 2)
     chain = reduce_chain(rho)
     np.testing.assert_allclose(
