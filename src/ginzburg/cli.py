@@ -124,25 +124,11 @@ def _cmd_modes(args, params):
 def _cmd_meanfield(args, params):
     traj = Trajectory(x0=args.x0, v=args.v)
     grid = _grid(params, args.grid)
-    kwargs = {}
-    if args.route == "closed":
-        if args.include_image:
-            kwargs["include_image"] = True
-        if args.alpha_max is not None:
-            raise ValidationError("--alpha-max applies to series/modesum only")
-    else:
-        if args.include_image:
-            raise ValidationError("--include-image applies to the closed route only")
-        if args.alpha_max is not None:
-            kwargs["alpha_max"] = args.alpha_max
-    if args.route == "modesum":
-        kwargs["longwave"] = args.longwave
-        kwargs["extended_domain"] = args.extended_domain
-        kwargs["rel_tol"] = args.rel_tol
-    elif args.longwave or args.extended_domain:
-        raise ValidationError("--longwave/--extended-domain apply to modesum only")
-
-    prof = profile(args.route, grid, args.t, traj, params, **kwargs)
+    # only the options given; profile refuses those the route does not read
+    options = {name: value for name in ("include_image", "alpha_max", "longwave",
+                                        "extended_domain", "rel_tol")
+               if (value := getattr(args, name)) is not None}
+    prof = profile(args.route, grid, args.t, traj, params, **options)
     # the modesum route has no packet decomposition: NaN columns
     packets = ("comoving", "ripple_right", "ripple_left")
     comp = prof.components or dict.fromkeys(packets, np.full(grid.size, np.nan))
@@ -193,6 +179,9 @@ def _cmd_oracle_compare(args, params):
 
 def _cmd_resonance(args, params):
     omega_d = _omega_d(args, params)
+    if args.v2 is None and args.omega_d2 is not None:
+        raise ValidationError("--omega-d2 pairs with the second trajectory; "
+                              "give --v2 as well")
     outputs = []
     if args.v2 is not None:
         omega_d2 = args.omega_d2
@@ -261,17 +250,13 @@ def _cmd_evolve(args, params):
 
 def _cmd_reduced_state(args, params):
     # a second frequency, from --omega-d2 or the params file, makes the
-    # detector two-level unless --detector single asks for one level
+    # detector two-level
     omega_d2 = args.omega_d2
     if omega_d2 is None and params.detector.two_level:
         omega_d2 = params.detector.omega_d2
-    if args.detector == "two-level" and omega_d2 is None:
-        raise ValidationError("two-level detector needs --omega-d2 (or a params "
-                              "file with two omega_d entries)")
     spec = branch_spec_from_resonance(
         params, args.v1, args.v2, args.theta, args.phi,
-        omega_d=_omega_d(args, params),
-        omega_d2=None if args.detector == "single" else omega_d2,
+        omega_d=_omega_d(args, params), omega_d2=omega_d2,
         x0_1=args.x0, x0_2=args.x0_2, y_max=args.y_max)
     g1 = abs(spec.branches[0].coupling.g_alpha)
     t = args.t if args.t is not None else args.gt * params.hbar / g1
@@ -388,9 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", type=str, default=None,
                         help="JSON config file (default: paper units, N=2001, w=0.01)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="accepted for interface stability; every code path "
-                             "is deterministic, the value is unused")
     # only the subcommands that pick modes by the cutoff take --y-max
     cutoff = argparse.ArgumentParser(add_help=False, parents=[common])
     cutoff.add_argument("--y-max", type=_positive_float, default=DEFAULT_Y_MAX,
@@ -410,11 +392,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--grid", type=int, default=4001)
     p.add_argument("--csv", required=True)
+    # route options: None when not given, so the library keeps its defaults
     p.add_argument("--alpha-max", type=int, default=None)
-    p.add_argument("--include-image", action="store_true")
-    p.add_argument("--longwave", action="store_true")
-    p.add_argument("--extended-domain", action="store_true")
-    p.add_argument("--rel-tol", type=_finite_float, default=1e-4)
+    p.add_argument("--include-image", action="store_true", default=None)
+    p.add_argument("--longwave", action="store_true", default=None)
+    p.add_argument("--extended-domain", action="store_true", default=None)
+    p.add_argument("--rel-tol", type=_finite_float, default=None)
     p.set_defaults(func=_cmd_meanfield)
 
     p = sub.add_parser("oracle-compare", parents=[common],
@@ -465,8 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0-2", type=_finite_float, default=0.0)
     p.add_argument("--omega-d", type=_finite_float, default=None)
     p.add_argument("--omega-d2", type=_finite_float, default=None)
-    p.add_argument("--detector", choices=["auto", "single", "two-level"],
-                   default="auto")
     p.add_argument("--method", choices=["perturbative", "exact"],
                    default="perturbative")
     group = p.add_mutually_exclusive_group(required=True)

@@ -120,28 +120,21 @@ def _point_forces(phi, x_d, x_sites, params: SystemParams, diff, f,
     return big_g * float(np.sum(-h2 + phi * h3))
 
 
-def force_field(state: ChainState, params: SystemParams,
-                include_detector: bool = True):
-    """(dp_n/dt, dp_d/dt) at the given phase-space point.
-
-    include_detector=False zeroes the detector force (prescribed-trajectory
-    mode, where back-action on the center of mass is neglected).
-    """
+def force_field(state: ChainState, params: SystemParams):
+    """(dp_n/dt, dp_d/dt) at the given phase-space point."""
     n = state.phi.size
     f_chain = np.empty(n)
     f_det = _point_forces(state.phi, state.x_d, site_positions(params), params,
-                          np.zeros(n + 1), f_chain, include_detector)
+                          np.zeros(n + 1), f_chain, True)
     return f_chain, f_det
 
 
-def total_energy(state: ChainState, params: SystemParams,
-                 include_detector: bool = True) -> float:
-    """Chain kinetic + elastic + interaction energy (+ detector kinetic)."""
+def total_energy(state: ChainState, params: SystemParams) -> float:
+    """Chain kinetic + elastic + interaction energy + detector kinetic."""
     chain, det = params.chain, params.detector
     e = float(np.sum(state.p ** 2)) / (2.0 * chain.m_c)
     e += 0.5 * chain.k_c * float(np.sum(np.diff(state.phi) ** 2))
-    if include_detector:
-        e += state.p_d ** 2 / (2.0 * det.M_d)
+    e += state.p_d ** 2 / (2.0 * det.M_d)
     big_g = params.g * det.a_d * chain.a_c
     if big_g != 0.0:
         x_sites = site_positions(params)

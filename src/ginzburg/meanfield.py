@@ -28,7 +28,7 @@ packets integrate to zero net displacement at every time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,10 +89,10 @@ class FieldProfile:
     t: float
     values: np.ndarray
     route: str
-    components: dict | None = None
-    constraint_integral: float = math.nan   # trapezoid of phi over the grid
-    l1_integral: float = math.nan            # trapezoid of |phi|
-    meta: dict = field(default_factory=dict)
+    components: dict | None     # packet decomposition; None for modesum
+    constraint_integral: float  # trapezoid of phi over the grid
+    l1_integral: float          # trapezoid of |phi|
+    meta: dict
 
 
 def _pole_check(v, c_s):
@@ -260,8 +260,9 @@ def _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
 def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
                       alpha_max: int | None = None, longwave: bool = False,
                       extended_domain: bool = False, rel_tol: float = 1e-4,
-                      max_doublings: int = 5, return_report: bool = False):
-    """Brute-force double quadrature of the mode expansion.
+                      max_doublings: int = 5) -> tuple[np.ndarray, QuadReport]:
+    """Brute-force double quadrature of the mode expansion; returns the
+    profile and its QuadReport.
 
     Both the spatial integral (u_alpha against the kernel curvature) and the
     time integral (sin[Omega (t-t')] against the moving kernel) use composite
@@ -292,9 +293,7 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
         raise ValidationError(f"rel_tol must be finite and > 0, got {rel_tol}")
     x_out = np.atleast_1d(_on_chain(x, chain))
     if t == 0.0:
-        out = np.zeros_like(x_out)
-        report = QuadReport(0, 0, 0, 0.0, rel_tol, True)
-        return (out, report) if return_report else out
+        return np.zeros_like(x_out), QuadReport(0, 0, 0, 0.0, rel_tol, True)
 
     spec = mode_spectrum(params)
     if alpha_max is None:
@@ -341,25 +340,38 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
             f"{max_doublings} doublings (achieved {est:.2e})",
             achieved=est, target=rel_tol)
 
-    report = QuadReport(panels_x=panels_x, panels_t=panels_t, doublings=doublings,
-                        error_estimate=est, tolerance=rel_tol, converged=True)
-    return (prev, report) if return_report else prev
+    return prev, QuadReport(panels_x=panels_x, panels_t=panels_t,
+                            doublings=doublings, error_estimate=est,
+                            tolerance=rel_tol, converged=True)
 
 
 # -- profiles ------------------------------------------------------------------
 
-_ROUTES = ("closed", "series", "modesum")
+# the options each route reads; profile refuses any other
+_ROUTE_OPTIONS = {
+    "closed": ("include_image",),
+    "series": ("alpha_max",),
+    "modesum": ("alpha_max", "longwave", "extended_domain", "rel_tol"),
+}
 
 
 def profile(route: str, grid, t, traj: Trajectory, params: SystemParams,
-            **route_kwargs) -> FieldProfile:
+            **route_options) -> FieldProfile:
     """Evaluate one route on a spatial grid and attach the constraint report.
 
-    The constraint integral (trapezoid of phi over the grid) should vanish
+    route_options are the keywords of the route's function that
+    _ROUTE_OPTIONS lists for it; any other raises ValidationError.  The
+    constraint integral (trapezoid of phi over the grid) should vanish
     relative to the L1 norm on grids that resolve the packets.
     """
-    if route not in _ROUTES:
-        raise ValidationError(f"unknown route {route!r}; choose from {_ROUTES}")
+    if route not in _ROUTE_OPTIONS:
+        raise ValidationError(
+            f"unknown route {route!r}; choose from {tuple(_ROUTE_OPTIONS)}")
+    unread = sorted(set(route_options) - set(_ROUTE_OPTIONS[route]))
+    if unread:
+        raise ValidationError(
+            f"the {route} route does not read {', '.join(unread)} "
+            f"(it reads {', '.join(_ROUTE_OPTIONS[route])})")
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise ValidationError("grid must be a 1-d array with at least 2 points")
@@ -372,14 +384,13 @@ def profile(route: str, grid, t, traj: Trajectory, params: SystemParams,
     components = None
     if route == "closed":
         values, components = meanfield_closed(grid, t, traj, params,
-                                              components=True, **route_kwargs)
+                                              components=True, **route_options)
     elif route == "series":
         values, components = meanfield_series(grid, t, traj, params,
-                                              components=True, **route_kwargs)
+                                              components=True, **route_options)
     else:
-        values, report = meanfield_modesum(grid, t, traj, params,
-                                           return_report=True, **route_kwargs)
-        meta["quadrature"] = report
+        values, meta["quadrature"] = meanfield_modesum(grid, t, traj, params,
+                                                       **route_options)
 
     constraint = float(np.trapezoid(values, grid))
     l1 = float(np.trapezoid(np.abs(values), grid))

@@ -6,8 +6,8 @@ Frequencies and eigenfunctions (alpha = 1 .. N-1):
     u_alpha(x)  = sqrt(2/L) cos[alpha pi (x + L/2) / L]
 
 In the long-wavelength regime (alpha pi a_c / 2L << 1) the wavenumber is
-Omega_alpha / c_s and u_alpha may be written with that argument instead;
-that variant sits behind the `longwave` flag.
+Omega_alpha / c_s; the series route, and the modesum route under its
+`longwave` option, write u_alpha with that argument instead.
 
 The renormalized mode-detector coupling is
 
@@ -73,20 +73,12 @@ def mode_frequencies(chain: ChainParams, alphas=None):
     return chain.omega_max * np.sin(alphas * math.pi * chain.a_c / (2.0 * chain.L))
 
 
-def mode_function(alpha, x, chain: ChainParams, longwave: bool = False):
-    """Orthonormal eigenfunction u_alpha(x) on |x| <= L/2.
-
-    longwave=True evaluates the wavenumber as Omega_alpha/c_s instead of
-    alpha*pi/L (identical in the limit alpha*pi*a_c/2L -> 0).
-    """
+def mode_function(alpha, x, chain: ChainParams):
+    """Orthonormal eigenfunction u_alpha(x) on |x| <= L/2."""
     _check_alpha(alpha, chain.N)
     L = chain.L
     x = _on_chain(x, chain)
-    if longwave:
-        k = mode_frequency(alpha, chain) / chain.c_s
-    else:
-        k = alpha * math.pi / L
-    out = math.sqrt(2.0 / L) * np.cos(k * (x + L / 2.0))
+    out = math.sqrt(2.0 / L) * np.cos(alpha * math.pi / L * (x + L / 2.0))
     return out if out.ndim else float(out)
 
 

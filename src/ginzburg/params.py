@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .errors import ValidationError
 
@@ -319,7 +319,7 @@ class RegimeReport:
     on a failed flag.
     """
 
-    checks: tuple[RegimeCheck, ...] = field(default_factory=tuple)
+    checks: tuple[RegimeCheck, ...]
 
     @property
     def all_pass(self) -> bool:

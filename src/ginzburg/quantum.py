@@ -107,11 +107,6 @@ class FockSpace:
         return np.diag(np.unravel_index(np.arange(self.dim), self.dims)[slot]
                        .astype(float))
 
-    def _check_qubit(self, which: int):
-        if not 0 <= which < self.detector_qubits:
-            raise ValidationError(
-                f"detector qubit {which} absent ({self.detector_qubits} present)")
-
     def basis_index(self, detector_level: int, occupations: Sequence[int]) -> int:
         if len(occupations) != len(self.modes):
             raise ValidationError("occupation list does not match mode count")
@@ -154,14 +149,11 @@ class QuantumState:
     def expectation(self, op: np.ndarray) -> float:
         return float(np.real(self.amplitudes.conj() @ (op @ self.amplitudes)))
 
-    def excitation_probability(self, which: int = 0) -> float:
-        """Sum of |amplitude|^2 over the excited level of detector qubit
-        `which`, in O(dim) without the projector matrix."""
-        space = self.space
-        space._check_qubit(which)
-        qubits = (2,) * space.detector_qubits
-        excited = self.amplitudes.reshape(qubits + space.dims[1:])[
-            (slice(None),) * which + (1,)]
+    def excitation_probability(self) -> float:
+        """Sum of |amplitude|^2 over the excited level of detector qubit 0,
+        in O(dim) without the projector matrix: qubit 0 is the slowest bit,
+        so its excited rows are the second half of the basis."""
+        excited = self.amplitudes[self.space.dim // 2:]
         return float(np.vdot(excited, excited).real)
 
 
@@ -230,19 +222,13 @@ def trace_distance(rho_a: DensityMatrix, rho_b: DensityMatrix) -> float:
 # -- Hamiltonians ---------------------------------------------------------------
 
 
-def _minimal_space(coupling: ModeCoupling) -> FockSpace:
-    return FockSpace(modes=((coupling.alpha, 1),), detector_qubits=1)
-
-
-def build_ndpa(coupling: ModeCoupling, space: FockSpace | None = None,
+def build_ndpa(coupling: ModeCoupling, space: FockSpace,
                qubit: int = 0) -> np.ndarray:
     """Resonant-mode parametric-amplifier Hamiltonian (g_alpha/2)(ab + h.c.),
     b lowering detector qubit `qubit`.
 
     <n+1, e| H |n, g> = (g_alpha/2) sqrt(n+1); Hermitian by construction.
     """
-    if space is None:
-        space = _minimal_space(coupling)
     k, n_modes = space._mode_slot(coupling.alpha) - 1, len(space.modes)
     # g/2 on a_alpha b and on its adjoint, every other pair term 0
     coef = np.zeros(4 * n_modes, dtype=complex)
@@ -290,7 +276,7 @@ def evolve_perturbative(coupling: ModeCoupling, t: float, hbar: float = 1.0,
             f"|g_alpha| t / hbar = {gt:.3f} exceeds the perturbative guard "
             f"{guard}; use evolve_exact")
     if space is None:
-        space = _minimal_space(coupling)
+        space = FockSpace(modes=((coupling.alpha, 1),))
     vac = space.vacuum().amplitudes
     h = build_ndpa(coupling, space)
     amp = vac - 1j * (t / hbar) * (h @ vac)
@@ -331,7 +317,9 @@ def _pair_stencil(space: FockSpace, qubit: int, row_bytes: int):
     row_bytes is what the caller holds per basis row next to the stencil;
     both count against OPERATOR_BYTES before anything is allocated.
     """
-    space._check_qubit(qubit)
+    if not 0 <= qubit < space.detector_qubits:
+        raise ValidationError(
+            f"detector qubit {qubit} absent ({space.detector_qubits} present)")
     dims, dim, n_modes = space.dims, space.dim, len(space.modes)
     # row, flip, level and temporary indices, three entries per slot
     _check_budget(dim, dim * (8 * (len(dims) + 6) + 48 * n_modes + row_bytes))
@@ -380,7 +368,7 @@ def _check_couplings(couplings: Sequence[ModeCoupling], space: FockSpace):
 def interaction_hamiltonian_full(t: float, x_d: float,
                                  couplings: Sequence[ModeCoupling],
                                  space: FockSpace, params: SystemParams,
-                                 omega_d: float | None = None) -> np.ndarray:
+                                 omega_d: float) -> np.ndarray:
     """Pre-RWA interaction Hamiltonian at time t, detector at x_d:
 
         H(t) = sum_a g_a (a e^{-i Omega_a t} + h.c.)(b e^{-i omega_d t} + h.c.)
@@ -393,8 +381,6 @@ def interaction_hamiltonian_full(t: float, x_d: float,
     that stepping this operator validates the rotating-wave reduction.
     """
     _check_couplings(couplings, space)
-    if omega_d is None:
-        omega_d = couplings[0].omega_d
     coef = _pair_coefficients(t, x_d, couplings, params, omega_d)
     return _scatter(space, np.concatenate([coef, coef.conj()]), 0)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -224,20 +224,9 @@ def mixed_density_matrix(state: BranchedState) -> DensityMatrix:
     return out
 
 
-def _mode_factor_names(rho: DensityMatrix) -> list[str]:
-    return [n for n in rho.names if n.startswith("mode_")]
-
-
-def reduce_chain(rho: DensityMatrix, keep: Iterable[int] | None = None) -> DensityMatrix:
+def reduce_chain(rho: DensityMatrix) -> DensityMatrix:
     """Trace out branch label and detector, keeping the phonon factors."""
-    if keep is None:
-        names = _mode_factor_names(rho)
-    else:
-        names = [f"mode_{a}" for a in keep]
-        missing = [n for n in names if n not in rho.names]
-        if missing:
-            raise ValidationError(
-                f"modes {missing} not in factorization {rho.names}")
+    names = [n for n in rho.names if n.startswith("mode_")]
     if not names:
         raise ValidationError("no phonon factors to keep")
     return rho.partial_trace(names)

@@ -154,7 +154,10 @@ def test_meanfield_route_flag_conflicts(tmp_path):
     assert run(base + ["--route", "closed", "--alpha-max", "5"]) == 2
     assert run(base + ["--route", "series", "--include-image"]) == 2
     assert run(base + ["--route", "closed", "--longwave"]) == 2
+    assert run(base + ["--route", "series", "--longwave"]) == 2
+    assert run(base + ["--route", "series", "--rel-tol", "1e-3"]) == 2
     assert run(base + ["--route", "bogus"]) == 2
+    assert not Path(out).exists()
 
 
 # -- resonance -----------------------------------------------------------------
@@ -180,6 +183,14 @@ def test_resonance_pair_json(tmp_path):
     assert (data["alpha1"], data["alpha2"]) == (10, 5)
     assert data["selectivity_violated"] is True
     assert data["cross_nearest"]["v2_omega_d1"]["alpha"] == 5
+
+
+def test_resonance_omega_d2_without_v2_exits_2(tmp_path, capsys):
+    out = tmp_path / "res.json"
+    assert run(["resonance", "--v", "2.0", "--omega-d2", "35.19",
+                "--json", str(out)]) == 2
+    assert "--v2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- evolve ----------------------------------------------------------------------
@@ -378,6 +389,16 @@ def test_reduced_state_two_level(tmp_path):
                                                               rel=1e-6)
 
 
+def test_reduced_state_detector_option_is_gone(tmp_path):
+    # the model follows the frequencies: a second one makes it two-level
+    out = tmp_path / "red.json"
+    base = ["reduced-state", "--theta", "0.3", "--v1", "2.0", "--v2", "2.6",
+            "--gt", "0.1", "--omega-d2", "35.19", "--json", str(out)]
+    for model in ("single", "two-level", "auto"):
+        assert run(base + ["--detector", model]) == 2
+    assert not out.exists()
+
+
 # -- regime ----------------------------------------------------------------------
 
 def test_regime_json(tmp_path, capsys):
@@ -468,14 +489,27 @@ def test_rerun_verifies_outputs(tmp_path, capsys):
     assert run(["rerun", str(tmp_path / "missing.json")]) == 2
 
 
-def test_seed_is_inert_and_runs_deterministic(tmp_path):
+def test_seed_refused_and_runs_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    c = tmp_path / "c.csv"
-    assert run(["modes", "--csv", str(a), "--seed", "1"]) == 0
-    assert run(["modes", "--csv", str(b), "--seed", "99"]) == 0
-    assert run(["modes", "--csv", str(c)]) == 0
-    assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+    assert run(["modes", "--csv", str(a), "--seed", "1"]) == 2
+    assert not a.exists()
+    assert run(["modes", "--csv", str(a)]) == 0
+    assert run(["modes", "--csv", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_rerun_of_manifest_with_removed_option_exits_2(tmp_path):
+    # a manifest written before --seed and --detector were removed replays
+    # its argv, which argparse now refuses
+    out = tmp_path / "modes.csv"
+    assert run(["modes", "--csv", str(out)]) == 0
+    manifest = tmp_path / "modes.manifest.json"
+    data = json.loads(manifest.read_text())
+    data["argv"] += ["--seed", "7"]
+    old = tmp_path / "old.manifest.json"
+    old.write_text(json.dumps(data))
+    assert run(["rerun", str(old)]) == 2
 
 
 # -- subprocess entry point ------------------------------------------------------

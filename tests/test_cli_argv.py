@@ -83,7 +83,6 @@ SUBCOMMANDS = {
         ("--x0-2", ("-0.1",), False),
         ("--omega-d", ("31.4",), False),
         ("--omega-d2", ("35.19", "31.4"), False),
-        ("--detector", ("auto", "single", "two-level"), False),
         ("--method", ("perturbative", "exact"), False),
         ("--gt", ("0.1", "0.2"), True),
         ("--json", (), True),

@@ -130,8 +130,6 @@ def test_detector_force_direction(paper_params):
     st0 = initial_state(paper_params, x_d=0.1, phi=phi)
     _, f_det = force_field(st0, paper_params)
     assert f_det != 0.0
-    _, f_det_off = force_field(st0, paper_params, include_detector=False)
-    assert f_det_off == 0.0
 
 
 # -- integrator ---------------------------------------------------------------

@@ -215,7 +215,7 @@ def test_modesum_matches_closed(p2001):
     grid = np.linspace(-0.45, 0.45, 50)
     traj = fig2a(0.5)
     phi_c = meanfield_closed(grid, 0.25, traj, p2001)
-    phi_m = meanfield_modesum(grid, 0.25, traj, p2001)
+    phi_m, _ = meanfield_modesum(grid, 0.25, traj, p2001)
     peak = np.max(np.abs(phi_c))
     assert np.max(np.abs(phi_m - phi_c)) <= 0.02 * peak
 
@@ -228,16 +228,15 @@ def test_modesum_longwave_extended_matches_series(p2001):
     traj = fig2a(0.5)
     alpha_max = 120
     phi_s = meanfield_series(grid, 0.2, traj, p2001, alpha_max=alpha_max)
-    phi_m = meanfield_modesum(grid, 0.2, traj, p2001, alpha_max=alpha_max,
-                              longwave=True, extended_domain=True,
-                              rel_tol=1e-8, max_doublings=6)
+    phi_m, _ = meanfield_modesum(grid, 0.2, traj, p2001, alpha_max=alpha_max,
+                                 longwave=True, extended_domain=True,
+                                 rel_tol=1e-8, max_doublings=6)
     assert np.max(np.abs(phi_m - phi_s)) <= 1e-6 * np.max(np.abs(phi_s))
 
 
 def test_modesum_quadrature_report(p2001):
     grid = np.linspace(-0.2, 0.2, 5)
-    phi, report = meanfield_modesum(grid, 0.1, fig2a(), p2001,
-                                    return_report=True)
+    phi, report = meanfield_modesum(grid, 0.1, fig2a(), p2001)
     assert report.converged
     assert report.error_estimate <= report.tolerance
     assert report.doublings >= 1
@@ -261,7 +260,7 @@ def test_modesum_coarse_start_matches_fine_pass(v, t, p2001):
     traj = Trajectory(0.0, v)
     ref = _modesum_once(grid, t, traj, p2001, k, omega, *_FINE_FIRST_PASS[v, t],
                         extended_domain=False)
-    phi, report = meanfield_modesum(grid, t, traj, p2001, return_report=True)
+    phi, report = meanfield_modesum(grid, t, traj, p2001)
     assert np.max(np.abs(phi - ref)) <= 1e-9 * np.max(np.abs(ref))
     if (v, t) == (0.5, 0.25):
         assert report.panels_x * report.panels_t <= _FINE_FINAL_AREA / 4
@@ -269,8 +268,7 @@ def test_modesum_coarse_start_matches_fine_pass(v, t, p2001):
 
 def test_modesum_tight_tolerance_converges_in_default_budget(p2001):
     grid = np.linspace(-0.45, 0.45, 50)
-    phi, report = meanfield_modesum(grid, 0.25, fig2a(), p2001, rel_tol=1e-10,
-                                    return_report=True)
+    phi, report = meanfield_modesum(grid, 0.25, fig2a(), p2001, rel_tol=1e-10)
     assert report.converged
     assert report.error_estimate <= 1e-10
 
@@ -298,6 +296,32 @@ def test_profile_modesum_attaches_quadrature_report(p2001):
     grid = np.linspace(-0.2, 0.2, 5)
     prof = profile("modesum", grid, 0.1, fig2a(), p2001)
     assert prof.meta["quadrature"].converged
+
+
+# a value of the right type for each route option
+_OPTION_VALUES = {"include_image": True, "alpha_max": 7, "longwave": True,
+                  "extended_domain": True, "rel_tol": 1e-3}
+_READS = {"closed": {"include_image"}, "series": {"alpha_max"},
+          "modesum": {"alpha_max", "longwave", "extended_domain", "rel_tol"}}
+
+
+@pytest.mark.parametrize("route, option", [
+    (route, option) for route in sorted(_READS)
+    for option in sorted(set(_OPTION_VALUES) - _READS[route])])
+def test_profile_refuses_option_the_route_does_not_read(route, option, p2001):
+    grid = np.linspace(-0.2, 0.2, 5)
+    with pytest.raises(ValidationError, match=f"{route} route does not read {option}"):
+        profile(route, grid, 0.1, fig2a(), p2001, **{option: _OPTION_VALUES[option]})
+
+
+@pytest.mark.parametrize("route", sorted(_READS))
+def test_profile_passes_the_options_the_route_reads(route, p2001):
+    grid = np.linspace(-0.2, 0.2, 5)
+    options = {o: _OPTION_VALUES[o] for o in _READS[route]}
+    prof = profile(route, grid, 0.1, fig2a(), p2001, **options)
+    if route == "modesum":
+        assert prof.meta["quadrature"].tolerance == options["rel_tol"]
+    assert np.all(np.isfinite(prof.values))
 
 
 # -- memory -----------------------------------------------------------------------

@@ -98,17 +98,6 @@ def test_mode_function_rejects_outside_chain():
         mode_function(1, 0.6 * chain.L, chain)
 
 
-def test_mode_function_longwave_variant():
-    chain = paper(N=2001).chain
-    x = 0.123
-    alpha = 40
-    exact = mode_function(alpha, x, chain)
-    longwave = mode_function(alpha, x, chain, longwave=True)
-    # k = Omega/c_s differs from alpha*pi/L at O((alpha/N)^2)
-    assert longwave != exact
-    assert longwave == pytest.approx(exact, rel=5e-3)
-
-
 def test_mode_orthonormality_quadrature():
     chain = paper().chain
     x = np.linspace(-chain.L / 2, chain.L / 2, 20001)

@@ -94,8 +94,10 @@ def test_two_qubit_detector_ordering():
     amp = np.zeros(space.dim, dtype=complex)
     amp[space.basis_index(2, (0,))] = 1.0
     eg = QuantumState(space, amp)
-    assert eg.excitation_probability(0) == 1.0
-    assert eg.excitation_probability(1) == 0.0
+    assert eg.excitation_probability() == 1.0
+    # qubit 1, the faster digit, is excited on levels 1 and 3
+    assert sum(eg.probability(level, (n,)) for level in (1, 3)
+               for n in (0, 1)) == 0.0
     lowered = _kron_ladders([1], 2, 0)[0] @ amp
     assert abs(lowered[space.basis_index(0, (0,))] - 1.0) < 1e-15
     assert np.max(np.abs(_kron_ladders([1], 2, 1)[0] @ amp)) == 0.0
@@ -107,13 +109,14 @@ def test_excitation_probability_matches_projector(qubits):
     rng = np.random.default_rng(qubits)
     psi = QuantumState(space, rng.normal(size=space.dim)
                        + 1j * rng.normal(size=space.dim)).normalized()
-    for which in range(qubits):
-        expected = psi.expectation(excited_projector([2, 1], qubits, which))
-        assert psi.excitation_probability(which) == pytest.approx(expected,
-                                                                  abs=1e-15)
-    for absent in (-1, qubits):
-        with pytest.raises(ValidationError):
-            psi.excitation_probability(absent)
+    expected = psi.expectation(excited_projector([2, 1], qubits, 0))
+    assert psi.excitation_probability() == pytest.approx(expected, abs=1e-15)
+    if qubits == 2:
+        # qubit 1, through the basis: its excited levels are 1 and 3
+        expected = psi.expectation(excited_projector([2, 1], qubits, 1))
+        summed = sum(psi.probability(level, (n7, n8)) for level in (1, 3)
+                     for n7 in range(3) for n8 in range(2))
+        assert summed == pytest.approx(expected, abs=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,8 +131,8 @@ def test_basis_index_bijection(n1, n2, qubits):
 # -- NDPA Hamiltonian ---------------------------------------------------------
 
 def test_ndpa_matrix_elements(c10):
-    h = build_ndpa(c10)
     space = FockSpace(modes=((10, 1),), detector_qubits=1)
+    h = build_ndpa(c10, space)
     row = space.basis_index(1, (1,))
     col = space.basis_index(0, (0,))
     assert h[row, col] == 0.5 * c10.g_alpha
@@ -231,8 +234,8 @@ def test_full_budget_counts_power_buffer(monkeypatch):
 # -- exact propagator ---------------------------------------------------------
 
 def test_evolve_exact_identity_and_norm(c10, rng):
-    h = build_ndpa(c10)
     space = FockSpace(modes=((10, 1),), detector_qubits=1)
+    h = build_ndpa(c10, space)
     psi0 = space.vacuum()
     same = evolve_exact(h, psi0, 0.0)
     np.testing.assert_allclose(same.amplitudes, psi0.amplitudes, atol=1e-14)

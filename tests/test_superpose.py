@@ -201,11 +201,11 @@ def test_population_ratio_follows_tangent_squared():
 
 def test_keep_subset_of_modes():
     rho = density_matrix(evolve_superposed(hand_spec(math.pi / 4.0, 0.0), 0.2))
-    only7 = reduce_chain(rho, keep=[7])
+    only7 = rho.partial_trace(["mode_7"])
     assert only7.dims == (2,)
     assert only7.population((1,)) == pytest.approx(0.005 / 1.01, rel=1e-12)
     with pytest.raises(ValidationError):
-        reduce_chain(rho, keep=[99])
+        rho.partial_trace(["mode_99"])
     with pytest.raises(ValidationError):
         reduce_detector(reduce_chain(rho))
 
