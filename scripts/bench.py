@@ -17,6 +17,10 @@ median over the repeats of:
                           step of `evolve --scheme full --v 2.0 --gt 3` at
                           the CLI defaults (window 2, dim 96); each the
                           median of three calls after a warm-up call
+  modesum                 CPU seconds of the two Fig. 2 modesum profiles
+                          (v = 0.5, t = 0.25 and v = 2.5, t = 0.1, x0 = 0,
+                          801 grid points), timed in a fresh child after
+                          its imports, and that child's peak RSS in MB
   import_floor_s          child CPU seconds of `python -c "import ginzburg.cli"`
   cli_cpu_s               child CPU seconds of each subcommand at the Fig. 2
                           defaults (N = 2001, w = 0.01)
@@ -143,6 +147,24 @@ def kernel_child():
     print(json.dumps(out))
 
 
+def modesum_child():
+    """Runs in a fresh interpreter: prints the CPU seconds of both Fig. 2
+    modesum profiles and the peak RSS of the process as one JSON line."""
+    # the package caps the BLAS threads only if it loads before numpy does
+    from ginzburg import params
+    from ginzburg.meanfield import Trajectory, meanfield_modesum
+    import numpy as np
+
+    p = params.build_params(FIG2)
+    grid = np.linspace(-p.chain.L / 2.0, p.chain.L / 2.0, 801)
+    c0 = time.process_time()
+    for v, t in ((0.5, 0.25), (2.5, 0.1)):
+        meanfield_modesum(grid, t, Trajectory(0.0, v), p)
+    cpu = time.process_time() - c0
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps({"cpu_s": cpu, "peak_rss_mb": rss}))
+
+
 def stats_child(src: str):
     """Runs in a fresh interpreter: prints the src_stats counts of <src>."""
     import src_stats
@@ -161,6 +183,7 @@ def measure(src: Path, work: str) -> dict:
     """One repeat on one tree."""
     env = child_env(src)
     kernels = child_json("import bench; bench.kernel_child()", env, work)
+    modesum = child_json("import bench; bench.modesum_child()", env, work)
     floor = child_cpu([sys.executable, "-c", "import ginzburg.cli"], env, work)
     cli = {}
     with tempfile.TemporaryDirectory(dir=work) as d:
@@ -168,7 +191,8 @@ def measure(src: Path, work: str) -> dict:
             cli[label] = child_cpu(
                 [sys.executable, "-m", "ginzburg",
                  *[a.replace("{d}", d) for a in argv]], env, work)
-    return {"kernels": kernels, "import_floor_s": floor, "cli_cpu_s": cli}
+    return {"kernels": kernels, "modesum": modesum, "import_floor_s": floor,
+            "cli_cpu_s": cli}
 
 
 def summarize(runs: list, stats: dict) -> dict:
@@ -181,6 +205,8 @@ def summarize(runs: list, stats: dict) -> dict:
             for name in first["kernels"]},
         "evolve_full_steps": {name: steps
                               for name, (_, steps) in first["kernels"].items()},
+        "modesum": {key: statistics.median(r["modesum"][key] for r in runs)
+                    for key in first["modesum"]},
         "import_floor_s": statistics.median(r["import_floor_s"] for r in runs),
         "cli_cpu_s": cli,
         "cli_cpu_total_s": sum(cli.values()),

@@ -179,9 +179,9 @@ def _cmd_oracle_compare(args, params):
 
 def _cmd_resonance(args, params):
     omega_d = _omega_d(args, params)
-    if args.v2 is None and args.omega_d2 is not None:
-        raise ValidationError("--omega-d2 pairs with the second trajectory; "
-                              "give --v2 as well")
+    if args.v2 is None and (args.omega_d2 is not None or params.detector.two_level):
+        raise ValidationError("a second detector frequency (--omega-d2 or the params "
+                              "file) needs a second trajectory; give --v2")
     outputs = []
     if args.v2 is not None:
         omega_d2 = args.omega_d2

@@ -46,6 +46,8 @@ _BLOCK_ELEMENTS = 65_536
 _CHUNK_ELEMENTS = 2_000_000
 # detector-centered half-width of the extended integration domain, in units of w
 _EXTENDED_HALFWIDTH_W = 250.0
+# panel doublings modesum may take after its first pass: 32x on each axis
+_MAX_DOUBLINGS = 5
 
 
 @dataclass(frozen=True)
@@ -195,72 +197,121 @@ def meanfield_series(x, t, traj: Trajectory, params: SystemParams,
 # -- brute-force mode sum ------------------------------------------------------
 
 
-def _gauss_panels(a, b, n_panels):
-    """Composite 8-node Gauss-Legendre nodes/weights on [a, b] with uniform
-    panels."""
+def _panels(a, b, n_panels):
+    """Edges, nodes (panel by panel) and the 8 node weights of one panel of
+    the composite 8-node Gauss-Legendre rule on n_panels uniform panels."""
     xg, wg = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
-    return nodes, weights
+    half = 0.5 * (b - a) / n_panels
+    nodes = np.add.outer(0.5 * (edges[1:] + edges[:-1]), half * xg).ravel()
+    return edges, nodes, half * wg
+
+
+def _block_tables(freq, edges, nodes, weights, per_block, shift, scale):
+    """Angle-addition tables for scale * w * cos/sin(freq * (x + shift)) at the
+    Gauss nodes x, in blocks of per_block panels.
+
+    Node r of block b sits at x = e_b + o_r, with e_b the block's first edge;
+    the panels are uniform, so the offset o_r and the weight w_r are the same
+    in every block, and
+
+        scale * w_r * cos(freq * (x + shift)) = C_b c_r - S_b s_r
+        scale * w_r * sin(freq * (x + shift)) = S_b c_r + C_b s_r
+
+    Returns (C, S)_b = cos, sin(freq * (e_b + shift)), shape (2, blocks, freq),
+    and (c, s)_r = scale * w_r * cos, sin(freq * o_r), shape (2, rows, freq):
+    the transcendentals of one block and two per block, not two per node.
+    """
+    rows = min(8 * per_block, nodes.size)
+    tables = []
+    for x in (edges[:-1:per_block] + shift, nodes[:rows] - edges[0]):
+        arg = np.multiply.outer(x, freq)
+        tables.append(np.stack([np.cos(arg), np.sin(arg, out=arg)]))
+    tables[1] *= scale * np.tile(weights, rows // 8)[:, None]
+    return tables
 
 
 def _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
                   extended_domain):
     """One fixed-resolution evaluation of the double quadrature.
 
-    q_alpha = sum_t' w_t' sin[Omega_alpha (t - t')] S_alpha(t') / Omega_alpha
-    is summed over blocks of time nodes, where S_alpha(t') is the spatial
-    integral of u_alpha against h''(x', x_d(t')); no (time nodes x modes)
-    array is held whole.
+    q_alpha = sum_t' w_t' sin[Omega_alpha (t - t')] S_alpha(t') / Omega_alpha,
+    where S_alpha(t') is the spatial integral of u_alpha against
+    h''(x', x_d(t')).  Both axes go in blocks of whole panels, space outside
+    and time inside, and every kernel value is computed once.  The weighted
+    cos k(x' + L/2) and sin Omega(t - t') come from _block_tables, and the
+    sine is contracted with S_alpha block by block: an array holds a block of
+    rows (about _BLOCK_ELEMENTS, more at the 16-panel floor) or one row per
+    block.
     """
     chain, det = params.chain, params.detector
     L, w = chain.L, det.w
     norm = math.sqrt(2.0 / L)
+    n_modes = k.size
+    # rows sized by the mode count, at most 32 panels so a kernel block stays
+    # in bounds; off the extended domain at least 16, so that the products
+    # stay efficient at many modes
+    fewest = 1 if extended_domain else 16
+    per_block = min(32, max(fewest, _BLOCK_ELEMENTS // (8 * n_modes)))
+    rows = 8 * per_block
+    edges_t, tq, wt = _panels(0.0, t, panels_t)
+    xd = traj.position(tq)
+    # sin[Omega (t - t')] = sin[-Omega (t' - t)] = S_b c_r + C_b s_r: the
+    # block tables pair with the offset tables in reverse order
+    starts_t, offsets_t = _block_tables(-omega, edges_t, tq, wt, per_block, -t, 1.0)
+    starts_t = starts_t[::-1]
 
-    tq, wt = _gauss_panels(0.0, t, panels_t)
-    xd = traj.position(tq)                                 # (nt,)
+    def time_sum(spatial, *args):
+        """sum_t' of the weighted sin[Omega (t - t')] times spatial(i0, i1,
+        *args), the rows of time nodes i0..i1-1, one block at a time."""
+        q = np.zeros(n_modes)
+        for b, i0 in enumerate(range(0, tq.size, rows)):
+            i1 = min(i0 + rows, tq.size)
+            q += np.einsum("ka,kra,ra->a", starts_t[:, b], offsets_t[:, :i1 - i0],
+                           spatial(i0, i1, *args))
+        return q
 
     if extended_domain:
         # detector-centered offsets; exploits translation invariance so the
         # kernel factor is computed once
         R = _EXTENDED_HALFWIDTH_W * w
-        xiq, wx = _gauss_panels(-R, R, panels_x)
-        hpp = kernel_h_deriv(2, xiq, 0.0, w) * wx          # (nx,)
+        _, xiq, wx = _panels(-R, R, panels_x)
+        hpp = kernel_h_deriv(2, xiq, 0.0, w) * np.tile(wx, panels_x)
         c_alpha = norm * _trig_dot(np.cos, k, xiq, hpp)    # (nmodes,)
         s_alpha = norm * _trig_dot(np.sin, k, xiq, hpp)
-        rows = max(1, _BLOCK_ELEMENTS // k.size)
 
         def spatial(i0, i1):
             phase = np.multiply.outer(xd[i0:i1] + L / 2.0, k)
             return np.cos(phase) * c_alpha - np.sin(phase) * s_alpha
+        q_alpha = time_sum(spatial)
     else:
-        xq, wx = _gauss_panels(-L / 2.0, L / 2.0, panels_x)
-        u_w = np.multiply.outer(xq + L / 2.0, k)          # (nx, nmodes)
-        np.cos(u_w, out=u_w)
-        u_w *= (norm * wx)[:, None]
-        rows = max(1, _BLOCK_ELEMENTS // xq.size)
+        edges_x, xq, wx = _panels(-L / 2.0, L / 2.0, panels_x)
+        starts_x, offsets_x = _block_tables(k, edges_x, xq, wx, per_block,
+                                            L / 2.0, norm)
+        # two buffers filled block by block (a fresh array per block costs
+        # more): the block's cos factor, and scratch for it, then the product
+        u_w, product = np.empty((2, rows, n_modes))
 
-        def spatial(i0, i1):
-            return kernel_h_deriv(2, xq, xd[i0:i1, None], w) @ u_w
-
-    q_alpha = np.zeros(k.size)
-    for i0 in range(0, tq.size, rows):
-        i1 = min(i0 + rows, tq.size)
-        sin_t = np.multiply.outer(t - tq[i0:i1], omega)
-        np.sin(sin_t, out=sin_t)
-        sin_t *= wt[i0:i1, None]
-        q_alpha += np.einsum("ta,ta->a", sin_t, spatial(i0, i1))
+        def spatial(i0, i1, x_b, u_b):
+            kernel = kernel_h_deriv(2, x_b, xd[i0:i1, None], w)
+            return np.matmul(kernel, u_b, out=product[:i1 - i0])
+        q_alpha = np.zeros(n_modes)
+        for b, j0 in enumerate(range(0, xq.size, rows)):
+            j1 = min(j0 + rows, xq.size)
+            # norm * w * cos k(x' + L/2) = C_b c_r - S_b s_r
+            u_b = np.multiply(offsets_x[0, :j1 - j0], starts_x[0, b],
+                              out=u_w[:j1 - j0])
+            u_b -= np.multiply(offsets_x[1, :j1 - j0], starts_x[1, b],
+                               out=product[:j1 - j0])
+            q_alpha += time_sum(spatial, xq[j0:j1], u_b)
     q_alpha *= -params.g * det.a_d / chain.rho_c * norm / omega
     return _trig_dot(np.cos, x_out + L / 2.0, k, q_alpha)
 
 
 def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
                       alpha_max: int | None = None, longwave: bool = False,
-                      extended_domain: bool = False, rel_tol: float = 1e-4,
-                      max_doublings: int = 5) -> tuple[np.ndarray, QuadReport]:
+                      extended_domain: bool = False,
+                      rel_tol: float = 1e-4) -> tuple[np.ndarray, QuadReport]:
     """Brute-force double quadrature of the mode expansion; returns the
     profile and its QuadReport.
 
@@ -272,14 +323,15 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     Omega_max + k_max |v| (at least 8 space and 4 time panels).  The whole
     evaluation is then repeated with doubled panel counts on both axes until
     two consecutive profiles agree to rel_tol of the profile peak, and the
-    finer one is returned, so the cost follows rel_tol.  The default budget
-    of max_doublings=5 reaches 32x the first pass on each axis.
+    finer one is returned, so the cost follows rel_tol.  The budget of
+    _MAX_DOUBLINGS = 5 reaches 32x the first pass on each axis.
 
-    Every pass works on blocks of time nodes (and, off the extended domain,
-    holds one (space nodes x modes) matrix), so memory does not grow with t.
-    The work does: a first pass covering more than _CHUNK_ELEMENTS
-    (time nodes x modes) elements (at Fig. 2 defaults, t past 4.3 for v=0.5
-    and 1.8 for v=2.5) is refused with ValidationError before it starts.
+    Every pass works on blocks of whole panels on both axes (_modesum_once),
+    so no (nodes x modes) matrix is held and memory grows only by one row of
+    modes per block.  The work grows with t: a first pass covering more than
+    _CHUNK_ELEMENTS (time nodes x modes) elements (at Fig. 2 defaults, t past
+    4.3 for v=0.5 and 1.8 for v=2.5) is refused with ValidationError before
+    it starts.
 
     longwave switches the mode wavenumber to Omega_alpha/c_s; extended_domain
     integrates over a detector-centered window instead of the physical chain
@@ -324,7 +376,7 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
                          extended_domain)
     est = math.inf
     doublings = 0
-    for doublings in range(1, max_doublings + 1):
+    for doublings in range(1, _MAX_DOUBLINGS + 1):
         panels_x *= 2
         panels_t *= 2
         cur = _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
@@ -337,7 +389,7 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     else:
         raise ToleranceError(
             f"modesum quadrature did not reach rel_tol={rel_tol:.2e} after "
-            f"{max_doublings} doublings (achieved {est:.2e})",
+            f"{_MAX_DOUBLINGS} doublings (achieved {est:.2e})",
             achieved=est, target=rel_tol)
 
     return prev, QuadReport(panels_x=panels_x, panels_t=panels_t,

@@ -254,3 +254,43 @@ def dense_series(x, t, x0, v, N, m_c, k_c, a_c, g, a_d, w):
                  + np.cos(k * (x0 - c * t + L / 2)) / (L * c * (c + v)))
     u = np.cos(np.outer(np.asarray(x, dtype=float) + L / 2, k))
     return u @ (-2.0 * g * a_d / (rho * w * w) * f * time_part)
+
+
+def modesum_dense_reference(x, t, x0, v, k, omega, panels_x, panels_t, L, g, a_d,
+                            rho_c, w, extended_halfwidth=None):
+    """One fixed-resolution pass of the mode-sum double quadrature, from whole
+    matrices and a direct cos/sin at every node.
+
+    phi(x) = -(g a_d / rho_c) sum_alpha u_alpha(x) / Omega_alpha
+             * sum_t' w_t' sin[Omega_alpha (t - t')]
+             * sum_x' w_x' u_alpha(x') h''(x' - x0 - v t'),
+
+    u_alpha(x) = sqrt(2/L) cos[k_alpha (x + L/2)], h''(s) = 3 (4 s^2 - w^2)
+    (s^2 + w^2)^(-7/2), on composite 8-node Gauss-Legendre rules with
+    panels_t uniform panels on [0, t] and panels_x on [-L/2, L/2].  With
+    extended_halfwidth R the space panels cover the offset s = x' - x_d(t')
+    in [-R, R] instead, for every time node.
+    """
+    xg, wg = np.polynomial.legendre.leggauss(8)
+
+    def rule(a, b, n):
+        h = (b - a) / (2.0 * n)
+        centers = a + h * (2.0 * np.arange(n) + 1.0)
+        return np.add.outer(centers, h * xg).ravel(), np.tile(h * wg, n)
+
+    def h2(s):
+        return 3.0 * (4.0 * s**2 - w**2) * (s**2 + w**2) ** -3.5
+
+    def u(xs):
+        return np.sqrt(2.0 / L) * np.cos(np.outer(xs + L / 2.0, k))
+
+    tq, wt = rule(0.0, t, panels_t)
+    xd = x0 + v * tq
+    if extended_halfwidth is None:
+        xq, wx = rule(-L / 2.0, L / 2.0, panels_x)
+        spatial = (h2(np.subtract.outer(xq, xd)) * wx[:, None]).T @ u(xq)
+    else:
+        sq, ws = rule(-extended_halfwidth, extended_halfwidth, panels_x)
+        spatial = np.array([(h2(sq) * ws) @ u(xd_i + sq) for xd_i in xd])
+    q = (wt[:, None] * np.sin(np.outer(t - tq, omega)) * spatial).sum(axis=0)
+    return u(np.asarray(x, dtype=float)) @ (-(g * a_d / rho_c) * q / omega)

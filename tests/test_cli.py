@@ -193,6 +193,20 @@ def test_resonance_omega_d2_without_v2_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_resonance_two_frequency_params_without_v2_exits_2(tmp_path, capsys):
+    # the second frequency from the params file pairs with --v2 as an
+    # explicit --omega-d2 does; the single-mode answer would drop it
+    cfg = write_config(tmp_path, detector={"omega_d": [31.4159, 35.19]})
+    out = tmp_path / "res.json"
+    assert run(["resonance", "--params", cfg, "--v", "2.0",
+                "--json", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert "--v2" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+    assert run(["resonance", "--params", cfg, "--v", "2.0", "--v2", "2.6",
+                "--json", str(out)]) == 0
+
+
 # -- evolve ----------------------------------------------------------------------
 
 def test_evolve_exact_and_perturbative(tmp_path):

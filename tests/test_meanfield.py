@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from ginzburg import (DEFAULT_Y_MAX, PoleError, ToleranceError, ValidationError,
                       build_params, mode_frequencies)
+from ginzburg import meanfield
 from ginzburg.meanfield import (Trajectory, _modesum_once, meanfield_closed,
                                 meanfield_modesum, meanfield_series, profile)
 
-from oracles import dense_series
+from oracles import dense_series, modesum_dense_reference
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +22,10 @@ def p2001():
 
 def fig2a(v=0.5):
     return Trajectory(x0=0.0, v=v)
+
+
+_GRID_801 = np.linspace(-0.5, 0.5, 801)
+_GRID_4001 = np.linspace(-0.5, 0.5, 4001)
 
 
 # -- trajectory and validation ------------------------------------------------
@@ -220,17 +225,18 @@ def test_modesum_matches_closed(p2001):
     assert np.max(np.abs(phi_m - phi_c)) <= 0.02 * peak
 
 
-def test_modesum_longwave_extended_matches_series(p2001):
+def test_modesum_longwave_extended_matches_series(p2001, monkeypatch):
     # on the extended domain with longwave mode shapes the quadrature and
     # the analytic time integral compute the same sum, so agreement is
     # limited only by quadrature tolerance
+    monkeypatch.setattr(meanfield, "_MAX_DOUBLINGS", 6)
     grid = np.linspace(-0.35, 0.35, 7)
     traj = fig2a(0.5)
     alpha_max = 120
     phi_s = meanfield_series(grid, 0.2, traj, p2001, alpha_max=alpha_max)
     phi_m, _ = meanfield_modesum(grid, 0.2, traj, p2001, alpha_max=alpha_max,
                                  longwave=True, extended_domain=True,
-                                 rel_tol=1e-8, max_doublings=6)
+                                 rel_tol=1e-8)
     assert np.max(np.abs(phi_m - phi_s)) <= 1e-6 * np.max(np.abs(phi_s))
 
 
@@ -242,6 +248,17 @@ def test_modesum_quadrature_report(p2001):
     assert report.doublings >= 1
 
 
+def _mode_table(p, alpha_max=None, longwave=False):
+    """(k, Omega) of modes 1..alpha_max, by default the retained set."""
+    chain = p.chain
+    if alpha_max is None:
+        y = mode_frequencies(chain) * p.detector.w / chain.c_s
+        alpha_max = np.count_nonzero(y <= DEFAULT_Y_MAX)
+    alphas = np.arange(1, alpha_max + 1)
+    omega = mode_frequencies(chain, alphas)
+    return (omega / chain.c_s if longwave else alphas * math.pi / chain.L), omega
+
+
 # a fine fixed resolution at the two Fig. 2 runs (panels of 0.4 w in space,
 # 3 panels per fastest phase cycle), and the panel area of one doubling of it
 # at (0.5, 0.25): the coarse start must reach the same profile for far less
@@ -251,11 +268,7 @@ _FINE_FINAL_AREA = 964 * 360
 
 @pytest.mark.parametrize("v, t", sorted(_FINE_FIRST_PASS))
 def test_modesum_coarse_start_matches_fine_pass(v, t, p2001):
-    chain = p2001.chain
-    y = mode_frequencies(chain) * p2001.detector.w / chain.c_s
-    alphas = np.arange(1, np.count_nonzero(y <= DEFAULT_Y_MAX) + 1)
-    omega = mode_frequencies(chain, alphas)
-    k = alphas * math.pi / chain.L
+    k, omega = _mode_table(p2001)
     grid = np.linspace(-0.5, 0.5, 801)
     traj = Trajectory(0.0, v)
     ref = _modesum_once(grid, t, traj, p2001, k, omega, *_FINE_FIRST_PASS[v, t],
@@ -266,6 +279,41 @@ def test_modesum_coarse_start_matches_fine_pass(v, t, p2001):
         assert report.panels_x * report.panels_t <= _FINE_FINAL_AREA / 4
 
 
+@pytest.mark.parametrize("v, t, counts", [(0.5, 0.25, (242, 90, 1)),
+                                          (2.5, 0.1, (242, 86, 1))])
+def test_modesum_fig2_panel_counts(v, t, counts, p2001):
+    # both Fig. 2 runs converge after one doubling of the same first pass
+    _, report = meanfield_modesum(_GRID_801, t, fig2a(v), p2001)
+    assert (report.panels_x, report.panels_t, report.doublings) == counts
+
+
+# (v, t, x0, (panels_x, panels_t), alpha_max, longwave, extended_domain): the
+# first and the doubled pass of both Fig. 2 runs, longwave mode shapes, the
+# extended domain, and 600 modes, where a block is its floor of 16 panels
+# and both axes end in a partial block
+@pytest.mark.parametrize("v, t, x0, panels, alpha_max, longwave, extended", [
+    (0.5, 0.25, 0.0, (121, 45), None, False, False),
+    (0.5, 0.25, 0.0, (242, 90), None, False, False),
+    (2.5, 0.1, 0.0, (121, 43), None, False, False),
+    (2.5, 0.1, 0.0, (242, 86), None, False, False),
+    (0.5, 0.25, 0.0, (121, 45), None, True, False),
+    (0.5, 0.05, 0.013, (320, 34), 40, False, True),
+    (0.5, 0.05, -0.02, (225, 17), 600, False, False),
+], ids=["fig2a_first", "fig2a_doubled", "fig2b_first", "fig2b_doubled",
+        "longwave", "extended", "600_modes"])
+def test_modesum_pass_matches_dense_oracle(v, t, x0, panels, alpha_max, longwave,
+                                           extended, p2001):
+    chain, det = p2001.chain, p2001.detector
+    k, omega = _mode_table(p2001, alpha_max, longwave)
+    phi = _modesum_once(_GRID_801, t, Trajectory(x0, v), p2001, k, omega, *panels,
+                        extended_domain=extended)
+    halfwidth = meanfield._EXTENDED_HALFWIDTH_W * det.w if extended else None
+    ref = modesum_dense_reference(_GRID_801, t, x0, v, k, omega, *panels, chain.L,
+                                  p2001.g, det.a_d, chain.rho_c, det.w,
+                                  extended_halfwidth=halfwidth)
+    assert np.max(np.abs(phi - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_modesum_tight_tolerance_converges_in_default_budget(p2001):
     grid = np.linspace(-0.45, 0.45, 50)
     phi, report = meanfield_modesum(grid, 0.25, fig2a(), p2001, rel_tol=1e-10)
@@ -273,11 +321,11 @@ def test_modesum_tight_tolerance_converges_in_default_budget(p2001):
     assert report.error_estimate <= 1e-10
 
 
-def test_modesum_tolerance_budget_exhaustion(p2001):
+def test_modesum_tolerance_budget_exhaustion(p2001, monkeypatch):
+    monkeypatch.setattr(meanfield, "_MAX_DOUBLINGS", 1)
     grid = np.linspace(-0.2, 0.2, 3)
     with pytest.raises(ToleranceError) as e:
-        meanfield_modesum(grid, 0.1, fig2a(), p2001, rel_tol=1e-14,
-                          max_doublings=1)
+        meanfield_modesum(grid, 0.1, fig2a(), p2001, rel_tol=1e-14)
     assert e.value.achieved > e.value.target
 
 
@@ -326,23 +374,36 @@ def test_profile_passes_the_options_the_route_reads(route, p2001):
 
 # -- memory -----------------------------------------------------------------------
 
-_GRID_801 = np.linspace(-0.5, 0.5, 801)
-_GRID_4001 = np.linspace(-0.5, 0.5, 4001)
+# a modesum pass holds nine block arrays at once (two angle-addition tables
+# per axis, the cos factor and the product, kernel_h_deriv's three arrays) of
+# at most max(_BLOCK_ELEMENTS, 128 x modes) float64; twelve leave room for the
+# per-block start rows, the grid and the first pass's profile
+def _modesum_bound(n_modes):
+    return 12 * 8 * max(meanfield._BLOCK_ELEMENTS, 128 * n_modes)
 
 
-@pytest.mark.parametrize("run", [
-    lambda p: meanfield_series(_GRID_4001, 0.25, fig2a(0.5), p),
-    lambda p: meanfield_modesum(_GRID_801, 0.25, fig2a(0.5), p),
-    lambda p: meanfield_modesum(_GRID_801, 4.0, fig2a(0.5), p),
-    lambda p: meanfield_modesum(_GRID_801, 0.25, fig2a(0.5), p, longwave=True,
-                                extended_domain=True),
-], ids=["series_grid4001", "modesum_fig2", "modesum_t4", "modesum_extended"])
-def test_blocked_routes_bound_peak_allocation(run, p2001):
-    # the routes hold blocks of _BLOCK_ELEMENTS, not (nodes x modes) matrices
+# (run, bound in bytes); measured peaks on numpy 2.4: modesum_fig2 5.1 MB,
+# modesum_t4 4.9 MB and modesum_extended 2.9 MB (bound 6.3 MB), and
+# modesum_1000_modes 7.7 MB (bound 12.3 MB; 49.7 MB when the route held a
+# whole (space nodes x modes) matrix)
+@pytest.mark.parametrize("run, bound", [
+    (lambda p: meanfield_series(_GRID_4001, 0.25, fig2a(0.5), p), 16e6),
+    (lambda p: meanfield_modesum(_GRID_801, 0.25, fig2a(0.5), p),
+     _modesum_bound(321)),
+    (lambda p: meanfield_modesum(_GRID_801, 4.0, fig2a(0.5), p),
+     _modesum_bound(321)),
+    (lambda p: meanfield_modesum(_GRID_801, 0.25, fig2a(0.5), p, longwave=True,
+                                 extended_domain=True), _modesum_bound(321)),
+    (lambda p: meanfield_modesum(_GRID_801, 0.01, fig2a(0.5), p, alpha_max=1000),
+     _modesum_bound(1000)),
+], ids=["series_grid4001", "modesum_fig2", "modesum_t4", "modesum_extended",
+        "modesum_1000_modes"])
+def test_blocked_routes_bound_peak_allocation(run, bound, p2001):
+    # the routes hold blocks, not (nodes x modes) matrices
     tracemalloc.start()
     try:
         run(p2001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16e6
+    assert peak <= bound
