@@ -227,12 +227,12 @@ def _cmd_evolve(args, params):
         # from the vacuum the rotating-wave H couples |0, g> with |1, e>
         # only, so the exact and perturbative schemes need no more than that
         space = FockSpace(modes=((res.alpha0, 1),))
-        h = build_ndpa(coupling, space) if args.scheme == "exact" else None
+        h = build_ndpa(coupling, space)
     rows = []
     for gt in args.gt:
         t = gt * hbar / g_abs
         if args.scheme == "perturbative":
-            psi = evolve_perturbative(coupling, t, hbar=hbar)
+            psi = evolve_perturbative(h, space.vacuum(), t, hbar=hbar).normalized()
         elif args.scheme == "exact":
             psi = evolve_exact(h, space.vacuum(), t, hbar=hbar)
         else:
@@ -407,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_positive_float, required=True)
     p.add_argument("--dt", type=_finite_float, default=None)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--tol", type=_finite_float, default=0.05)
+    p.add_argument("--tol", type=_positive_float, default=0.05)
     p.add_argument("--csv", required=True)
     p.set_defaults(func=_cmd_oracle_compare)
 

@@ -232,13 +232,12 @@ class ResonancePair:
 
 
 def resonance_pair(v1, v2, omega_d1, omega_d2, params: SystemParams,
-                   guard_band: float | None = None,
                    y_max: float = DEFAULT_Y_MAX) -> ResonancePair:
     """Resonant indices for two branches plus cross-resonance diagnostics.
 
     Branch i pairs v_i with omega_di.  Selectivity requires that no retained
     chain mode sits within the guard band of either *cross* combination
-    (v1 with omega_d2, v2 with omega_d1); the guard band defaults to
+    (v1 with omega_d2, v2 with omega_d1); the guard band is
     20*max(|g_alpha1|, |g_alpha2|)/hbar, the margin at which the rotating
     wave approximation is comfortably valid.
     """
@@ -250,10 +249,9 @@ def resonance_pair(v1, v2, omega_d1, omega_d2, params: SystemParams,
     r1 = resonance_mode(v1, omega_d1, params, y_max=y_max)
     r2 = resonance_mode(v2, omega_d2, params, y_max=y_max)
 
-    if guard_band is None:
-        g1 = mode_coupling(r1.alpha0, params, omega_d1, y_max=y_max).g_alpha
-        g2 = mode_coupling(r2.alpha0, params, omega_d2, y_max=y_max).g_alpha
-        guard_band = 20.0 * max(abs(g1), abs(g2)) / params.hbar
+    g1 = mode_coupling(r1.alpha0, params, omega_d1, y_max=y_max).g_alpha
+    g2 = mode_coupling(r2.alpha0, params, omega_d2, y_max=y_max).g_alpha
+    guard_band = 20.0 * max(abs(g1), abs(g2)) / params.hbar
 
     cross_nearest = {}
     spectrum = mode_spectrum(params, y_max=y_max)

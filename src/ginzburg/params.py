@@ -19,6 +19,7 @@ configuration every figure-style run uses.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -211,10 +212,13 @@ def _check_keys(section: str, given: dict, known, needed) -> dict:
     return given
 
 
+@functools.cache
 def _schema(cls, *skip):
-    """A section's keys: the fields of cls but skip, and those without a default."""
+    """A section's keys: the fields of cls but skip, and those without a
+    default; computed once per class."""
     taken = [f for f in fields(cls) if f.name not in skip]
-    return [f.name for f in taken], [f.name for f in taken if f.default is MISSING]
+    return (tuple(f.name for f in taken),
+            tuple(f.name for f in taken if f.default is MISSING))
 
 
 def build_params(config: dict) -> SystemParams:

@@ -5,7 +5,8 @@ detector of one or two qubits (one per internal frequency).  Three evolution
 paths validate each other:
 
   evolve_exact          exp(-i H t / hbar) by dense eigendecomposition
-  evolve_perturbative   first-order amplitude -i g t / (2 hbar) on |1, e>
+  evolve_perturbative   first-order step (1 - i H t / hbar) psi0, unnormalized,
+                        and the one weak-coupling guard
   evolve_full           fixed-step midpoint-exponential (Magnus-2) stepping
                         of the time-dependent pre-RWA Hamiltonian, unitary to
                         round-off: Taylor action with a norm-bounded degree
@@ -260,27 +261,24 @@ def evolve_exact(h: np.ndarray, psi0: QuantumState, t: float,
     return QuantumState(psi0.space, amp)
 
 
-def evolve_perturbative(coupling: ModeCoupling, t: float, hbar: float = 1.0,
-                        space: FockSpace | None = None,
-                        guard: float = DEFAULT_PERTURBATIVE_GUARD) -> QuantumState:
-    """First-order state (1 - i H t/hbar)|vac>, normalized.
+def evolve_perturbative(h: np.ndarray, psi0: QuantumState, t: float,
+                        hbar: float = 1.0) -> QuantumState:
+    """First-order state psi0 - i (t / hbar) H psi0, unnormalized.
 
-    This is |0,g> - i (g_alpha t / 2 hbar) |1,e> up to normalization.
-    Guarded to |g_alpha| t / hbar <= guard; beyond that the third-order
-    error is no longer negligible and evolve_exact should be used instead.
+    From the vacuum under build_ndpa this is |0,g> - i (g_alpha t / 2 hbar)
+    |1,e>.  Guarded to 2 max|H_ij| t / hbar <= DEFAULT_PERTURBATIVE_GUARD,
+    which is |g_alpha| t / hbar for build_ndpa at n_max 1; beyond that the
+    third-order error is no longer negligible and evolve_exact should be
+    used instead.
     """
     _check_time(t)
-    gt = abs(coupling.g_alpha) * t / hbar
-    if gt > guard:
+    gt = 2.0 * float(np.max(np.abs(h))) * t / hbar
+    if gt > DEFAULT_PERTURBATIVE_GUARD:
         raise GuardError(
-            f"|g_alpha| t / hbar = {gt:.3f} exceeds the perturbative guard "
-            f"{guard}; use evolve_exact")
-    if space is None:
-        space = FockSpace(modes=((coupling.alpha, 1),))
-    vac = space.vacuum().amplitudes
-    h = build_ndpa(coupling, space)
-    amp = vac - 1j * (t / hbar) * (h @ vac)
-    return QuantumState(space, amp).normalized()
+            f"2 max|H_ij| t / hbar = {gt:.3f} exceeds the perturbative guard "
+            f"{DEFAULT_PERTURBATIVE_GUARD}; use evolve_exact")
+    amp = psi0.amplitudes - 1j * (t / hbar) * (h @ psi0.amplitudes)
+    return QuantumState(psi0.space, amp)
 
 
 def _pair_coefficients(t, x_d, couplings: Sequence[ModeCoupling],

@@ -7,10 +7,14 @@ with a single internal frequency both branches share the detector's excited
 level; with two internal levels branch 1 excites the first level together
 with mode alpha_1 and branch 2 the second level with mode alpha_2.
 
-First-order branch states are kept unnormalized and the global state is
-normalized once when the density matrix is formed; the exact method evolves
-each branch's 2x2 resonant block unitarily instead and serves as the oracle
-for the first-order results.
+Each branch is a localized run on the shared factor space, evolved by one
+of the two single-trajectory paths of quantum:
+
+  perturbative   evolve_perturbative, the first-order step under its
+                 weak-coupling guard; kept unnormalized, and the global
+                 state is normalized once when the density matrix is formed
+  exact          evolve_exact, the unitary rotation of the branch's
+                 resonant pair, the oracle for the first-order results
 
 Tracing out the branch label kills every cross-branch term, which is why
 the reduced chain and detector states cannot tell a coherent trajectory
@@ -30,8 +34,8 @@ from .errors import GuardError, ValidationError
 from .modes import (DEFAULT_Y_MAX, ModeCoupling, mode_coupling, resonance_mode,
                     resonance_pair)
 from .params import SystemParams, _check_time
-from .quantum import (DEFAULT_PERTURBATIVE_GUARD, DensityMatrix, FockSpace,
-                      QuantumState, build_ndpa, evolve_exact, trace_distance)
+from .quantum import (DensityMatrix, FockSpace, QuantumState, build_ndpa,
+                      evolve_exact, evolve_perturbative, trace_distance)
 
 _METHODS = ("perturbative", "exact")
 # a trace distance above this makes two reduced states distinguishable
@@ -126,18 +130,11 @@ class BranchedState:
     """
 
     spec: BranchSpec
-    t: float
-    method: str
-    space: FockSpace
     branch_states: tuple[QuantumState, QuantumState]
 
     @property
-    def weights(self) -> tuple[complex, complex]:
-        return self.spec.weights
-
-    @property
-    def detector_model(self) -> str:
-        return self.spec.detector_model
+    def space(self) -> FockSpace:
+        return self.branch_states[0].space
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -151,20 +148,19 @@ class BranchedState:
     def global_vector(self) -> np.ndarray:
         dim = self.space.dim
         vec = np.zeros(2 * dim, dtype=complex)
-        for i, (w, psi) in enumerate(zip(self.weights, self.branch_states)):
+        for i, (w, psi) in enumerate(zip(self.spec.weights, self.branch_states)):
             vec[i * dim:(i + 1) * dim] = w * psi.amplitudes
         return vec
 
 
-def evolve_superposed(spec: BranchSpec, t: float, method: str = "perturbative",
-                      guard: float = DEFAULT_PERTURBATIVE_GUARD) -> BranchedState:
+def evolve_superposed(spec: BranchSpec, t: float,
+                      method: str = "perturbative") -> BranchedState:
     """Evolve both branches from the joint vacuum for time t.
 
-    Branch i evolves under build_ndpa of its mode on detector qubit i of a
-    two-level spec (whose selectivity must hold), on qubit 0 otherwise.
-    perturbative: (1 - i H_i t / hbar)|vac, ground>, that is
-    |vac, ground> - i (g_i t / 2 hbar) |1_i, e_i> (unnormalized).  exact:
-    exp(-i H_i t / hbar)|vac, ground>, bypassing the weak-coupling guard.
+    Each branch is a localized run: build_ndpa of its mode, on detector
+    qubit i of a two-level spec (whose selectivity must hold), on qubit 0
+    otherwise, evolved by evolve_perturbative (unnormalized, under its
+    weak-coupling guard) or evolve_exact.
     """
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}")
@@ -176,23 +172,16 @@ def evolve_superposed(spec: BranchSpec, t: float, method: str = "perturbative",
     space = FockSpace(modes=tuple((b.alpha, 1) for b in spec.branches),
                       detector_qubits=2 if spec.two_level else 1)
     vac = space.vacuum()
-    hbar = spec.hbar
+    evolve = evolve_perturbative if method == "perturbative" else evolve_exact
 
     states = []
     for i, branch in enumerate(spec.branches):
         h = build_ndpa(branch.coupling, space, i if spec.two_level else 0)
-        if method == "perturbative":
-            gt = abs(branch.coupling.g_alpha) * t / hbar
-            if gt > guard:
-                raise GuardError(
-                    f"branch {i + 1}: |g| t / hbar = {gt:.3f} exceeds the "
-                    f"perturbative guard {guard}; use method='exact'")
-            amp = vac.amplitudes - 1j * (t / hbar) * (h @ vac.amplitudes)
-            states.append(QuantumState(space, amp))
-        else:
-            states.append(evolve_exact(h, vac, t, hbar))
-    return BranchedState(spec=spec, t=t, method=method, space=space,
-                         branch_states=(states[0], states[1]))
+        try:
+            states.append(evolve(h, vac, t, spec.hbar))
+        except GuardError as err:
+            raise GuardError(f"branch {i + 1}: {err} (method='exact')") from err
+    return BranchedState(spec=spec, branch_states=(states[0], states[1]))
 
 
 def density_matrix(state: BranchedState) -> DensityMatrix:
@@ -215,7 +204,7 @@ def mixed_density_matrix(state: BranchedState) -> DensityMatrix:
     """
     dim = state.space.dim
     rho = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    for i, (w, psi) in enumerate(zip(state.weights, state.branch_states)):
+    for i, (w, psi) in enumerate(zip(state.spec.weights, state.branch_states)):
         amp = psi.normalized().amplitudes
         block = np.outer(amp, amp.conj()) * (abs(w) ** 2)
         rho[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = block

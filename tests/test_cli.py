@@ -475,6 +475,17 @@ def test_oracle_compare_pass_and_tolerance_failure(tmp_path, capsys):
     assert "tolerance failure" in capsys.readouterr().err
 
 
+def test_oracle_compare_nonpositive_tol_exits_2(tmp_path, capsys):
+    # an L2/peak bound <= 0 can never pass, so it is refused before the run
+    out = tmp_path / "oc.csv"
+    for tol in ("-1", "0"):
+        assert run(["oracle-compare", "--v", "0.5", "--t", "0.1",
+                    "--tol", tol, "--csv", str(out)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "argument --tol:" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- manifests and determinism -------------------------------------------------
 
 def test_rerun_verifies_outputs(tmp_path, capsys):

@@ -212,11 +212,16 @@ def test_resonance_pair_selectivity_violation():
 
 
 def test_resonance_pair_clean_configuration():
-    # v2 - c_s = 1.6 makes both cross combinations land between modes
-    p = paper()
-    pair = resonance_pair(2.0, 2.6, 10.0 * math.pi, 11.2 * math.pi, p,
-                          guard_band=0.5)
+    # v2 - c_s = 1.6 makes both cross combinations land between modes; at a
+    # weak coupling the computed guard band is narrower than that gap
+    p = paper(g=5e-8)
+    omegas = (10.0 * math.pi, 11.2 * math.pi)
+    pair = resonance_pair(2.0, 2.6, *omegas, p)
     assert (pair.alpha1, pair.alpha2) == (10, 7)
+    g_max = max(abs(mode_coupling(a, p, om).g_alpha)
+                for a, om in zip((10, 7), omegas))
+    assert pair.guard_band == pytest.approx(20.0 * g_max / p.hbar, rel=1e-15)
+    assert 0.0 < pair.guard_band < 0.5
     assert not pair.selectivity_violated
     # exhaustive scan: no retained mode sits inside the guard band for
     # either cross condition

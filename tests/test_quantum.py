@@ -280,51 +280,93 @@ def test_small_time_quadratic(c10):
 
 # -- perturbative branch ------------------------------------------------------
 
+def pair_space(c):
+    """The resonant pair space of coupling c and its build_ndpa H."""
+    space = FockSpace(modes=((c.alpha, 1),), detector_qubits=1)
+    return space, build_ndpa(c, space)
+
+
 def test_perturbative_matches_exact_in_window(c10):
     t = 2.0  # g t / hbar = 0.1
-    pert = evolve_perturbative(c10, t)
+    space, h = pair_space(c10)
+    pert = evolve_perturbative(h, space.vacuum(), t).normalized()
     x = abs(c10.g_alpha) * t / 2.0
     expected = x ** 2 / (1.0 + x ** 2)
     assert pert.excitation_probability() == pytest.approx(expected, rel=1e-12)
     assert pert.excitation_probability() == pytest.approx(
         0.0024937655860349127, rel=1e-12)
 
-    space = pert.space
-    exact = evolve_exact(build_ndpa(c10, space), space.vacuum(), t)
+    exact = evolve_exact(h, space.vacuum(), t)
     assert abs(pert.excitation_probability()
                - exact.excitation_probability()) < 1e-5
     assert abs(pert.norm - 1.0) < 1e-12
 
 
+def test_perturbative_is_the_first_order_step(c10, rng):
+    # any state on a space past the pair sector: psi0 - i (t / hbar) H psi0,
+    # unnormalized, and second order off the exact propagator
+    space = FockSpace(modes=((9, 2), (10, 3)), detector_qubits=1)
+    h = build_ndpa(c10, space)
+    amp = rng.normal(size=space.dim) + 1j * rng.normal(size=space.dim)
+    psi0 = QuantumState(space, amp / np.linalg.norm(amp))
+    hbar, errs = 2.0, []
+    for gt in (0.04, 0.02):
+        t = gt / abs(c10.g_alpha)
+        pert = evolve_perturbative(h, psi0, t, hbar=hbar)
+        assert pert.space is space and pert.norm > 1.0
+        np.testing.assert_allclose(
+            pert.amplitudes,
+            psi0.amplitudes - 1j * (t / hbar) * (h @ psi0.amplitudes),
+            rtol=0, atol=1e-15)
+        exact = evolve_exact(h, psi0, t, hbar=hbar)
+        errs.append(np.linalg.norm(pert.amplitudes - exact.amplitudes))
+    assert 3.5 < errs[0] / errs[1] < 4.5
+
+
 def test_perturbative_zero_time_is_vacuum(c10):
-    psi = evolve_perturbative(c10, 0.0)
+    space, h = pair_space(c10)
+    psi = evolve_perturbative(h, space.vacuum(), 0.0)
     assert psi.probability(0, (0,)) == 1.0
 
 
 def test_perturbative_rejects_bad_time(c10):
+    space, h = pair_space(c10)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValidationError):
-            evolve_perturbative(c10, bad)
+            evolve_perturbative(h, space.vacuum(), bad)
 
 
-def test_perturbative_guard(c10):
+def test_perturbative_guard(c10, monkeypatch):
+    space, h = pair_space(c10)
     t_past = 0.4 / abs(c10.g_alpha)
     with pytest.raises(GuardError) as err:
-        evolve_perturbative(c10, t_past)
+        evolve_perturbative(h, space.vacuum(), t_past)
     assert "evolve_exact" in str(err.value)
-    loosened = evolve_perturbative(c10, t_past, guard=0.5)
-    assert abs(loosened.norm - 1.0) < 1e-12
+    monkeypatch.setattr(quantum, "DEFAULT_PERTURBATIVE_GUARD", 0.5)
+    loosened = evolve_perturbative(h, space.vacuum(), t_past)
+    # |0,g> - i (g t / 2) |1,e> with g t = 0.4
+    assert loosened.norm == pytest.approx(math.sqrt(1.04), rel=1e-12)
+
+
+def test_perturbative_guard_reads_the_hamiltonian(c10):
+    # 2 max|H_ij| t / hbar: sqrt(n_max) of the deepest ladder step counts
+    space = FockSpace(modes=((10, 4),), detector_qubits=1)
+    h = build_ndpa(c10, space)
+    t = 0.2 / abs(c10.g_alpha)  # |g| t = 0.2, 2 max|H_ij| t = 0.4
+    with pytest.raises(GuardError):
+        evolve_perturbative(h, space.vacuum(), t)
+    evolve_perturbative(h, space.vacuum(), t, hbar=2.0)
 
 
 def test_perturbative_amplitude_error_is_third_order(c10):
     # error ~ x^3 / 3, so halving g t shrinks it close to 8x
-    space = FockSpace(modes=((10, 1),), detector_qubits=1)
+    space, h = pair_space(c10)
     idx = space.basis_index(1, (1,))
     errs = []
     for gt in (0.2, 0.1):
         t = gt / abs(c10.g_alpha)
-        pert = evolve_perturbative(c10, t, space=space)
-        exact = evolve_exact(build_ndpa(c10, space), space.vacuum(), t)
+        pert = evolve_perturbative(h, space.vacuum(), t).normalized()
+        exact = evolve_exact(h, space.vacuum(), t)
         errs.append(abs(pert.amplitudes[idx] - exact.amplitudes[idx]))
     ratio = errs[0] / errs[1]
     assert 7.0 < ratio < 9.0

@@ -10,10 +10,11 @@ import math
 import numpy as np
 import pytest
 
+from ginzburg import quantum
 from ginzburg.errors import GuardError, ValidationError
 from ginzburg.modes import ModeCoupling
 from ginzburg.params import build_params
-from ginzburg.quantum import evolve_perturbative
+from ginzburg.quantum import FockSpace, build_ndpa, evolve_perturbative
 from ginzburg.superpose import (Branch, BranchSpec, branch_spec_from_resonance,
                                 density_matrix, discriminate, evolve_superposed,
                                 mixed_density_matrix, reduce_chain,
@@ -109,7 +110,7 @@ def test_spec_from_resonance_two_level_selectivity():
                                       omega_d2=11.2 * math.pi)
     assert spec.two_level and not spec.selectivity_violated
     state = evolve_superposed(spec, 0.1)
-    assert state.detector_model == "two-level"
+    assert state.spec.detector_model == "two-level"
     assert state.dims == (2, 4, 2, 2)
 
 
@@ -146,12 +147,13 @@ def test_rejects_bad_model_and_negative_time():
             evolve_superposed(spec, bad)
 
 
-def test_perturbative_guard_per_branch():
+def test_perturbative_guard_per_branch(monkeypatch):
     spec = hand_spec(0.3, 0.0, g1=1.0, g2=4.0)
     with pytest.raises(GuardError) as err:
         evolve_superposed(spec, 0.1)  # branch 2 has |g| t = 0.4
     assert "branch 2" in str(err.value)
-    evolve_superposed(spec, 0.1, guard=0.5)
+    monkeypatch.setattr(quantum, "DEFAULT_PERTURBATIVE_GUARD", 0.5)
+    evolve_superposed(spec, 0.1)
 
 
 # -- populations at the frozen working point ----------------------------------
@@ -186,7 +188,10 @@ def test_localized_limit_excites_exactly_one_mode():
 
     # the detector marginal agrees with the single-trajectory evolution
     det = reduce_detector(rho)
-    lone = evolve_perturbative(spec.branches[0].coupling, 0.2)
+    c1 = spec.branches[0].coupling
+    space = FockSpace(modes=((c1.alpha, 1),))
+    lone = evolve_perturbative(build_ndpa(c1, space), space.vacuum(),
+                               0.2).normalized()
     assert det.population((1,)) == pytest.approx(
         lone.excitation_probability(), rel=1e-12)
 
@@ -257,11 +262,12 @@ def test_exact_method_stays_in_pair_sector():
     assert outside < 1e-24
 
 
-def test_perturbative_error_is_fourth_order_in_population():
+def test_perturbative_error_is_fourth_order_in_population(monkeypatch):
+    monkeypatch.setattr(quantum, "DEFAULT_PERTURBATIVE_GUARD", 0.5)
     spec = hand_spec(math.pi / 4.0, 0.0)
     gts, errs = (0.4, 0.2, 0.1), []
     for gt in gts:
-        pert = density_matrix(evolve_superposed(spec, gt, guard=0.5))
+        pert = density_matrix(evolve_superposed(spec, gt))
         exact = density_matrix(evolve_superposed(spec, gt, method="exact"))
         errs.append(abs(pert.population((0, 1, 1, 0))
                         - exact.population((0, 1, 1, 0))))
