@@ -13,10 +13,11 @@ median over the repeats of:
   evolve_full_s_per_step  CPU seconds per Magnus-2 step of evolve_full at the
                           criterion-8 configuration (|g_10|/hbar = 0.05 at
                           the v = 2 resonance, modes 9, 10, 11 with n_max
-                          2, 3, 2, dim 72) at gt 0.1 and 0.2, and of the one
-                          step of `evolve --scheme full --v 2.0 --gt 3` at
-                          the CLI defaults (window 2, dim 96); each the
-                          median of three calls after a warm-up call
+                          2, 3, 2, dim 72, 36 rows stepped) at gt 0.1 and
+                          0.2, and of the one step of `evolve --scheme full
+                          --v 2.0 --gt 3` at the CLI defaults (window 2,
+                          dim 96, 48 rows stepped); each the median of three
+                          calls after a warm-up call
   modesum                 CPU seconds of the two Fig. 2 modesum profiles
                           (v = 0.5, t = 0.25 and v = 2.5, t = 0.1, x0 = 0,
                           801 grid points), timed in a fresh child after

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import GinzburgError, ToleranceError, ValidationError
+from .errors import GinzburgError, GuardError, ToleranceError, ValidationError
 from .io_utils import (RunManifest, load_manifest, sha256_file, write_csv,
                        write_json, write_manifest)
 from .params import build_params, load_params, regime_check
@@ -206,6 +206,14 @@ def _cmd_resonance(args, params):
     return summary, outputs
 
 
+def _exact_option(err: GuardError, option: str) -> GuardError:
+    """The weak-coupling guard's error with its remedy, the library's
+    evolve_exact, named as the CLI option that runs it; any other guard's
+    error unchanged."""
+    reason, remedy, _ = str(err).partition("; use evolve_exact")
+    return GuardError(f"{reason}; use {option}") if remedy else err
+
+
 def _cmd_evolve(args, params):
     omega_d = _omega_d(args, params)
     res = resonance_mode(args.v, omega_d, params, y_max=args.y_max)
@@ -232,7 +240,11 @@ def _cmd_evolve(args, params):
     for gt in args.gt:
         t = gt * hbar / g_abs
         if args.scheme == "perturbative":
-            psi = evolve_perturbative(h, space.vacuum(), t, hbar=hbar).normalized()
+            try:
+                psi = evolve_perturbative(h, space.vacuum(), t, hbar=hbar)
+            except GuardError as err:
+                raise _exact_option(err, "--scheme exact") from None
+            psi = psi.normalized()
         elif args.scheme == "exact":
             psi = evolve_exact(h, space.vacuum(), t, hbar=hbar)
         else:
@@ -261,7 +273,10 @@ def _cmd_reduced_state(args, params):
     g1 = abs(spec.branches[0].coupling.g_alpha)
     t = args.t if args.t is not None else args.gt * params.hbar / g1
 
-    state = evolve_superposed(spec, t, method=args.method)
+    try:
+        state = evolve_superposed(spec, t, method=args.method)
+    except GuardError as err:
+        raise _exact_option(err, "--method exact") from None
     rho = density_matrix(state)
     rho_chain = reduce_chain(rho)
     rho_det = reduce_detector(rho)

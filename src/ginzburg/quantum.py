@@ -18,8 +18,9 @@ quantum, so it is a weighted partial permutation of the basis: per basis row
 and slot, a column, a coefficient index and a sqrt(n) weight, built from the
 space's dims.  evolve_full applies H(t) to the amplitude vector by a gather
 and a row-wise dot into the rows of one preallocated Taylor power buffer,
-O(dim * modes) memory and work; build_ndpa and interaction_hamiltonian_full
-scatter the same stencil into a dense matrix.
+O(dim * modes) memory and work, on the rows of the parity sector its start
+state occupies; build_ndpa and interaction_hamiltonian_full scatter the same
+stencil into a dense matrix.
 Every operator allocation, the amplitude vector and evolve_exact's dense
 temporaries are checked against OPERATOR_BYTES first.
 
@@ -387,6 +388,8 @@ def interaction_hamiltonian_full(t: float, x_d: float,
 _TAYLOR_TOL = 2.0 ** -53
 # steps whose coefficients are held at once, so memory stays flat in t
 _STEP_BLOCK = 4096
+# bytes of stencil values gathered for a run of steps at once
+_GATHER_BYTES = 2 ** 16
 
 
 def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoupling],
@@ -399,8 +402,16 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
     Taylor series. A bound theta >= ||H|| dt / hbar, valid for every step,
     sets s = ceil(theta) equal sub-steps and the least degree m with
     (theta / s)^m / m! <= 2^-53.  Each sub-step fills the rows G^j psi,
-    j = 1..m, of one (m + 1) x dim buffer, allocated once per call, and sums
+    j = 1..m, of one (m + 1) x rows buffer, allocated once per call, and sums
     them as (1/j!) @ buffer back into row 0.
+
+    Only the rows whose parity of (phonons + qubit-0 excitation) occurs in
+    psi0's support are stepped: from the vacuum, 36 of the 72 rows of the
+    criterion-8 space.  Every pair term moves one phonon and flips qubit 0,
+    so H(t) never couples two parities and each other row keeps its exact
+    0.  The stepped rows see the same stencil entries in the same order,
+    so their amplitudes are those of stepping every row, bit for bit; a
+    psi0 with both parities steps every row.
     """
     _check_time(t)
     _check_couplings(couplings, space)
@@ -435,12 +446,21 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
     # each), the n_terms + 1 power rows, and the sum's temporary and result
     cols, cidx, weight = _pair_stencil(space, 0,
                                        64 * len(space.modes) + 16 * (n_terms + 3))
+    # the rows of the parities psi0 occupies, their columns renumbered
+    # within that sector; the others stay 0 (see the docstring)
+    levels = np.unravel_index(np.arange(space.dim), space.dims)
+    parity = (sum(levels[1:]) + (levels[0] >> (space.detector_qubits - 1))) & 1
+    keep = np.isin(parity, parity[psi0.amplitudes != 0])
+    sector = np.cumsum(keep) - 1
+    cols, cidx, weight = sector[cols[keep]], cidx[keep], weight[keep]
     inv_factorials = np.array([1.0 / math.factorial(j)
                                for j in range(n_terms + 1)], dtype=complex)
     # row j holds G^j psi, G the sub-step generator; row 0 is the state
-    powers = np.empty((n_terms + 1, space.dim), dtype=complex)
-    powers[0] = psi0.amplitudes
+    powers = np.empty((n_terms + 1, len(cols)), dtype=complex)
+    powers[0] = psi0.amplitudes[keep]
     pairs = list(zip(powers, powers[1:]))
+    # steps whose stencil values are gathered at once, within _GATHER_BYTES
+    run = max(1, _GATHER_BYTES // (16 * max(cidx.size, 1)))
     for start in range(0, n_steps, _STEP_BLOCK):
         t_mid = (np.arange(start, min(start + _STEP_BLOCK, n_steps)) + 0.5) * dt
         # sub-step generator is X - X^dag with X = -i (dt / hbar s) K(t_mid)
@@ -448,11 +468,14 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
             t_mid, traj.position(t_mid), couplings, params, omega_d)
         # np.vecdot conjugates its first argument, so each step's vals holds
         # the conjugated stencil entries of X - X^dag
-        for c in np.concatenate([coef.conj(), -coef], axis=-1):
-            vals = c[cidx] * weight
-            for _ in range(n_sub):
-                for prev, row in pairs:
-                    np.vecdot(vals, prev[cols], out=row)
-                # numpy buffers the sum, since its output row 0 is also read
-                np.matmul(inv_factorials, powers, out=powers[0])
-    return QuantumState(space, powers[0].copy())
+        coef = np.concatenate([coef.conj(), -coef], axis=-1)
+        for first in range(0, len(coef), run):
+            for vals in coef[first:first + run, cidx] * weight:
+                for _ in range(n_sub):
+                    for prev, row in pairs:
+                        np.vecdot(vals, prev[cols], out=row)
+                    # numpy buffers the sum, since its output row 0 is also read
+                    np.matmul(inv_factorials, powers, out=powers[0])
+    amplitudes = np.zeros(space.dim, dtype=complex)
+    amplitudes[keep] = powers[0]
+    return QuantumState(space, amplitudes)

@@ -269,6 +269,22 @@ def test_evolve_bad_time_or_window_exits_2(tmp_path, capsys, argv):
         assert "--gt" in err and repr(_BAD_GT[gt]) in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["evolve", "--scheme", "perturbative", "--v", "2.0", "--gt", "0.1,0.5",
+      "--csv"], "--scheme exact"),
+    (["reduced-state", "--theta", "0.7", "--v1", "2.0", "--v2", "1.5",
+      "--gt", "0.5", "--json"], "--method exact"),
+], ids=["evolve", "reduced_state"])
+def test_perturbative_guard_names_the_exact_option(tmp_path, capsys, argv, option):
+    # past the weak-coupling guard the remedy is the option, not the library call
+    assert run([*argv, str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert "perturbative guard" in err and f"use {option}" in err
+    assert "evolve_exact" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--scheme", "full", "--gt", "0.1", "--window", "8"],      # dim 393,216
     ["--scheme", "full", "--gt", "0.1", "--window", "20"],     # 48 GiB vector

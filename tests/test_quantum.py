@@ -6,6 +6,7 @@ NDPA P_e = sin^2(g t / 2 hbar), squeezer P(n,n) = tanh^{2n} r / cosh^2 r.
 """
 
 import ast
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -577,6 +578,55 @@ def test_full_matches_dense_magnus2_oracle(scaled, rng, setup, gt, dt_scale):
                       omega_d, dt=dt)
     expected = magnus2_dense(psi0.amplitudes, t, dt or dt_max,
                              traj.x0, traj.v, modes_in, omega_d,
+                             params.chain.L, params.chain.c_s, params.hbar)
+    assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-12
+
+
+def odd_rows(space):
+    """Basis rows whose phonon count plus qubit-0 excitation is odd; qubit 0
+    is the slowest bit of the detector level."""
+    ladders = [range(2 ** space.detector_qubits)]
+    ladders += [range(n_max + 1) for _, n_max in space.modes]
+    return [space.basis_index(level, occ)
+            for level, *occ in itertools.product(*ladders)
+            if ((level >> (space.detector_qubits - 1)) + sum(occ)) % 2]
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_full_from_vacuum_leaves_odd_sector_empty(scaled, qubits):
+    """Every pair term moves one phonon and flips qubit 0, so from the
+    vacuum each odd-parity amplitude stays exactly 0."""
+    params, omega_d = scaled
+    couplings = [mode_coupling(a, params, omega_d=omega_d) for a in (9, 10, 11)]
+    space = FockSpace(modes=((9, 2), (10, 3), (11, 2)), detector_qubits=qubits)
+    t = 0.1 * params.hbar / abs(couplings[1].g_alpha)
+    psi = evolve_full(space.vacuum(), t, Trajectory(0.0, V_RES), couplings,
+                      space, params, omega_d)
+    odd = odd_rows(space)
+    assert len(odd) == space.dim // 2
+    assert np.all(psi.amplitudes[odd] == 0.0)
+    assert abs(psi.norm - 1.0) <= 1e-12
+    assert psi.excitation_probability() > 0.0
+
+
+def test_full_one_phonon_stays_odd_and_matches_oracle(scaled):
+    """One phonon in mode 10, detector in the ground state: the state stays
+    in the odd sector and agrees with the dense Magnus-2 oracle."""
+    params, omega_d = scaled
+    couplings = [mode_coupling(a, params, omega_d=omega_d) for a in (9, 10, 11)]
+    space = FockSpace(modes=((9, 1), (10, 2), (11, 1)), detector_qubits=1)
+    amp = np.zeros(space.dim, dtype=complex)
+    amp[space.basis_index(0, (0, 1, 0))] = 1.0
+    psi0 = QuantumState(space, amp)
+    t = 0.1 * params.hbar / abs(couplings[1].g_alpha)
+    traj = Trajectory(0.0, V_RES)
+    psi = evolve_full(psi0, t, traj, couplings, space, params, omega_d)
+    even = np.setdiff1d(np.arange(space.dim), odd_rows(space))
+    assert np.all(psi.amplitudes[even] == 0.0)
+    assert psi.excitation_probability() > 0.0
+    dt_max = 2.0 * math.pi / (50.0 * (couplings[-1].omega_alpha + omega_d))
+    expected = magnus2_dense(amp, t, dt_max, traj.x0, traj.v,
+                             chain_modes(space, couplings), omega_d,
                              params.chain.L, params.chain.c_s, params.hbar)
     assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-12
 
