@@ -8,7 +8,7 @@ Measures the package under src/ next to this script (the "after" section)
 and, with --src DIR, the package under DIR too (the "before" section),
 alternating the two trees within every repeat.  Each measurement runs in a
 fresh interpreter with GINZBURG_NUM_THREADS=1, and the record holds the
-median over the repeats of:
+median over the repeats (the minimum for evolve_full_s_per_step) of:
 
   evolve_full_s_per_step  CPU seconds per Magnus-2 step of evolve_full at the
                           criterion-8 configuration (|g_10|/hbar = 0.05 at
@@ -16,8 +16,13 @@ median over the repeats of:
                           2, 3, 2, dim 72, 36 rows stepped) at gt 0.1 and
                           0.2, and of the one step of `evolve --scheme full
                           --v 2.0 --gt 3` at the CLI defaults (window 2,
-                          dim 96, 48 rows stepped); each the median of three
-                          calls after a warm-up call
+                          dim 96, 48 rows stepped); each the minimum over
+                          KERNEL_CALLS = 25 calls after a warm-up call,
+                          the configurations taking turns, and then over
+                          the repeats: host load only ever adds time to a
+                          call, and on a shared 2-vCPU host it came and went
+                          over seconds (the criterion-8 step ran at about
+                          20 us, or at about 33 us, for seconds at a time)
   modesum                 CPU seconds of the two Fig. 2 modesum profiles
                           (v = 0.5, t = 0.25 and v = 2.5, t = 0.1, x0 = 0,
                           801 grid points), timed in a fresh child after
@@ -49,6 +54,8 @@ from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent
 OWN_SRC = SCRIPTS.parent / "src"
+# timed evolve_full calls per configuration and repeat; the fastest counts
+KERNEL_CALLS = 25
 FIG2 = {"units": {"preset": "paper"}, "chain": {"N": 2001},
         "detector": {"w": 0.01}}
 # the cli_sweep calls of the benchmark, at x0 = 0 and fixed angles; series
@@ -100,11 +107,14 @@ def child_json(code: str, env: dict, cwd: str, *args: str) -> dict:
 
 def kernel_child():
     """Runs in a fresh interpreter: prints the evolve_full CPU seconds per
-    step of each configuration as one JSON line."""
+    step of each configuration as one JSON line.  The timed calls take the
+    configurations in turn, so each one's minimum is drawn from the whole
+    span of the child rather than from one stretch of it."""
     from ginzburg import modes, params, quantum
     from ginzburg.meanfield import Trajectory
 
-    def per_step(gt, p, omega_d, couplings, space):
+    def configured(gt, p, omega_d, couplings, space):
+        """The evolve_full call of one configuration and its step count."""
         # the resonant mode sits in the middle of both mode windows
         t = gt * p.hbar / abs(couplings[len(couplings) // 2].g_alpha)
         traj = Trajectory(0.0, 2.0)
@@ -112,17 +122,11 @@ def kernel_child():
         def call():
             quantum.evolve_full(space.vacuum(), t, traj, couplings, space, p,
                                 omega_d)
-        call()
-        samples = []
-        for _ in range(3):
-            c0 = time.process_time()
-            call()
-            samples.append(time.process_time() - c0)
-        # evolve_full's default step count
+        # evolve_full's step count
         omega_fast = max(c.omega_alpha for c in couplings) + omega_d
         steps = max(1, math.ceil(t * quantum.FULL_STEPS_PER_CYCLE * omega_fast
                                  / (2.0 * math.pi)))
-        return statistics.median(samples) / steps, steps
+        return call, steps
 
     base = params.build_params(FIG2)
     omega_d = modes.mode_frequency(10, base.chain) / (2.0 - 1.0)
@@ -132,10 +136,9 @@ def kernel_child():
     couplings = [modes.mode_coupling(a, scaled, omega_d=omega_d)
                  for a in (9, 10, 11)]
     space = quantum.FockSpace(modes=((9, 2), (10, 3), (11, 2)))
-    out = {}
-    for gt in (0.1, 0.2):
-        out[f"criterion8_gt{gt}"] = per_step(gt, scaled, omega_d, couplings,
-                                             space)
+    configs = {f"criterion8_gt{gt}": configured(gt, scaled, omega_d, couplings,
+                                                space)
+               for gt in (0.1, 0.2)}
 
     # evolve --scheme full --v 2.0 --gt 3 at the CLI defaults
     omega_d = base.detector.omega_d1
@@ -144,8 +147,18 @@ def kernel_child():
                  for a in range(alpha0 - 2, alpha0 + 3)]
     space = quantum.FockSpace(modes=tuple((c.alpha, 2 if c.alpha == alpha0 else 1)
                                           for c in couplings))
-    out["cli_default_gt3"] = per_step(3.0, base, omega_d, couplings, space)
-    print(json.dumps(out))
+    configs["cli_default_gt3"] = configured(3.0, base, omega_d, couplings, space)
+
+    for call, _ in configs.values():
+        call()
+    samples = {name: [] for name in configs}
+    for _ in range(KERNEL_CALLS):
+        for name, (call, _) in configs.items():
+            c0 = time.process_time()
+            call()
+            samples[name].append(time.process_time() - c0)
+    print(json.dumps({name: (min(samples[name]) / steps, steps)
+                      for name, (_, steps) in configs.items()}))
 
 
 def modesum_child():
@@ -202,7 +215,7 @@ def summarize(runs: list, stats: dict) -> dict:
            for label in first["cli_cpu_s"]}
     return {
         "evolve_full_s_per_step": {
-            name: statistics.median(r["kernels"][name][0] for r in runs)
+            name: min(r["kernels"][name][0] for r in runs)
             for name in first["kernels"]},
         "evolve_full_steps": {name: steps
                               for name, (_, steps) in first["kernels"].items()},

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .errors import GinzburgError, GuardError, ToleranceError, ValidationError
-from .io_utils import (RunManifest, load_manifest, sha256_file, write_csv,
-                       write_json, write_manifest)
+from .io_utils import (load_manifest, sha256_file, write_csv, write_json,
+                       write_manifest)
 from .params import build_params, load_params, regime_check
 from .modes import (DEFAULT_Y_MAX, coupling_strengths, mode_coupling,
                     mode_spectrum, resonance_mode, resonance_pair)
@@ -336,9 +336,11 @@ def _cmd_reduced_state(args, params):
 
 
 def _cmd_regime(args, params):
+    if args.v2 is None and args.x0_2 is not None:
+        raise ValidationError("--x0-2 starts a second trajectory; give --v2")
     trajectories = [(args.x0, args.v)]
     if args.v2 is not None:
-        trajectories.append((args.x0_2, args.v2))
+        trajectories.append((0.0 if args.x0_2 is None else args.x0_2, args.v2))
     report = regime_check(params, (0.0, args.t_end), trajectories,
                           y_max=args.y_max)
     outputs = []
@@ -478,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", type=_finite_float, required=True)
     p.add_argument("--x0", type=_finite_float, default=0.0)
     p.add_argument("--v2", type=_finite_float, default=None)
-    p.add_argument("--x0-2", type=_finite_float, default=0.0)
+    p.add_argument("--x0-2", type=_finite_float, default=None)
     p.add_argument("--t-end", type=_finite_float, required=True)
     p.add_argument("--json", type=str, default=None)
     p.set_defaults(func=_cmd_regime)
@@ -516,14 +518,11 @@ def run(argv) -> int:
     if outputs:
         options = {k: (str(v) if isinstance(v, Path) else v)
                    for k, v in vars(args).items() if k != "func"}
-        manifest = RunManifest(
-            subcommand=args.subcommand, argv=list(argv),
+        write_manifest(
+            outputs, subcommand=args.subcommand, argv=list(argv),
             params=params.to_dict() if params is not None else {},
             options=options, version=__version__,
             wall_time_s=time.perf_counter() - t_start)
-        for path in outputs:
-            manifest.record_output(path)
-        write_manifest(manifest)
     print(summary)
     return 0
 

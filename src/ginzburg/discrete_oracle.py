@@ -71,16 +71,15 @@ class ChainState:
                 f"sum(phi) residual {r_phi:.2e}, sum(p) residual {r_p:.2e}")
 
 
-def initial_state(params: SystemParams, x_d: float = 0.0, v: float = 0.0,
-                  phi=None, p=None) -> ChainState:
-    """Undeformed chain (unless phi/p given) with detector at x_d moving at v."""
+def initial_state(params: SystemParams, x_d: float = 0.0,
+                  v: float = 0.0) -> ChainState:
+    """Undeformed chain at rest, detector at x_d moving at v, at t = 0.
+
+    A displaced start is a ChainState built directly and checked with
+    validate(params)."""
     N = params.chain.N
-    phi = np.zeros(N) if phi is None else np.asarray(phi, dtype=float).copy()
-    p = np.zeros(N) if p is None else np.asarray(p, dtype=float).copy()
-    state = ChainState(t=0.0, phi=phi, p=p, x_d=float(x_d),
-                       p_d=float(v) * params.detector.M_d)
-    state.validate(params)
-    return state
+    return ChainState(t=0.0, phi=np.zeros(N), p=np.zeros(N), x_d=float(x_d),
+                      p_d=float(v) * params.detector.M_d)
 
 
 def max_stable_dt(params: SystemParams) -> float:

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .errors import ValidationError
@@ -69,40 +68,25 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce and verify one CLI run."""
-
-    subcommand: str
-    argv: list
-    params: dict
-    options: dict
-    outputs: list = field(default_factory=list)   # {path, sha256, bytes}
-    version: str = ""
-    wall_time_s: float = 0.0
-    created_utc: str = ""
-
-    def record_output(self, path):
-        path = Path(path)
-        self.outputs.append({"path": str(path), "sha256": sha256_file(path),
-                             "bytes": path.stat().st_size})
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def manifest_path_for(primary_output) -> Path:
     primary_output = Path(primary_output)
     return primary_output.with_name(primary_output.stem + ".manifest.json")
 
 
-def write_manifest(manifest: RunManifest) -> Path:
-    if not manifest.outputs:
+def write_manifest(outputs, **record) -> Path:
+    """Write record plus the path, SHA-256 and size of every output and the
+    UTC creation time next to the first output; returns the manifest path.
+
+    The CLI's record holds subcommand, argv, params, options, version and
+    wall_time_s: everything needed to reproduce and verify the run.
+    """
+    if not outputs:
         raise ValidationError("manifest has no outputs to sit next to")
-    path = manifest_path_for(manifest.outputs[0]["path"])
-    manifest.created_utc = manifest.created_utc or time.strftime(
-        "%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return write_json(path, manifest.to_dict())
+    paths = [Path(path) for path in outputs]
+    record["outputs"] = [{"path": str(path), "sha256": sha256_file(path),
+                          "bytes": path.stat().st_size} for path in paths]
+    record["created_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    return write_json(manifest_path_for(paths[0]), record)
 
 
 def load_manifest(path) -> dict:

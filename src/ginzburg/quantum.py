@@ -10,7 +10,11 @@ paths validate each other:
   evolve_full           fixed-step midpoint-exponential (Magnus-2) stepping
                         of the time-dependent pre-RWA Hamiltonian, unitary to
                         round-off: Taylor action with a norm-bounded degree
-                        and sub-steps, matrix-free
+                        and sub-steps, matrix-free; the step resolves the
+                        fastest phase by FULL_STEPS_PER_CYCLE steps a cycle
+
+hbar is explicit on every evolution, an argument of evolve_exact and
+evolve_perturbative and params.hbar in evolve_full; none assumes hbar = 1.
 
 Every Hamiltonian comes from one sparse pair stencil.  Each pair term a b,
 a b^dag and adjoint flips one detector qubit and moves one mode by one
@@ -37,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GuardError, StabilityError, ValidationError
+from .errors import GuardError, ValidationError
 from .modes import ModeCoupling, _check_omega_d
 from .params import SystemParams, _check_time
 
@@ -248,7 +252,7 @@ def _check_hermitian(h: np.ndarray):
 
 
 def evolve_exact(h: np.ndarray, psi0: QuantumState, t: float,
-                 hbar: float = 1.0) -> QuantumState:
+                 hbar: float) -> QuantumState:
     """psi(t) = exp(-i H t / hbar) psi0 via dense eigendecomposition."""
     _check_time(t)
     # H with the dense copies made from it: the adjoint and difference of the
@@ -263,7 +267,7 @@ def evolve_exact(h: np.ndarray, psi0: QuantumState, t: float,
 
 
 def evolve_perturbative(h: np.ndarray, psi0: QuantumState, t: float,
-                        hbar: float = 1.0) -> QuantumState:
+                        hbar: float) -> QuantumState:
     """First-order state psi0 - i (t / hbar) H psi0, unnormalized.
 
     From the vacuum under build_ndpa this is |0,g> - i (g_alpha t / 2 hbar)
@@ -394,10 +398,13 @@ _GATHER_BYTES = 2 ** 16
 
 def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoupling],
                 space: FockSpace, params: SystemParams,
-                omega_d: float | None = None, dt: float | None = None) -> QuantumState:
+                omega_d: float | None = None) -> QuantumState:
     """Midpoint-exponential (Magnus-2) stepping of the time-dependent
     Hamiltonian from 0 to t; second-order accurate and unitary to round-off.
 
+    The step count is the least that keeps dt <= 2 pi / (FULL_STEPS_PER_CYCLE
+    omega_fast), omega_fast the largest retained Omega_alpha plus omega_d,
+    and dt = t / steps.  FULL_STEPS_PER_CYCLE is read when the call runs.
     Each step applies exp(-i H(t_mid) dt / hbar) to the state as a truncated
     Taylor series. A bound theta >= ||H|| dt / hbar, valid for every step,
     sets s = ceil(theta) equal sub-steps and the least degree m with
@@ -419,15 +426,7 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
         omega_d = couplings[0].omega_d
     _check_omega_d(omega_d)
     omega_fast = max(c.omega_alpha for c in couplings) + omega_d
-    dt_max = 2.0 * math.pi / (FULL_STEPS_PER_CYCLE * omega_fast)
-    if dt is None:
-        dt = dt_max
-    elif not math.isfinite(dt):
-        raise ValidationError(f"dt must be finite, got {dt}")
-    elif dt > dt_max * (1 + 1e-12) or dt <= 0:
-        raise StabilityError(
-            f"dt = {dt:.3e} outside (0, {dt_max:.3e}] "
-            "(fastest phase needs >= 50 steps per cycle)")
+    dt = 2.0 * math.pi / (FULL_STEPS_PER_CYCLE * omega_fast)
     n_steps = max(1, int(math.ceil(t / dt)))
     dt = t / n_steps
     # ||H|| dt / hbar <= 2 sum_k |c_k| ||A_k|| over the pair operators A_k,

@@ -60,7 +60,7 @@ class BranchSpec:
     branches: tuple[Branch, Branch]
     theta: float
     phi: float
-    hbar: float = 1.0
+    hbar: float
     selectivity_violated: bool = False
     two_level: bool = False
 

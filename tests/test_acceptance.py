@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from ginzburg.discrete_oracle import (initial_state, integrate, site_positions,
-                                      total_energy)
+from ginzburg.discrete_oracle import (ChainState, initial_state, integrate,
+                                      site_positions, total_energy)
 from ginzburg.meanfield import Trajectory, meanfield_closed, profile
 from ginzburg.modes import mode_coupling, mode_frequency, mode_function
 from ginzburg.params import build_params
@@ -160,8 +160,9 @@ def test_criterion_04_leapfrog_chain_validates_closed_form():
     assert l2 <= 0.05 * peak
 
     free = paper(g=0.0)
-    st = initial_state(free, phi=mode_ic(free, [1, 2, 3],
-                                         [1e-3, 5e-4, 2.5e-4]))
+    phi0 = mode_ic(free, [1, 2, 3], [1e-3, 5e-4, 2.5e-4])
+    st = ChainState(t=0.0, phi=phi0, p=np.zeros_like(phi0), x_d=0.0, p_d=0.0)
+    st.validate(free)
     e0 = total_energy(st, free)
     drifted = integrate(st, free, 1e-4, 10_000, store_every=10_000)
     assert abs(total_energy(drifted.final, free) - e0) / e0 <= 1e-6
@@ -204,14 +205,14 @@ def test_criterion_07_perturbative_amplitude_error_order():
     """First-order pair creation matches the exact propagator to 1e-3 in
     probability at g t = 0.05, with amplitude error shrinking at third
     order."""
-    _, _, c10 = scaled_coupling()
+    params, _, c10 = scaled_coupling()
     space = FockSpace(modes=((10, 1),), detector_qubits=1)
     h = build_ndpa(c10, space)
     idx = space.basis_index(1, (1,))
 
     t = 0.05 / abs(c10.g_alpha)
-    pert = evolve_perturbative(h, space.vacuum(), t).normalized()
-    exact = evolve_exact(h, space.vacuum(), t)
+    pert = evolve_perturbative(h, space.vacuum(), t, params.hbar).normalized()
+    exact = evolve_exact(h, space.vacuum(), t, params.hbar)
     p_pert = pert.excitation_probability()
     p_exact = exact.excitation_probability()
     assert abs(p_pert - p_exact) / p_exact <= 1e-3
@@ -220,9 +221,9 @@ def test_criterion_07_perturbative_amplitude_error_order():
     errs = []
     for gt in gts:
         ti = gt / abs(c10.g_alpha)
-        pert_i = evolve_perturbative(h, space.vacuum(), ti).normalized()
+        pert_i = evolve_perturbative(h, space.vacuum(), ti, params.hbar).normalized()
         diff = (pert_i.amplitudes[idx]
-                - evolve_exact(h, space.vacuum(), ti).amplitudes[idx])
+                - evolve_exact(h, space.vacuum(), ti, params.hbar).amplitudes[idx])
         errs.append(abs(diff))
     assert fit_order(gts, errs) >= 2.7
 

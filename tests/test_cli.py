@@ -230,6 +230,35 @@ def test_evolve_exact_and_perturbative(tmp_path):
                 "--gt", "0.1,,nope", "--csv", str(out2)]) == 2
 
 
+# explicit units with hbar = 2.5: c_s = L = 1 as in the paper preset, so
+# v = 2 resonates with mode 10 there too
+HBAR_2_5 = {"units": {"hbar": 2.5},
+            "chain": {"N": 2001, "m_c": 5e-4, "k_c": 2000.0, "a_c": 5e-4},
+            "detector": {"M_d": 4.0, "m_tilde_d": 1.0, "k_d": (10 * math.pi) ** 2,
+                         "a_d": 1.0, "omega_d": 10 * math.pi, "w": 0.01},
+            "coupling": {"g": 1.0}}
+
+
+@pytest.mark.parametrize("scheme", ["exact", "perturbative"])
+def test_evolve_carries_hbar_through(tmp_path, scheme):
+    """At hbar = 2.5 the laws hold in g t / hbar; an evolution that took
+    hbar = 1 would follow sin^2(1.25 g t / hbar) instead."""
+    pfile = tmp_path / "hbar.json"
+    pfile.write_text(json.dumps(HBAR_2_5))
+    out = tmp_path / "ev.csv"
+    assert run(["evolve", "--scheme", scheme, "--params", str(pfile),
+                "--v", "2.0", "--gt", "0.05,0.1,0.2", "--csv", str(out)]) == 0
+    rows = read_csv(out)
+    assert [float(r["gt"]) for r in rows] == [0.05, 0.1, 0.2]
+    for row in rows:
+        x = float(row["gt"]) / 2.0
+        if scheme == "exact":
+            assert abs(float(row["p_excite"]) - math.sin(x) ** 2) <= 1e-12
+        else:
+            assert float(row["p_excite"]) == pytest.approx(x * x / (1.0 + x * x),
+                                                           rel=1e-10)
+
+
 def test_evolve_full_scheme_with_weak_coupling(tmp_path):
     pfile = write_config(tmp_path, coupling={"g": 0.05 / abs(G_ALPHA_10)})
     out = tmp_path / "full.csv"
@@ -451,6 +480,22 @@ def test_regime_json(tmp_path, capsys):
     assert "all pass" in capsys.readouterr().out
 
 
+def test_regime_x0_2_needs_v2(tmp_path, capsys):
+    # a second start without a second velocity would be dropped without a word
+    out = tmp_path / "regime.json"
+    argv = ["regime", "--v", "0.5", "--x0-2", "0.45", "--t-end", "0.25"]
+    assert run(argv + ["--json", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "--v2" in err
+    assert "Traceback" not in err and not out.exists()
+
+    # with --v2 the second start reaches the checks
+    assert run(argv + ["--v2", "0.6", "--json", str(out)]) == 0
+    failed = [c["name"] for c in json.loads(out.read_text())["checks"]
+              if not c["passed"]]
+    assert "edge_distance" in failed
+
+
 @pytest.mark.parametrize("section,key", [
     ("chain", "k_C"), ("detector", "omgea_d"), ("coupling", "gg"),
     ("units", "hbr"), (None, "coupling_"),
@@ -528,6 +573,35 @@ def test_rerun_verifies_outputs(tmp_path, capsys):
     assert run(["rerun", str(loop)]) == 2
 
     assert run(["rerun", str(tmp_path / "missing.json")]) == 2
+
+
+_MANIFEST_KEYS = {"subcommand", "argv", "params", "options", "outputs",
+                  "version", "wall_time_s", "created_utc"}
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["modes", "--csv", "{d}/modes.csv"], ["modes.csv"]),
+    (["reduced-state", "--theta", "0.7", "--phi", "0.3", "--v1", "2.0",
+      "--v2", "1.5", "--gt", "0.1", "--json", "{d}/reduced.json",
+      "--sweep-csv", "{d}/sweep.csv"], ["reduced.json", "sweep.csv"]),
+], ids=["modes", "reduced_state"])
+def test_manifest_record(tmp_path, argv, names):
+    """The manifest's keys, and per output its path, SHA-256 and size."""
+    argv = [a.format(d=tmp_path) for a in argv]
+    assert run(argv) == 0
+    data = json.loads((tmp_path / (Path(names[0]).stem + ".manifest.json"))
+                      .read_text())
+    assert set(data) == _MANIFEST_KEYS
+    assert data["subcommand"] == argv[0] and data["argv"] == argv
+    assert data["version"] == ginzburg.__version__
+    assert data["params"]["chain"]["N"] == 2001 and data["wall_time_s"] > 0
+    assert [o["path"] for o in data["outputs"]] == [str(tmp_path / n) for n in names]
+    for entry in data["outputs"]:
+        blob = Path(entry["path"]).read_bytes()
+        assert set(entry) == {"path", "sha256", "bytes"}
+        assert entry["sha256"] == hashlib.sha256(blob).hexdigest()
+        assert entry["bytes"] == len(blob)
+    time.strptime(data["created_utc"], "%Y-%m-%dT%H:%M:%SZ")
 
 
 def test_seed_refused_and_runs_deterministic(tmp_path):

@@ -31,6 +31,17 @@ def mode_profile(params, alphas, amps):
     return phi - phi.mean()   # exact zero-sum on the discrete sites
 
 
+def displaced(params, phi, p=None, x_d=0.0, v=0.0):
+    """Start state with the chain displaced by phi (momenta p, else at rest),
+    checked against the params."""
+    phi = np.array(phi, dtype=float)
+    state = ChainState(t=0.0, phi=phi,
+                       p=np.zeros_like(phi) if p is None else np.array(p, dtype=float),
+                       x_d=x_d, p_d=v * params.detector.M_d)
+    state.validate(params)
+    return state
+
+
 # -- state bookkeeping --------------------------------------------------------
 
 def test_site_positions_symmetric():
@@ -54,7 +65,7 @@ def test_initial_state_rejects_unbalanced_profile(paper_params):
     phi = np.zeros(paper_params.chain.N)
     phi[3] = 1.0   # nonzero net displacement
     with pytest.raises(ValidationError):
-        initial_state(paper_params, phi=phi).validate(paper_params)
+        displaced(paper_params, phi)
 
 
 # -- forces -------------------------------------------------------------------
@@ -71,7 +82,7 @@ def test_interior_elastic_force_is_second_difference():
     phi = np.zeros(101)
     phi[40] = 1.0
     phi[60] = -1.0   # keep the constraint satisfied
-    st0 = initial_state(p, phi=phi)
+    st0 = displaced(p, phi)
     f_chain, _ = force_field(st0, p)
     k = p.chain.k_c
     assert f_chain[40] == pytest.approx(-2.0 * k)
@@ -83,7 +94,7 @@ def test_interior_elastic_force_is_second_difference():
 def test_free_end_forces():
     p = paper(N=5, w=0.05, g=0.0)
     phi = np.array([1.0, 0.0, 0.0, 0.0, -1.0])
-    st0 = initial_state(p, phi=phi)
+    st0 = displaced(p, phi)
     f_chain, _ = force_field(st0, p)
     k = p.chain.k_c
     # end dipole couples to its single neighbor only
@@ -95,7 +106,7 @@ def test_elastic_forces_conserve_total_momentum(rng):
     p = paper(N=101, w=0.05, g=0.0)
     phi = rng.standard_normal(101)
     phi -= phi.mean()
-    st0 = initial_state(p, phi=phi)
+    st0 = displaced(p, phi)
     f_chain, _ = force_field(st0, p)
     assert abs(f_chain.sum()) <= 1e-12 * np.abs(f_chain).max()
 
@@ -127,7 +138,7 @@ def test_telescoping_residual_small_for_wide_kernel():
 def test_detector_force_direction(paper_params):
     # displaced chain pulls the detector through the h''' term
     phi = mode_profile(paper_params, [2], [1e-3])
-    st0 = initial_state(paper_params, x_d=0.1, phi=phi)
+    st0 = displaced(paper_params, phi, x_d=0.1)
     _, f_det = force_field(st0, paper_params)
     assert f_det != 0.0
 
@@ -162,7 +173,7 @@ def test_single_mode_oscillates_at_formula_frequency():
     alpha = p.chain.N - 1
     omega = mode_frequency(alpha, p.chain)
     phi0 = mode_profile(p, [alpha], [1e-6])
-    st0 = initial_state(p, phi=phi0)
+    st0 = displaced(p, phi0)
     dt = 5e-6
     steps = 3200   # ~10 periods
     traj = integrate(st0, p, dt, steps, store_every=5)
@@ -177,7 +188,7 @@ def test_low_mode_energy_drift(rng):
     # regime where the symplectic energy error stays at the roundoff floor
     p = paper(N=2001, g=0.0)
     phi0 = mode_profile(p, [1, 2, 3], [1e-3, 5e-4, 2.5e-4])
-    st0 = initial_state(p, phi=phi0)
+    st0 = displaced(p, phi0)
     e0 = total_energy(st0, p)
     traj = integrate(st0, p, 1e-4, 10_000, store_every=10_000)
     e1 = total_energy(traj.final, p)
@@ -187,7 +198,7 @@ def test_low_mode_energy_drift(rng):
 def test_leapfrog_reversibility(rng):
     p = paper(N=501, g=0.0)
     phi0 = mode_profile(p, [1, 3, 7], [1e-3, 4e-4, 2e-4])
-    st0 = initial_state(p, phi=phi0)
+    st0 = displaced(p, phi0)
     fwd = integrate(st0, p, 1e-4, 500, store_every=500)
     back = integrate(fwd.final, p, -1e-4, 500, store_every=500)
     scale = np.abs(st0.phi).max()
@@ -202,7 +213,7 @@ def test_dynamic_detector_conserves_total_energy():
     phi0 = mode_profile(p, [1, 2], [1e-3, 5e-4])
     drifts = []
     for dt, steps in ((5e-5, 4000), (2.5e-5, 8000)):
-        st0 = initial_state(p, x_d=0.02, v=0.3, phi=phi0)
+        st0 = displaced(p, phi0, x_d=0.02, v=0.3)
         e0 = total_energy(st0, p)
         fin = integrate(st0, p, dt, steps, mode="dynamic", store_every=steps).final
         assert fin.x_d != pytest.approx(0.02 + 0.3 * fin.t, abs=1e-12)
@@ -238,7 +249,7 @@ def test_integrate_matches_per_step_reference(mode, g, dt, steps, store_every):
     chain, det = p.chain, p.detector
     phi0 = mode_profile(p, [1, 3], [1e-3, 4e-4])
     p0 = 0.5 * mode_profile(p, [2], [2e-3])
-    st0 = initial_state(p, x_d=0.02, v=0.3, phi=phi0, p=p0)
+    st0 = displaced(p, phi0, p0, x_d=0.02, v=0.3)
     run = integrate(st0, p, dt, steps, mode=mode, store_every=store_every)
     ref = leapfrog_reference(st0.phi, st0.p, st0.x_d, st0.p_d, st0.t, chain.a_c,
                              chain.m_c, chain.k_c, det.M_d,
@@ -255,7 +266,7 @@ def test_integrate_matches_per_step_reference(mode, g, dt, steps, store_every):
 def test_reversibility_property(steps):
     p = paper(N=101, w=0.05, g=0.0)
     phi0 = mode_profile(p, [2, 5], [1e-3, 3e-4])
-    st0 = initial_state(p, phi=phi0)
+    st0 = displaced(p, phi0)
     fwd = integrate(st0, p, 2e-4, steps, store_every=steps)
     back = integrate(fwd.final, p, -2e-4, steps, store_every=steps)
     assert np.abs(back.final.phi - st0.phi).max() <= 1e-8 * np.abs(st0.phi).max()

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ginzburg import quantum
-from ginzburg.errors import GuardError, StabilityError, ValidationError
+from ginzburg.errors import GuardError, ValidationError
 from ginzburg.meanfield import Trajectory
 from ginzburg.modes import mode_coupling, mode_frequency, resonance_mode
 from ginzburg.params import build_params
@@ -31,6 +31,7 @@ from oracles import (_kron_ladders, dense_full_hamiltonian, excited_projector,
 
 V_RES = 2.0  # alpha* = 10 on the paper chain
 GT_UNIT = 0.05  # |g_10| t / hbar per unit time after rescaling
+HBAR = 1.0  # hbar of the paper preset, the units of every coupling here
 
 
 def scaled_setup():
@@ -194,9 +195,10 @@ def test_exact_budget_counts_dense_copies(c10, monkeypatch):
     h = build_ndpa(c10, space)
     monkeypatch.setattr(quantum, "OPERATOR_BYTES", 2 ** 21)
     with pytest.raises(ValidationError, match="dim 202.*2 MiB budget"):
-        evolve_exact(h, space.vacuum(), 0.1)
+        evolve_exact(h, space.vacuum(), 0.1, HBAR)
     monkeypatch.setattr(quantum, "OPERATOR_BYTES", 80 * h.size)
-    assert evolve_exact(h, space.vacuum(), 0.1).norm == pytest.approx(1.0, abs=1e-12)
+    psi = evolve_exact(h, space.vacuum(), 0.1, HBAR)
+    assert psi.norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vacuum_budget_before_allocation():
@@ -238,19 +240,19 @@ def test_evolve_exact_identity_and_norm(c10, rng):
     space = FockSpace(modes=((10, 1),), detector_qubits=1)
     h = build_ndpa(c10, space)
     psi0 = space.vacuum()
-    same = evolve_exact(h, psi0, 0.0)
+    same = evolve_exact(h, psi0, 0.0, HBAR)
     np.testing.assert_allclose(same.amplitudes, psi0.amplitudes, atol=1e-14)
 
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h_rand = raw + raw.conj().T
-    moved = evolve_exact(h_rand, psi0, 7.3)
+    moved = evolve_exact(h_rand, psi0, 7.3, HBAR)
     assert abs(moved.norm - 1.0) < 1e-12
 
     for bad_t in (-0.1, math.nan, math.inf):
         with pytest.raises(ValidationError):
-            evolve_exact(h, psi0, bad_t)
+            evolve_exact(h, psi0, bad_t, HBAR)
     with pytest.raises(ValidationError):
-        evolve_exact(raw, psi0, 1.0)
+        evolve_exact(raw, psi0, 1.0, HBAR)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])
@@ -260,7 +262,7 @@ def test_ndpa_probability_is_sine_squared(c10, n_max):
     space = FockSpace(modes=((10, n_max),), detector_qubits=1)
     h = build_ndpa(c10, space)
     t = 6.0
-    psi = evolve_exact(h, space.vacuum(), t)
+    psi = evolve_exact(h, space.vacuum(), t, HBAR)
     x = abs(c10.g_alpha) * t / 2.0
     assert psi.excitation_probability() == pytest.approx(math.sin(x) ** 2,
                                                          rel=1e-12)
@@ -274,7 +276,7 @@ def test_small_time_quadratic(c10):
     space = FockSpace(modes=((10, 1),), detector_qubits=1)
     h = build_ndpa(c10, space)
     t = 0.2  # g t / hbar = 0.01
-    psi = evolve_exact(h, space.vacuum(), t)
+    psi = evolve_exact(h, space.vacuum(), t, HBAR)
     x = abs(c10.g_alpha) * t / 2.0
     assert psi.excitation_probability() == pytest.approx(x ** 2, rel=1e-4)
 
@@ -290,14 +292,14 @@ def pair_space(c):
 def test_perturbative_matches_exact_in_window(c10):
     t = 2.0  # g t / hbar = 0.1
     space, h = pair_space(c10)
-    pert = evolve_perturbative(h, space.vacuum(), t).normalized()
+    pert = evolve_perturbative(h, space.vacuum(), t, HBAR).normalized()
     x = abs(c10.g_alpha) * t / 2.0
     expected = x ** 2 / (1.0 + x ** 2)
     assert pert.excitation_probability() == pytest.approx(expected, rel=1e-12)
     assert pert.excitation_probability() == pytest.approx(
         0.0024937655860349127, rel=1e-12)
 
-    exact = evolve_exact(h, space.vacuum(), t)
+    exact = evolve_exact(h, space.vacuum(), t, HBAR)
     assert abs(pert.excitation_probability()
                - exact.excitation_probability()) < 1e-5
     assert abs(pert.norm - 1.0) < 1e-12
@@ -326,7 +328,7 @@ def test_perturbative_is_the_first_order_step(c10, rng):
 
 def test_perturbative_zero_time_is_vacuum(c10):
     space, h = pair_space(c10)
-    psi = evolve_perturbative(h, space.vacuum(), 0.0)
+    psi = evolve_perturbative(h, space.vacuum(), 0.0, HBAR)
     assert psi.probability(0, (0,)) == 1.0
 
 
@@ -334,17 +336,17 @@ def test_perturbative_rejects_bad_time(c10):
     space, h = pair_space(c10)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValidationError):
-            evolve_perturbative(h, space.vacuum(), bad)
+            evolve_perturbative(h, space.vacuum(), bad, HBAR)
 
 
 def test_perturbative_guard(c10, monkeypatch):
     space, h = pair_space(c10)
     t_past = 0.4 / abs(c10.g_alpha)
     with pytest.raises(GuardError) as err:
-        evolve_perturbative(h, space.vacuum(), t_past)
+        evolve_perturbative(h, space.vacuum(), t_past, HBAR)
     assert "evolve_exact" in str(err.value)
     monkeypatch.setattr(quantum, "DEFAULT_PERTURBATIVE_GUARD", 0.5)
-    loosened = evolve_perturbative(h, space.vacuum(), t_past)
+    loosened = evolve_perturbative(h, space.vacuum(), t_past, HBAR)
     # |0,g> - i (g t / 2) |1,e> with g t = 0.4
     assert loosened.norm == pytest.approx(math.sqrt(1.04), rel=1e-12)
 
@@ -355,7 +357,7 @@ def test_perturbative_guard_reads_the_hamiltonian(c10):
     h = build_ndpa(c10, space)
     t = 0.2 / abs(c10.g_alpha)  # |g| t = 0.2, 2 max|H_ij| t = 0.4
     with pytest.raises(GuardError):
-        evolve_perturbative(h, space.vacuum(), t)
+        evolve_perturbative(h, space.vacuum(), t, HBAR)
     evolve_perturbative(h, space.vacuum(), t, hbar=2.0)
 
 
@@ -366,8 +368,8 @@ def test_perturbative_amplitude_error_is_third_order(c10):
     errs = []
     for gt in (0.2, 0.1):
         t = gt / abs(c10.g_alpha)
-        pert = evolve_perturbative(h, space.vacuum(), t).normalized()
-        exact = evolve_exact(h, space.vacuum(), t)
+        pert = evolve_perturbative(h, space.vacuum(), t, HBAR).normalized()
+        exact = evolve_exact(h, space.vacuum(), t, HBAR)
         errs.append(abs(pert.amplitudes[idx] - exact.amplitudes[idx]))
     ratio = errs[0] / errs[1]
     assert 7.0 < ratio < 9.0
@@ -385,7 +387,7 @@ def test_excitation_energy_grows_monotonically(scaled, c10):
     quantum = params.hbar * (c10.omega_alpha + omega_d)
     energies = []
     for gt in np.linspace(0.05, 1.0, 12):
-        psi = evolve_exact(h, space.vacuum(), gt / abs(c10.g_alpha))
+        psi = evolve_exact(h, space.vacuum(), gt / abs(c10.g_alpha), HBAR)
         e = psi.expectation(h0)
         assert e == pytest.approx(quantum * math.sin(gt / 2.0) ** 2, rel=1e-10)
         energies.append(e)
@@ -402,7 +404,7 @@ def test_squeezer_pair_spectrum():
     _, (a1, a2) = _kron_ladders([n_max, n_max])
     ab = a1 @ a2
     h = 0.5 * g * (ab + ab.conj().T)
-    psi = evolve_exact(h, space.vacuum(), 2.0 * r / g)
+    psi = evolve_exact(h, space.vacuum(), 2.0 * r / g, HBAR)
     assert psi.excitation_probability() == 0.0
 
     expected = squeezing_pair_populations(r, n_max)
@@ -464,12 +466,6 @@ def test_full_zero_time_and_dt_guard(scaled, c10):
     same = evolve_full(space.vacuum(), 0.0, traj, [c10], space, params)
     assert same.probability(0, (0,)) == pytest.approx(1.0, abs=1e-14)
 
-    dt_max = 2.0 * math.pi / (50.0 * (c10.omega_alpha + omega_d))
-    with pytest.raises(StabilityError):
-        evolve_full(space.vacuum(), 0.1, traj, [c10], space, params,
-                    dt=1.5 * dt_max)
-    with pytest.raises(StabilityError):
-        evolve_full(space.vacuum(), 0.1, traj, [c10], space, params, dt=-1e-4)
     for bad_t in (-0.1, math.nan, math.inf):
         with pytest.raises(ValidationError):
             evolve_full(space.vacuum(), bad_t, traj, [c10], space, params)
@@ -485,14 +481,11 @@ def test_full_zero_time_and_dt_guard(scaled, c10):
 
 
 @pytest.mark.parametrize("kwargs, match", [
-    ({"dt": math.nan}, "dt must be finite"),
-    ({"dt": math.inf}, "dt must be finite"),
     ({"omega_d": math.nan}, "omega_d must be positive"),
     ({"omega_d": math.inf}, "omega_d must be positive"),
     ({"omega_d": 0.0}, "omega_d must be positive"),
     ({"omega_d": -1e6}, "omega_d must be positive"),
-], ids=["dt_nan", "dt_inf", "omega_d_nan", "omega_d_inf", "omega_d_0",
-        "omega_d_negative"])
+], ids=["omega_d_nan", "omega_d_inf", "omega_d_0", "omega_d_negative"])
 def test_full_rejects_bad_dt_and_omega_d(scaled, c10, kwargs, match):
     params, _ = scaled
     space = FockSpace(modes=((10, 1),), detector_qubits=1)
@@ -534,7 +527,8 @@ def test_full_matches_ndpa_on_resonance(scaled):
     ("cli_window3", 1.0, None),    # dim 384, seven modes
     ("strong_random", 800.0, None),  # random start, 3 sub-steps, 4200 steps
 ])
-def test_full_matches_dense_magnus2_oracle(scaled, rng, setup, gt, dt_scale):
+def test_full_matches_dense_magnus2_oracle(scaled, rng, monkeypatch, setup, gt,
+                                           dt_scale):
     if setup.startswith("cli"):
         params, omega_d, couplings, space, g_res = cli_default_setup(
             3 if setup == "cli_window3" else 2)
@@ -559,6 +553,9 @@ def test_full_matches_dense_magnus2_oracle(scaled, rng, setup, gt, dt_scale):
     dt_max = 2.0 * math.pi / (50.0 * (max(c.omega_alpha for c in couplings)
                                        + omega_d))
     dt = dt_scale * dt_max if dt_scale else None
+    if dt_scale:
+        # evolve_full reads its steps per cycle when it runs
+        monkeypatch.setattr(quantum, "FULL_STEPS_PER_CYCLE", 50.0 / dt_scale)
     if setup == "cli_default":
         # a single step with ||H|| t / hbar > 10 needs the sub-stepping
         h_mid = dense_full_hamiltonian(t / 2.0, V_RES * t / 2.0, modes_in,
@@ -574,8 +571,7 @@ def test_full_matches_dense_magnus2_oracle(scaled, rng, setup, gt, dt_scale):
         assert math.ceil(theta) == 3
 
     traj = Trajectory(0.0, V_RES)
-    psi = evolve_full(psi0, t, traj, couplings, space, params,
-                      omega_d, dt=dt)
+    psi = evolve_full(psi0, t, traj, couplings, space, params, omega_d)
     expected = magnus2_dense(psi0.amplitudes, t, dt or dt_max,
                              traj.x0, traj.v, modes_in, omega_d,
                              params.chain.L, params.chain.c_s, params.hbar)

@@ -15,8 +15,8 @@ _spec = importlib.util.spec_from_file_location("src_stats",
 src_stats = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(src_stats)
 
-MAX_DEFAULT_PARAMETERS = 35
-MAX_DEFAULT_FIELDS = 13
+MAX_DEFAULT_PARAMETERS = 30
+MAX_DEFAULT_FIELDS = 8
 MAX_CLI_OPTIONS = 65
 
 

@@ -53,9 +53,10 @@ def test_branch_spec_validation():
                      omega_alpha=OMEGA_A1, f_factor=1.0)
     with pytest.raises(ValidationError):
         BranchSpec(branches=(Branch(0.0, 2.0, 10, c), Branch(0.0, 2.1, 10, c)),
-                   theta=0.3, phi=0.0)
+                   theta=0.3, phi=0.0, hbar=1.0)
     with pytest.raises(ValidationError):
-        BranchSpec(branches=(Branch(0.0, 2.0, 10, c),), theta=0.3, phi=0.0)
+        BranchSpec(branches=(Branch(0.0, 2.0, 10, c),), theta=0.3, phi=0.0,
+                   hbar=1.0)
 
 
 def test_superposition_weights():
@@ -191,7 +192,7 @@ def test_localized_limit_excites_exactly_one_mode():
     c1 = spec.branches[0].coupling
     space = FockSpace(modes=((c1.alpha, 1),))
     lone = evolve_perturbative(build_ndpa(c1, space), space.vacuum(),
-                               0.2).normalized()
+                               0.2, spec.hbar).normalized()
     assert det.population((1,)) == pytest.approx(
         lone.excitation_probability(), rel=1e-12)
 
