@@ -26,7 +26,7 @@ from .params import (ChainParams, CouplingParams, DetectorParams, RegimeCheck,
                      RegimeReport, SystemParams, build_params, load_params,
                      regime_check)
 from .specfun import bessel_k1, cutoff_f, kernel_h, kernel_h_deriv
-from .modes import (DEFAULT_Y_MAX, ModeCoupling, ModeSpectrum, Resonance,
+from .modes import (Y_MAX, ModeCoupling, ModeSpectrum, Resonance,
                     ResonancePair, coupling_strengths, mode_coupling,
                     mode_frequencies, mode_frequency, mode_function,
                     mode_spectrum, resonance_mode, resonance_pair)
@@ -51,7 +51,7 @@ __all__ = [
     "RegimeReport", "SystemParams", "build_params", "load_params",
     "regime_check",
     "bessel_k1", "cutoff_f", "kernel_h", "kernel_h_deriv",
-    "DEFAULT_Y_MAX", "ModeCoupling", "ModeSpectrum", "Resonance",
+    "Y_MAX", "ModeCoupling", "ModeSpectrum", "Resonance",
     "ResonancePair", "coupling_strengths", "mode_coupling", "mode_frequencies",
     "mode_frequency", "mode_function", "mode_spectrum", "resonance_mode",
     "resonance_pair",

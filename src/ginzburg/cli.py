@@ -23,8 +23,8 @@ from .errors import GinzburgError, GuardError, ToleranceError, ValidationError
 from .io_utils import (load_manifest, sha256_file, write_csv, write_json,
                        write_manifest)
 from .params import build_params, load_params, regime_check
-from .modes import (DEFAULT_Y_MAX, coupling_strengths, mode_coupling,
-                    mode_spectrum, resonance_mode, resonance_pair)
+from .modes import (Y_MAX, coupling_strengths, mode_coupling, mode_spectrum,
+                    resonance_mode, resonance_pair)
 from .meanfield import Trajectory, meanfield_closed, profile
 from .discrete_oracle import (initial_state, integrate, max_stable_dt,
                               site_positions)
@@ -111,12 +111,12 @@ def _omega_d(args, params) -> float:
 
 def _cmd_modes(args, params):
     omega_d = _omega_d(args, params)
-    spec = mode_spectrum(params, y_max=args.y_max)
+    spec = mode_spectrum(params)
     g = coupling_strengths(params, omega_d, alphas=spec.alphas)
     rows = [(int(a), float(om), float(gv), float(fv), bool(r))
             for a, om, gv, fv, r in zip(spec.alphas, spec.omega, g, spec.f, spec.retained)]
     out = write_csv(args.csv, ["alpha", "omega", "g_alpha", "f_factor", "retained"], rows)
-    return (f"modes: {len(rows)} modes, {spec.n_retained} retained (y_max={args.y_max}), "
+    return (f"modes: {len(rows)} modes, {spec.n_retained} retained (y_max={Y_MAX}), "
             f"max |g_alpha|/hbar = {np.max(np.abs(g)) / params.hbar:.6g} -> {out}",
             [out])
 
@@ -188,14 +188,13 @@ def _cmd_resonance(args, params):
         if omega_d2 is None:
             omega_d2 = (params.detector.omega_d2 if params.detector.two_level
                         else omega_d)
-        pair = resonance_pair(args.v, args.v2, omega_d, omega_d2, params,
-                              y_max=args.y_max)
+        pair = resonance_pair(args.v, args.v2, omega_d, omega_d2, params)
         payload = {**asdict(pair), "mode": "pair", "v1": args.v, "v2": args.v2,
                    "omega_d1": omega_d, "omega_d2": omega_d2}
         summary = (f"resonance pair: alpha1={pair.alpha1}, alpha2={pair.alpha2}, "
                    f"selectivity_violated={pair.selectivity_violated}")
     else:
-        res = resonance_mode(args.v, omega_d, params, y_max=args.y_max)
+        res = resonance_mode(args.v, omega_d, params)
         payload = {**asdict(res), "mode": "single", "v": args.v, "omega_d": omega_d}
         summary = (f"resonance: alpha0={res.alpha0}, Omega*={res.omega_star:.6g}, "
                    f"detuning={res.detuning:.4e}")
@@ -216,8 +215,8 @@ def _exact_option(err: GuardError, option: str) -> GuardError:
 
 def _cmd_evolve(args, params):
     omega_d = _omega_d(args, params)
-    res = resonance_mode(args.v, omega_d, params, y_max=args.y_max)
-    coupling = mode_coupling(res.alpha0, params, omega_d, y_max=args.y_max)
+    res = resonance_mode(args.v, omega_d, params)
+    coupling = mode_coupling(res.alpha0, params, omega_d)
     g_abs = abs(coupling.g_alpha)
     if g_abs == 0.0:
         raise ValidationError("resonant coupling is zero; nothing to evolve")
@@ -226,7 +225,7 @@ def _cmd_evolve(args, params):
         if args.window < 0:
             raise ValidationError(f"--window must be >= 0, got {args.window}")
         lo, hi = res.alpha0 - args.window, res.alpha0 + args.window
-        couplings = [mode_coupling(a, params, omega_d, y_max=args.y_max)
+        couplings = [mode_coupling(a, params, omega_d)
                      for a in range(max(1, lo), min(params.chain.N - 1, hi) + 1)]
         space = FockSpace(modes=tuple(
             (c.alpha, args.n_max if c.alpha == res.alpha0 else args.n_max_offres)
@@ -269,7 +268,7 @@ def _cmd_reduced_state(args, params):
     spec = branch_spec_from_resonance(
         params, args.v1, args.v2, args.theta, args.phi,
         omega_d=_omega_d(args, params), omega_d2=omega_d2,
-        x0_1=args.x0, x0_2=args.x0_2, y_max=args.y_max)
+        x0_1=args.x0, x0_2=args.x0_2)
     g1 = abs(spec.branches[0].coupling.g_alpha)
     t = args.t if args.t is not None else args.gt * params.hbar / g1
 
@@ -341,8 +340,7 @@ def _cmd_regime(args, params):
     trajectories = [(args.x0, args.v)]
     if args.v2 is not None:
         trajectories.append((0.0 if args.x0_2 is None else args.x0_2, args.v2))
-    report = regime_check(params, (0.0, args.t_end), trajectories,
-                          y_max=args.y_max)
+    report = regime_check(params, args.t_end, trajectories)
     outputs = []
     if args.json:
         payload = report.to_dict()
@@ -390,12 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", type=str, default=None,
                         help="JSON config file (default: paper units, N=2001, w=0.01)")
-    # only the subcommands that pick modes by the cutoff take --y-max
-    cutoff = argparse.ArgumentParser(add_help=False, parents=[common])
-    cutoff.add_argument("--y-max", type=_positive_float, default=DEFAULT_Y_MAX,
-                        help="mode cutoff Omega*w/c_s (default %(default)s)")
 
-    p = sub.add_parser("modes", parents=[cutoff],
+    p = sub.add_parser("modes", parents=[common],
                        help="mode table: frequency, coupling, cutoff factor")
     p.add_argument("--csv", required=True)
     p.add_argument("--omega-d", type=_finite_float, default=None)
@@ -428,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.set_defaults(func=_cmd_oracle_compare)
 
-    p = sub.add_parser("resonance", parents=[cutoff],
+    p = sub.add_parser("resonance", parents=[common],
                        help="resonant mode index for one or two trajectories")
     p.add_argument("--v", type=_finite_float, required=True)
     p.add_argument("--omega-d", type=_finite_float, default=None)
@@ -437,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", type=str, default=None)
     p.set_defaults(func=_cmd_resonance)
 
-    p = sub.add_parser("evolve", parents=[cutoff],
+    p = sub.add_parser("evolve", parents=[common],
                        help="detector excitation for a localized trajectory")
     p.add_argument("--scheme", required=True,
                    choices=["exact", "perturbative", "full"])
@@ -455,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("reduced-state", parents=[cutoff],
+    p = sub.add_parser("reduced-state", parents=[common],
                        help="superposed-trajectory reduced states and verdicts")
     p.add_argument("--theta", type=_finite_float, required=True)
     p.add_argument("--phi", type=_finite_float, default=0.0)
@@ -475,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also sweep phi over {0, pi/4, pi/2, 3pi/4}")
     p.set_defaults(func=_cmd_reduced_state)
 
-    p = sub.add_parser("regime", parents=[cutoff],
+    p = sub.add_parser("regime", parents=[common],
                        help="approximation-regime report for a run window")
     p.add_argument("--v", type=_finite_float, required=True)
     p.add_argument("--x0", type=_finite_float, default=0.0)

@@ -16,8 +16,8 @@ The renormalized mode-detector coupling is
               * f(Omega_alpha w / c_s),
 
 negative for positive inputs; probabilities only ever use |g_alpha|.  Modes
-with Omega_alpha w / c_s > y_max are truncated (default y_max = 10, where
-f < 1e-3).
+with Omega_alpha w / c_s > Y_MAX = 10, where f < 1e-3, are truncated; the
+cutoff is a model constant, read when each call runs.
 
 A detector moving at v > c_s resonates with the mode where
 
@@ -32,8 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModeCutoffError, ModeIndexError, SubsonicError, ValidationError
-from .params import DEFAULT_Y_MAX, ChainParams, SystemParams
+from .params import ChainParams, SystemParams
 from .specfun import cutoff_f
+
+# modes with Omega_alpha w / c_s above this are cut off (f < 1e-3 there)
+Y_MAX = 10.0
 
 
 def _check_alpha(alpha, N):
@@ -89,8 +92,7 @@ class ModeSpectrum:
     alphas: np.ndarray     # 1..N-1
     omega: np.ndarray      # Omega_alpha
     f: np.ndarray          # cutoff factor f(Omega_alpha w / c_s)
-    retained: np.ndarray   # bool: Omega_alpha * w / c_s <= y_max
-    y_max: float
+    retained: np.ndarray   # bool: Omega_alpha * w / c_s <= Y_MAX
 
     @property
     def retained_alphas(self) -> np.ndarray:
@@ -107,18 +109,17 @@ class ModeSpectrum:
             raise ModeIndexError(f"alpha_max must be an integer in 1..{n}, got {alpha_max!r}")
         head = slice(0, alpha_max)
         return ModeSpectrum(alphas=self.alphas[head], omega=self.omega[head],
-                            f=self.f[head], retained=self.retained[head],
-                            y_max=self.y_max)
+                            f=self.f[head], retained=self.retained[head])
 
 
-def mode_spectrum(params: SystemParams, y_max: float = DEFAULT_Y_MAX) -> ModeSpectrum:
+def mode_spectrum(params: SystemParams) -> ModeSpectrum:
     """All modes 1..N-1: the series and mode-sum routes, the resonance
     pair, the mode CSV and the regime report read their modes from here."""
     alphas = np.arange(1, params.chain.N)
     omega = mode_frequencies(params.chain, alphas)
     y = _cutoff_y(omega, params)
     return ModeSpectrum(alphas=alphas, omega=omega, f=cutoff_f(y),
-                        retained=y <= y_max, y_max=y_max)
+                        retained=y <= Y_MAX)
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ class ModeCoupling:
 def coupling_strengths(params: SystemParams, omega_d, alphas=None) -> np.ndarray:
     """g_alpha for an index array, cutoff applied as a factor (no truncation).
 
-    The cutoff enters only through f; indices past y_max still get their
+    The cutoff enters only through f; indices past Y_MAX still get their
     formula value here, so CSV emission can show the suppressed tail.
     """
     chain, det = params.chain, params.detector
@@ -145,8 +146,7 @@ def coupling_strengths(params: SystemParams, omega_d, alphas=None) -> np.ndarray
     return pref * root * cutoff_f(_cutoff_y(omega, params))
 
 
-def mode_coupling(alpha, params: SystemParams, omega_d,
-                  y_max: float = DEFAULT_Y_MAX) -> ModeCoupling:
+def mode_coupling(alpha, params: SystemParams, omega_d) -> ModeCoupling:
     """Signed coupling g_alpha for one retained mode.
 
     Raises ModeIndexError outside 1..N-1 and ModeCutoffError for valid
@@ -156,9 +156,9 @@ def mode_coupling(alpha, params: SystemParams, omega_d,
     _check_alpha(alpha, chain.N)
     omega = mode_frequency(alpha, chain)
     y = _cutoff_y(omega, params)
-    if y > y_max:
+    if y > Y_MAX:
         raise ModeCutoffError(
-            f"mode {alpha} truncated: Omega_alpha*w/c_s = {y:.4g} > y_max = {y_max}")
+            f"mode {alpha} truncated: Omega_alpha*w/c_s = {y:.4g} > y_max = {Y_MAX}")
     g_alpha = float(coupling_strengths(params, omega_d, alphas=np.array([alpha]))[0])
     return ModeCoupling(alpha=int(alpha), g_alpha=g_alpha, omega_d=float(omega_d),
                         omega_alpha=omega, f_factor=float(cutoff_f(y)))
@@ -179,8 +179,7 @@ def _detuning(alpha, v, omega_d, chain: ChainParams) -> float:
     return abs(v * om / chain.c_s - om - omega_d)
 
 
-def resonance_mode(v, omega_d, params: SystemParams,
-                   y_max: float = DEFAULT_Y_MAX) -> Resonance:
+def resonance_mode(v, omega_d, params: SystemParams) -> Resonance:
     """Mode index closest to the Ginzburg resonance v*Omega/c_s = Omega + omega_d.
 
     Solves Omega* = omega_d c_s/(v - c_s); the returned alpha0 minimizes the
@@ -208,9 +207,9 @@ def resonance_mode(v, omega_d, params: SystemParams,
     alpha0 = min(candidates, key=lambda a: _detuning(a, v, omega_d, chain))
 
     y = _cutoff_y(mode_frequency(alpha0, chain), params)
-    if y > y_max:
+    if y > Y_MAX:
         raise ModeCutoffError(
-            f"resonant mode {alpha0} lies past the cutoff (y = {y:.4g} > {y_max})")
+            f"resonant mode {alpha0} lies past the cutoff (y = {y:.4g} > {Y_MAX})")
     return Resonance(alpha0=alpha0, detuning=_detuning(alpha0, v, omega_d, chain),
                      omega_star=omega_star, alpha_linear=alpha_linear)
 
@@ -231,8 +230,7 @@ class ResonancePair:
     degenerate_modes: bool
 
 
-def resonance_pair(v1, v2, omega_d1, omega_d2, params: SystemParams,
-                   y_max: float = DEFAULT_Y_MAX) -> ResonancePair:
+def resonance_pair(v1, v2, omega_d1, omega_d2, params: SystemParams) -> ResonancePair:
     """Resonant indices for two branches plus cross-resonance diagnostics.
 
     Branch i pairs v_i with omega_di.  Selectivity requires that no retained
@@ -246,15 +244,15 @@ def resonance_pair(v1, v2, omega_d1, omega_d2, params: SystemParams,
     if not (c_s < v1 < v2):
         raise ValidationError(
             f"need c_s < v1 < v2, got c_s={c_s:.6g}, v1={v1:.6g}, v2={v2:.6g}")
-    r1 = resonance_mode(v1, omega_d1, params, y_max=y_max)
-    r2 = resonance_mode(v2, omega_d2, params, y_max=y_max)
+    r1 = resonance_mode(v1, omega_d1, params)
+    r2 = resonance_mode(v2, omega_d2, params)
 
-    g1 = mode_coupling(r1.alpha0, params, omega_d1, y_max=y_max).g_alpha
-    g2 = mode_coupling(r2.alpha0, params, omega_d2, y_max=y_max).g_alpha
+    g1 = mode_coupling(r1.alpha0, params, omega_d1).g_alpha
+    g2 = mode_coupling(r2.alpha0, params, omega_d2).g_alpha
     guard_band = 20.0 * max(abs(g1), abs(g2)) / params.hbar
 
     cross_nearest = {}
-    spectrum = mode_spectrum(params, y_max=y_max)
+    spectrum = mode_spectrum(params)
     retained = spectrum.retained_alphas
     omega_ret = spectrum.omega[spectrum.retained]
     violated = False

@@ -26,8 +26,6 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 from .errors import ValidationError
 
-# modes with Omega_alpha w / c_s above this are cut off (f < 1e-3 there)
-DEFAULT_Y_MAX = 10.0
 # factor such that "x much greater than y" means x/y >= MUCH_FACTOR
 MUCH_FACTOR = 10.0
 # weak coupling means max |g_alpha| t / hbar <= WEAK_COUPLING_MAX
@@ -340,17 +338,15 @@ class RegimeReport:
                 "checks": [asdict(c) for c in self.checks]}
 
 
-def regime_check(params: SystemParams, window, trajectories,
-                 y_max: float = DEFAULT_Y_MAX) -> RegimeReport:
-    """Evaluate the regime flags for a run window and a set of trajectories.
-
-    window: (t_start, t_end) in the active units; trajectories: iterable of
-    (x0, v) pairs.  Flags ("much greater" means a ratio >= MUCH_FACTOR):
+def regime_check(params: SystemParams, t_end: float, trajectories) -> RegimeReport:
+    """Evaluate the regime flags for a run from t = 0 to t_end and a set of
+    trajectories, each an (x0, v) pair.  Flags ("much greater" means a ratio
+    >= MUCH_FACTOR):
 
       w_over_ac        w >> a_c
       L_over_w         L >> w
       edge_distance    detector stays far from the chain edges: the minimum
-                       distance (L/2 - |x_d|) over the window, measured in
+                       distance (L/2 - |x_d|) over the run, measured in
                        units of w, must be >= MUCH_FACTOR
       mode_wavelength  lambda_alpha >= w for the modes that actually couple
                        (cutoff f >= 1/2); the shorter retained modes carry
@@ -362,9 +358,7 @@ def regime_check(params: SystemParams, window, trajectories,
 
     if not trajectories:
         raise ValidationError("regime_check requires at least one trajectory")
-    t0, t1 = float(window[0]), float(window[1])
-    if not (math.isfinite(t0) and math.isfinite(t1) and t1 >= t0):
-        raise ValidationError(f"window must be a finite interval, got {window}")
+    _check_time(t_end)
 
     chain, det = params.chain, params.detector
     L, w = chain.L, det.w
@@ -377,13 +371,12 @@ def regime_check(params: SystemParams, window, trajectories,
 
     max_excursion = 0.0
     for x0, v in trajectories:
-        for t in (t0, t1):
-            max_excursion = max(max_excursion, abs(x0 + v * t))
+        max_excursion = max(max_excursion, abs(x0), abs(x0 + v * t_end))
     r = (L / 2.0 - max_excursion) / w
     checks.append(RegimeCheck("edge_distance", r, MUCH_FACTOR, "ge", r >= MUCH_FACTOR,
                               note=f"max |x_d| = {max_excursion:.6g}"))
 
-    spec = mode_spectrum(params, y_max=y_max)
+    spec = mode_spectrum(params)
     significant = spec.omega[spec.retained & (spec.f >= 0.5)]
     if significant.size:
         lam_min = float((2.0 * math.pi * chain.c_s / significant).min())
@@ -394,7 +387,7 @@ def regime_check(params: SystemParams, window, trajectories,
                               note="min lambda/w over modes with f >= 1/2"))
 
     g_abs = abs(coupling_strengths(params, det.omega_d1)[spec.retained])
-    gt_max = float(g_abs.max()) * max(abs(t0), abs(t1)) / params.hbar if g_abs.size else 0.0
+    gt_max = float(g_abs.max()) * t_end / params.hbar if g_abs.size else 0.0
     checks.append(RegimeCheck("weak_coupling", gt_max, WEAK_COUPLING_MAX, "le",
                               gt_max <= WEAK_COUPLING_MAX,
                               note="max |g_alpha| t / hbar over retained modes"))

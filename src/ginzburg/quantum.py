@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import GuardError, ValidationError
 from .modes import ModeCoupling, _check_omega_d
-from .params import SystemParams, _check_time
+from .params import SystemParams, _check_time, _require_positive
 
 DEFAULT_PERTURBATIVE_GUARD = 0.3
 # fixed-step integrator resolves the fastest phase by this many steps/cycle
@@ -255,6 +255,7 @@ def evolve_exact(h: np.ndarray, psi0: QuantumState, t: float,
                  hbar: float) -> QuantumState:
     """psi(t) = exp(-i H t / hbar) psi0 via dense eigendecomposition."""
     _check_time(t)
+    _require_positive(hbar=hbar)
     # H with the dense copies made from it: the adjoint and difference of the
     # Hermiticity check, eigh's eigenvectors and workspace, and their
     # adjoint, about 80 B per entry of H at the peak
@@ -277,6 +278,7 @@ def evolve_perturbative(h: np.ndarray, psi0: QuantumState, t: float,
     used instead.
     """
     _check_time(t)
+    _require_positive(hbar=hbar)
     gt = 2.0 * float(np.max(np.abs(h))) * t / hbar
     if gt > DEFAULT_PERTURBATIVE_GUARD:
         raise GuardError(
@@ -401,6 +403,8 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
                 omega_d: float | None = None) -> QuantumState:
     """Midpoint-exponential (Magnus-2) stepping of the time-dependent
     Hamiltonian from 0 to t; second-order accurate and unitary to round-off.
+    omega_d, if given, must equal every coupling's omega_d, the detector
+    frequency its g_alpha was computed for.
 
     The step count is the least that keeps dt <= 2 pi / (FULL_STEPS_PER_CYCLE
     omega_fast), omega_fast the largest retained Omega_alpha plus omega_d,
@@ -425,6 +429,10 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
     if omega_d is None:
         omega_d = couplings[0].omega_d
     _check_omega_d(omega_d)
+    for c in couplings:
+        if c.omega_d != omega_d:
+            raise ValidationError(f"omega_d = {omega_d!r} differs from the omega_d = "
+                                  f"{c.omega_d!r} of the mode-{c.alpha} coupling")
     omega_fast = max(c.omega_alpha for c in couplings) + omega_d
     dt = 2.0 * math.pi / (FULL_STEPS_PER_CYCLE * omega_fast)
     n_steps = max(1, int(math.ceil(t / dt)))

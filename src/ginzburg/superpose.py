@@ -11,8 +11,7 @@ Each branch is a localized run on the shared factor space, evolved by one
 of the two single-trajectory paths of quantum:
 
   perturbative   evolve_perturbative, the first-order step under its
-                 weak-coupling guard; kept unnormalized, and the global
-                 state is normalized once when the density matrix is formed
+                 weak-coupling guard, normalized as its own run
   exact          evolve_exact, the unitary rotation of the branch's
                  resonant pair, the oracle for the first-order results
 
@@ -31,8 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .modes import (DEFAULT_Y_MAX, ModeCoupling, mode_coupling, resonance_mode,
-                    resonance_pair)
+from .modes import ModeCoupling, mode_coupling, resonance_mode, resonance_pair
 from .params import SystemParams, _check_time
 from .quantum import (DensityMatrix, FockSpace, QuantumState, build_ndpa,
                       evolve_exact, evolve_perturbative, trace_distance)
@@ -92,8 +90,7 @@ def branch_spec_from_resonance(params: SystemParams, v1: float, v2: float,
                                theta: float, phi: float,
                                omega_d: float | None = None,
                                omega_d2: float | None = None,
-                               x0_1: float = 0.0, x0_2: float = 0.0,
-                               y_max: float = DEFAULT_Y_MAX) -> BranchSpec:
+                               x0_1: float = 0.0, x0_2: float = 0.0) -> BranchSpec:
     """Resolve resonant modes/couplings for two trajectories.
 
     omega_d2 given selects the two-internal-level detector (two_level):
@@ -105,17 +102,15 @@ def branch_spec_from_resonance(params: SystemParams, v1: float, v2: float,
     two_level, selectivity = omega_d2 is not None, False
     omegas = (omega_d, omega_d2 if two_level else omega_d)
     if two_level:
-        pair = resonance_pair(v1, v2, *omegas, params, y_max=y_max)
+        pair = resonance_pair(v1, v2, *omegas, params)
         a1, a2, selectivity = pair.alpha1, pair.alpha2, pair.selectivity_violated
     else:
-        a1, a2 = (resonance_mode(v, omega_d, params, y_max=y_max).alpha0
-                  for v in (v1, v2))
+        a1, a2 = (resonance_mode(v, omega_d, params).alpha0 for v in (v1, v2))
         if a1 == a2:
             raise ValidationError(
                 f"v1 and v2 resonate with the same mode alpha = {a1}; "
                 "the branches would be indistinguishable in the chain")
-    c1, c2 = (mode_coupling(a, params, om, y_max=y_max)
-              for a, om in zip((a1, a2), omegas))
+    c1, c2 = (mode_coupling(a, params, om) for a, om in zip((a1, a2), omegas))
     return BranchSpec(branches=(Branch(x0_1, v1, a1, c1), Branch(x0_2, v2, a2, c2)),
                       theta=theta, phi=phi, hbar=params.hbar,
                       selectivity_violated=selectivity, two_level=two_level)
@@ -123,11 +118,8 @@ def branch_spec_from_resonance(params: SystemParams, v1: float, v2: float,
 
 @dataclass
 class BranchedState:
-    """Weights plus per-branch states over the shared factor space.
-
-    branch_states may be unnormalized (first-order convention); the density
-    matrix normalizes the global vector once.
-    """
+    """Weights plus per-branch states over the shared factor space, each
+    branch state normalized as its own run."""
 
     spec: BranchSpec
     branch_states: tuple[QuantumState, QuantumState]
@@ -159,8 +151,8 @@ def evolve_superposed(spec: BranchSpec, t: float,
 
     Each branch is a localized run: build_ndpa of its mode, on detector
     qubit i of a two-level spec (whose selectivity must hold), on qubit 0
-    otherwise, evolved by evolve_perturbative (unnormalized, under its
-    weak-coupling guard) or evolve_exact.
+    otherwise, evolved by evolve_perturbative (under its weak-coupling
+    guard, then normalized) or evolve_exact.
     """
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}")
@@ -178,9 +170,10 @@ def evolve_superposed(spec: BranchSpec, t: float,
     for i, branch in enumerate(spec.branches):
         h = build_ndpa(branch.coupling, space, i if spec.two_level else 0)
         try:
-            states.append(evolve(h, vac, t, spec.hbar))
+            psi = evolve(h, vac, t, spec.hbar)
         except GuardError as err:
             raise GuardError(f"branch {i + 1}: {err} (method='exact')") from err
+        states.append(psi.normalized() if method == "perturbative" else psi)
     return BranchedState(spec=spec, branch_states=(states[0], states[1]))
 
 

@@ -4,6 +4,7 @@ Most tests drive ginzburg.cli.run() in process; two subprocess checks cover
 the module entry point and the thread-cap environment hook.
 """
 
+import argparse
 import csv
 import hashlib
 import json
@@ -67,33 +68,39 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
     assert "--dt" in err and "-1e-05" in err
-    # a zero time or a negative cutoff is named as the option given
+    # a zero time or a negative tolerance is named as the option given
     for argv, option in ((["oracle-compare", "--v", "0.5", "--t", "0"], "--t"),
-                         (["modes", "--y-max", "-1"], "--y-max")):
+                         (["oracle-compare", "--v", "0.5", "--t", "0.01",
+                           "--tol", "-1"], "--tol")):
         assert run([*argv, "--csv", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1 and f"argument {option}:" in err
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_y_max_only_where_the_cutoff_is_read(tmp_path, capsys):
-    # meanfield and oracle-compare never read the cutoff, so they refuse it
-    for argv in (["meanfield", "--route", "modesum", "--v", "0.5", "--t", "0.01",
-                  "--grid", "11", "--csv"],
-                 ["oracle-compare", "--v", "0.5", "--t", "0.01", "--csv"]):
-        assert run([*argv, str(tmp_path / "x.csv"), "--y-max", "2"]) == 2
-        err = capsys.readouterr().err.strip()
-        assert len(err.splitlines()) == 1 and "--y-max" in err
-    assert list(tmp_path.iterdir()) == []
-    for argv in (["modes", "--csv", "{}.csv"],
-                 ["resonance", "--v", "2.0", "--json", "{}.json"],
-                 ["evolve", "--scheme", "exact", "--v", "2.0", "--gt", "0.1",
-                  "--csv", "{}.csv"],
-                 ["reduced-state", "--theta", "0.5", "--v1", "2.0", "--v2", "1.5",
-                  "--gt", "0.1", "--json", "{}.json"],
-                 ["regime", "--v", "0.5", "--t-end", "0.25"]):
+def test_no_subcommand_takes_y_max(tmp_path, capsys):
+    # the mode cutoff is the model constant modes.Y_MAX: every subcommand
+    # refuses --y-max with a one-line usage error that names it
+    good = [["modes", "--csv", "{}.csv"],
+            ["meanfield", "--route", "modesum", "--v", "0.5", "--t", "0.01",
+             "--grid", "11", "--csv", "{}.csv"],
+            ["oracle-compare", "--v", "0.5", "--t", "0.01", "--csv", "{}.csv"],
+            ["resonance", "--v", "2.0", "--json", "{}.json"],
+            ["evolve", "--scheme", "exact", "--v", "2.0", "--gt", "0.1",
+             "--csv", "{}.csv"],
+            ["reduced-state", "--theta", "0.5", "--v1", "2.0", "--v2", "1.5",
+             "--gt", "0.1", "--json", "{}.json"],
+            ["regime", "--v", "0.5", "--t-end", "0.25"],
+            ["rerun", "{}.manifest.json"]]
+    sub = next(a for a in ginzburg.cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in good} == set(sub.choices)
+    for argv in good:
         argv = [a.format(tmp_path / argv[0]) for a in argv]
-        assert run([*argv, "--y-max", "20"]) == 0, argv
+        assert run([*argv, "--y-max", "10"]) == 2, argv
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "--y-max" in err, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag(capsys):
@@ -362,8 +369,8 @@ def test_bad_time_or_trajectory_exits_2(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["resonance", "--v", "2.0", "--omega-d", "nan", "--json"],
-    ["modes", "--y-max", "nan", "--csv"],
-    ["modes", "--y-max", "inf", "--csv"],
+    ["oracle-compare", "--v", "0.5", "--t", "0.01", "--tol", "nan", "--csv"],
+    ["oracle-compare", "--v", "0.5", "--t", "0.01", "--tol", "inf", "--csv"],
 ])
 def test_non_finite_float_option_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "bad"
@@ -440,12 +447,14 @@ def test_reduced_state_two_level(tmp_path):
     data = json.loads(out.read_text())
     assert data["detector_model"] == "two-level"
     assert [b["alpha"] for b in data["branches"]] == [10, 7]
-    # each branch populates its own level, in the ratio of the couplings
+    # each branch populates its own level: x^2 / (1 + x^2) of its normalized
+    # first-order run, x = |g_alpha| t / 2 hbar
     det_pop = data["populations"]["detector"]
-    g1, g2 = (abs(b["g_alpha"]) for b in data["branches"])
+    hbar = data["params"]["coupling"]["hbar"]
+    x1, x2 = (abs(b["g_alpha"]) * data["t"] / (2.0 * hbar) for b in data["branches"])
     assert det_pop["(2,)"] > 0 and det_pop["(1,)"] > 0
-    assert det_pop["(1,)"] / det_pop["(2,)"] == pytest.approx((g2 / g1) ** 2,
-                                                              rel=1e-6)
+    assert det_pop["(1,)"] / det_pop["(2,)"] == pytest.approx(
+        (x2 ** 2 / (1.0 + x2 ** 2)) / (x1 ** 2 / (1.0 + x1 ** 2)), rel=1e-6)
 
 
 def test_reduced_state_detector_option_is_gone(tmp_path):
@@ -615,16 +624,17 @@ def test_seed_refused_and_runs_deterministic(tmp_path):
 
 
 def test_rerun_of_manifest_with_removed_option_exits_2(tmp_path):
-    # a manifest written before --seed and --detector were removed replays
-    # its argv, which argparse now refuses
+    # a manifest written before --seed, --detector or --y-max were removed
+    # replays its argv, which argparse now refuses
     out = tmp_path / "modes.csv"
     assert run(["modes", "--csv", str(out)]) == 0
     manifest = tmp_path / "modes.manifest.json"
-    data = json.loads(manifest.read_text())
-    data["argv"] += ["--seed", "7"]
-    old = tmp_path / "old.manifest.json"
-    old.write_text(json.dumps(data))
-    assert run(["rerun", str(old)]) == 2
+    for removed in (["--seed", "7"], ["--y-max", "10"]):
+        data = json.loads(manifest.read_text())
+        data["argv"] += removed
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps(data))
+        assert run(["rerun", str(old)]) == 2, removed
 
 
 # -- subprocess entry point ------------------------------------------------------

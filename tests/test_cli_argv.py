@@ -4,11 +4,11 @@ documented NaN columns.
 
 Each argv is built from good values, then maybe spoiled once: one value
 swapped for a bad token (nan, inf, negative numbers, exponent forms, junk),
-one option dropped, or --y-max added, which only the subcommands that read
-the cutoff accept.  The good values are kept cheap: short times, small
-grids, modesum --rel-tol no finer than 1e-6, and --window / --n-max up to
-70 / 50, where the large windows must be refused by the memory budget
-before anything is allocated.
+one option dropped, or --y-max added, which no subcommand accepts: the mode
+cutoff is the constant modes.Y_MAX.  The good values are kept cheap: short
+times, small grids, modesum --rel-tol no finer than 1e-6, and --window /
+--n-max up to 70 / 50, where the large windows must be refused by the memory
+budget before anything is allocated.
 """
 
 import contextlib
@@ -96,7 +96,6 @@ SUBCOMMANDS = {
         ("--json", (), False)],
     "rerun": [],
 }
-TAKES_Y_MAX = {"modes", "resonance", "evolve", "reduced-state", "regime"}
 
 
 @st.composite
@@ -109,8 +108,6 @@ def argvs(draw):
         if required or draw(st.booleans()):
             value = OUT.get(option) or (draw(st.sampled_from(good)) if good else None)
             opts.append([option, value])
-    if sub in TAKES_Y_MAX and draw(st.booleans()):
-        opts.append(["--y-max", draw(st.sampled_from(("10", "2", "0.5")))])
     spoil = draw(st.sampled_from(("none", "none", "bad", "drop", "y-max")))
     valued = [o for o in opts if o[1] is not None and o[0] not in OUT]
     if spoil == "bad" and valued:

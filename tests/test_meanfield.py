@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ginzburg import (DEFAULT_Y_MAX, PoleError, ToleranceError, ValidationError,
+from ginzburg import (Y_MAX, PoleError, ToleranceError, ValidationError,
                       build_params, mode_frequencies)
 from ginzburg import meanfield
 from ginzburg.meanfield import (Trajectory, _modesum_once, meanfield_closed,
@@ -253,7 +253,7 @@ def _mode_table(p, alpha_max=None, longwave=False):
     chain = p.chain
     if alpha_max is None:
         y = mode_frequencies(chain) * p.detector.w / chain.c_s
-        alpha_max = np.count_nonzero(y <= DEFAULT_Y_MAX)
+        alpha_max = np.count_nonzero(y <= Y_MAX)
     alphas = np.arange(1, alpha_max + 1)
     omega = mode_frequencies(chain, alphas)
     return (omega / chain.c_s if longwave else alphas * math.pi / chain.L), omega

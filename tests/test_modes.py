@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ginzburg import modes
 from ginzburg import (ModeCutoffError, ModeIndexError, SubsonicError,
                       ValidationError, build_params, coupling_strengths, cutoff_f,
                       mode_coupling, mode_frequency, mode_function,
@@ -68,7 +69,7 @@ def test_spectrum_monotone_and_bounded(N):
 
 def test_spectrum_retained_set():
     p = paper()
-    spec = mode_spectrum(p, y_max=10.0)
+    spec = mode_spectrum(p)
     y = spec.omega * p.detector.w / p.chain.c_s
     assert np.array_equal(spec.retained, y <= 10.0)
     assert np.array_equal(spec.f, cutoff_f(y))
@@ -145,12 +146,16 @@ def test_coupling_mass_scaling():
     assert g2 == pytest.approx(g1 / math.sqrt(2.0), rel=1e-12)
 
 
-def test_coupling_cutoff_suppression():
+def test_coupling_cutoff_suppression(monkeypatch):
     p = paper()
-    spec = mode_spectrum(p, y_max=10.0)
+    spec = mode_spectrum(p)
     alpha_at_cut = int(spec.alphas[np.searchsorted(spec.omega,
                                                    10.0 / p.detector.w)])
-    c = mode_coupling(alpha_at_cut, p, omega_d=10.0 * math.pi, y_max=11.0)
+    with pytest.raises(ModeCutoffError, match="y_max = 10.0"):
+        mode_coupling(alpha_at_cut, p, omega_d=10.0 * math.pi)
+    # the cutoff is read when the call runs
+    monkeypatch.setattr(modes, "Y_MAX", 11.0)
+    c = mode_coupling(alpha_at_cut, p, omega_d=10.0 * math.pi)
     assert abs(c.g_alpha) < 1e-3 * abs(c.g_alpha / c.f_factor)
 
 

@@ -207,7 +207,7 @@ def fig2_regime(params, g=None):
         cfg = {"units": {"preset": "paper"}, "chain": {"N": 2001},
                "detector": {"w": 0.01}, "coupling": {"g": g}}
         params = build_params(cfg)
-    return regime_check(params, window=(0.0, 0.25), trajectories=[(0.0, 0.5)])
+    return regime_check(params, t_end=0.25, trajectories=[(0.0, 0.5)])
 
 
 def test_fig2_window_all_flags_pass(paper_params):
@@ -220,13 +220,13 @@ def test_fig2_window_all_flags_pass(paper_params):
 def test_wide_detector_fails_length_flag(paper_params):
     p = build_params({"units": {"preset": "paper"}, "chain": {"N": 2001},
                       "detector": {"w": 0.5}})
-    report = regime_check(p, window=(0.0, 0.25), trajectories=[(0.0, 0.5)])
+    report = regime_check(p, t_end=0.25, trajectories=[(0.0, 0.5)])
     assert not report["L_over_w"].passed
     assert not report.all_pass
 
 
 def test_edge_excursion_fails_edge_flag(paper_params):
-    report = regime_check(paper_params, window=(0.0, 0.25),
+    report = regime_check(paper_params, t_end=0.25,
                           trajectories=[(0.0, 1.8)])   # reaches 0.9*(L/2)
     assert not report["edge_distance"].passed
 

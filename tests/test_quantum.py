@@ -339,6 +339,15 @@ def test_perturbative_rejects_bad_time(c10):
             evolve_perturbative(h, space.vacuum(), bad, HBAR)
 
 
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("evolve", [evolve_exact, evolve_perturbative],
+                         ids=["exact", "perturbative"])
+def test_evolutions_reject_bad_hbar(c10, evolve, hbar):
+    space, h = pair_space(c10)
+    with pytest.raises(ValidationError, match="hbar"):
+        evolve(h, space.vacuum(), 0.1, hbar)
+
+
 def test_perturbative_guard(c10, monkeypatch):
     space, h = pair_space(c10)
     t_past = 0.4 / abs(c10.g_alpha)
@@ -492,6 +501,19 @@ def test_full_rejects_bad_dt_and_omega_d(scaled, c10, kwargs, match):
     with pytest.raises(ValidationError, match=match):
         evolve_full(space.vacuum(), 0.1, Trajectory(0.0, V_RES), [c10], space,
                     params, **kwargs)
+
+
+def test_full_refuses_a_second_detector_frequency(scaled):
+    # g_10 below holds omega_d = 10 pi; stepping its phases at 11 pi would
+    # mix two detectors
+    params, _ = scaled
+    c = mode_coupling(10, params, omega_d=10.0 * math.pi)
+    space = FockSpace(modes=((10, 1),), detector_qubits=1)
+    with pytest.raises(ValidationError) as err:
+        evolve_full(space.vacuum(), 0.1, Trajectory(0.0, V_RES), [c], space,
+                    params, 11.0 * math.pi)
+    assert repr(11.0 * math.pi) in str(err.value)
+    assert repr(10.0 * math.pi) in str(err.value)
 
 
 def test_full_matches_ndpa_on_resonance(scaled):

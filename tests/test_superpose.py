@@ -1,8 +1,9 @@
 """Branch-labeled superposed trajectories: weights, pairing, and the
 coherent-vs-mixture equivalence of the reduced states.
 
-Hand-built couplings keep |g| t / hbar exact; first-order populations are
-x^2 / N with x_i = g_i t / 2 hbar and N the one-shot normalization.
+Hand-built couplings keep |g| t / hbar exact; each first-order branch is
+normalized as its own run, so its excited population is x_i^2 / (1 + x_i^2)
+with x_i = g_i t / 2 hbar, times the branch's squared weight.
 """
 
 import math
@@ -14,7 +15,8 @@ from ginzburg import quantum
 from ginzburg.errors import GuardError, ValidationError
 from ginzburg.modes import ModeCoupling
 from ginzburg.params import build_params
-from ginzburg.quantum import FockSpace, build_ndpa, evolve_perturbative
+from ginzburg.quantum import (FockSpace, build_ndpa, evolve_perturbative,
+                              trace_distance)
 from ginzburg.superpose import (Branch, BranchSpec, branch_spec_from_resonance,
                                 density_matrix, discriminate, evolve_superposed,
                                 mixed_density_matrix, reduce_chain,
@@ -129,13 +131,15 @@ def test_branch_amplitudes_carry_weights_and_phase():
     i2 = dim + space.basis_index(1, (0, 1))
     g1 = spec.branches[0].coupling.g_alpha
     g2 = spec.branches[1].coupling.g_alpha
-    assert vec[i1] == pytest.approx(math.cos(theta) * (-1j * g1 * 0.2 / 2.0),
+    # each first-order branch is normalized as its own run
+    n1, n2 = (math.sqrt(1.0 + (g * 0.2 / 2.0) ** 2) for g in (g1, g2))
+    assert vec[i1] == pytest.approx(math.cos(theta) * (-1j * g1 * 0.2 / 2.0) / n1,
                                     rel=1e-14)
     assert vec[i2] == pytest.approx(
-        np.exp(1j * phi) * math.sin(theta) * (-1j * g2 * 0.2 / 2.0), rel=1e-14)
-    # vacuum component of each branch keeps the bare weight
-    assert vec[0] == pytest.approx(math.cos(theta), rel=1e-15)
-    assert vec[dim] == pytest.approx(np.exp(1j * phi) * math.sin(theta),
+        np.exp(1j * phi) * math.sin(theta) * (-1j * g2 * 0.2 / 2.0) / n2, rel=1e-14)
+    # vacuum component of each branch: its weight over the same norm
+    assert vec[0] == pytest.approx(math.cos(theta) / n1, rel=1e-15)
+    assert vec[dim] == pytest.approx(np.exp(1j * phi) * math.sin(theta) / n2,
                                      rel=1e-15)
 
 
@@ -307,6 +311,17 @@ def test_coherent_matches_classical_mixture():
 
     det_report = discriminate([reduce_detector(coherent), reduce_detector(mixed)])
     assert det_report.pairs[0].trace_distance < 1e-10
+
+
+@pytest.mark.parametrize("method", ["perturbative", "exact"])
+def test_coherent_matches_mixture_with_unequal_couplings(method):
+    # each branch is normalized as its own run, so unequal couplings do not
+    # reweight the branches of the coherent state against the mixture
+    state = evolve_superposed(hand_spec(math.pi / 4.0, 0.0, g1=0.5, g2=1.0), 0.2,
+                              method=method)
+    coherent, mixed = density_matrix(state), mixed_density_matrix(state)
+    for reduce in (reduce_chain, reduce_detector):
+        assert trace_distance(reduce(coherent), reduce(mixed)) <= 1e-10
 
 
 def test_discriminate_separates_localized_from_superposed():
