@@ -10,7 +10,16 @@ tree and writes tests/golden/cases.json next to this script.  The cases are
     given the README's sample config,
   * a `reduced-state` run with the default perturbative method, and a
     two-level `reduced-state --sweep-csv` run on the weak-coupling config of
-    tests/test_cli.py::test_reduced_state_two_level.
+    tests/test_cli.py::test_reduced_state_two_level, its two detector
+    frequencies given in the params file,
+  * the route and option paths no call above takes: modesum at Fig. 2 and
+    supersonic with every modesum option, closed with the image term on a
+    coarser grid, series with an explicit alpha cutoff, a strided
+    oracle-compare, the perturbative and a widened full evolve, a supersonic
+    two-trajectory regime, and an exact reduced-state at a given t from
+    offset starts,
+  * the detector frequencies from a params file: modes and an exact evolve
+    at omega_d = 20, and a resonance pair on the two-frequency config.
 
 For each case it records the argv (`{d}` stands for the output directory),
 any input file the argv names, and per output file its sha256 plus a
@@ -48,7 +57,10 @@ SAMPLES = 65
 _PAPER = {"units": {"preset": "paper"}, "chain": {"N": 2001},
           "detector": {"w": 0.01}}
 README_CONFIG = {**_PAPER, "coupling": {"g": 1e-7}}
-TWO_LEVEL_CONFIG = {**_PAPER, "coupling": {"g": 5e-8}}
+TWO_LEVEL_CONFIG = {**_PAPER,
+                    "detector": {"w": 0.01, "omega_d": [10 * math.pi, 11.2 * math.pi]},
+                    "coupling": {"g": 5e-8}}
+OMEGA_D_20_CONFIG = {**_PAPER, "detector": {"w": 0.01, "omega_d": 20.0}}
 QUARTER_PI = repr(math.pi / 4.0)
 
 # (name, argv, input files written into {d} before the run)
@@ -72,10 +84,47 @@ EXTRA_CASES = [
                                     "--sweep-csv", "{d}/sweep.csv"], {}),
     ("reduced_state_two_level", ["reduced-state", "--params", "{d}/config.json",
                                  "--theta", QUARTER_PI, "--v1", "2.0",
-                                 "--v2", "2.6", "--omega-d", repr(10 * math.pi),
-                                 "--omega-d2", repr(11.2 * math.pi),
-                                 "--gt", "0.1", "--json", "{d}/red2.json",
+                                 "--v2", "2.6", "--gt", "0.1", "--json", "{d}/red2.json",
                                  "--sweep-csv", "{d}/sweep2.csv"],
+     {"config.json": TWO_LEVEL_CONFIG}),
+    ("meanfield_modesum_fig2", ["meanfield", "--route", "modesum", "--v", "0.5",
+                                "--t", "0.25", "--csv", "{d}/modesum.csv"], {}),
+    ("meanfield_modesum_supersonic", ["meanfield", "--route", "modesum",
+                                      "--v", "2.5", "--t", "0.25", "--longwave",
+                                      "--extended-domain", "--rel-tol", "1e-3",
+                                      "--alpha-max", "200", "--csv", "{d}/modesum.csv"],
+     {}),
+    ("meanfield_closed_image", ["meanfield", "--route", "closed", "--include-image",
+                                "--v", "0.5", "--t", "0.25", "--grid", "801",
+                                "--csv", "{d}/closed.csv"], {}),
+    ("meanfield_series_alpha_max", ["meanfield", "--route", "series",
+                                    "--alpha-max", "300", "--v", "0.5", "--t", "0.25",
+                                    "--csv", "{d}/series.csv"], {}),
+    ("oracle_compare_strided", ["oracle-compare", "--v", "0.5", "--t", "0.05",
+                                "--dt", "1e-4", "--stride", "7", "--tol", "0.5",
+                                "--csv", "{d}/oracle.csv"], {}),
+    ("evolve_perturbative", ["evolve", "--scheme", "perturbative", "--v", "2.0",
+                             "--gt", "0.05,0.1", "--csv", "{d}/pert.csv"], {}),
+    ("evolve_full_window3", ["evolve", "--scheme", "full", "--v", "2.0",
+                             "--window", "3", "--n-max", "3", "--n-max-offres", "2",
+                             "--gt", "0.1,0.2", "--csv", "{d}/full.csv"], {}),
+    ("regime_supersonic_pair", ["regime", "--v", "2.5", "--v2", "2.0",
+                                "--x0-2", "0.1", "--t-end", "0.25",
+                                "--json", "{d}/regime.json"], {}),
+    ("reduced_state_offset_exact", ["reduced-state", "--theta", QUARTER_PI,
+                                    "--v1", "2.0", "--v2", "1.5", "--x0", "0.05",
+                                    "--x0-2", "-0.05", "--t", "1e-6",
+                                    "--method", "exact", "--json", "{d}/red.json"], {}),
+    ("params_modes_omega_d", ["modes", "--params", "{d}/config.json",
+                              "--csv", "{d}/modes.csv"],
+     {"config.json": OMEGA_D_20_CONFIG}),
+    ("params_evolve_exact_omega_d", ["evolve", "--scheme", "exact",
+                                     "--params", "{d}/config.json", "--v", "2.0",
+                                     "--gt", "0.05,0.1,0.2", "--csv", "{d}/exact.csv"],
+     {"config.json": OMEGA_D_20_CONFIG}),
+    ("params_resonance_two_frequency", ["resonance", "--params", "{d}/config.json",
+                                        "--v", "2.0", "--v2", "2.6",
+                                        "--json", "{d}/pair.json"],
      {"config.json": TWO_LEVEL_CONFIG}),
 ]
 

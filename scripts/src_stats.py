@@ -7,7 +7,9 @@ the number of function parameters that carry a default value (positional
 and keyword-only) and of dataclass fields that carry one, both counted from
 the AST, and the options each subcommand of the command line accepts (-h
 left out).  A settable field of a config object is as much a knob as a
-keyword parameter, so moving one into the other shows in the sum.
+keyword parameter, so moving one into the other shows in the sum.  It also
+lists the ten longest functions, counted from the def line to the last line
+of the body.
 The script never fails on a count; tests/test_src_stats.py holds the
 ceilings that keep the knob and option counts from growing.
 """
@@ -46,6 +48,26 @@ def default_knobs(package: Path) -> tuple[int, int]:
     return params, fields
 
 
+def longest_functions(package: Path, n: int = 10) -> list[tuple[int, str]]:
+    """The n longest functions and methods as (lines, module:qualified name),
+    longest first."""
+    sizes = []
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    sizes.append((child.end_lineno - child.lineno + 1, f"{module}:{name}"))
+                visit(child, module, name + ".")
+            else:
+                visit(child, module, prefix)
+
+    for path in sorted(package.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return sorted(sizes, key=lambda s: (-s[0], s[1]))[:n]
+
+
 def cli_options(src: Path) -> dict[str, list[str]]:
     sys.path.insert(0, str(src))
     from ginzburg.cli import _build_parser
@@ -73,6 +95,9 @@ def main() -> int:
     print(f"default-valued parameters: {params}")
     print(f"default-valued dataclass fields: {fields}")
     print(f"default-valued knobs: {params + fields}")
+    print("longest functions (lines):")
+    for n, name in longest_functions(package):
+        print(f"  {n:>5}  {name}")
     options = cli_options(src)
     print(f"CLI options: {sum(map(len, options.values()))}")
     for name, opts in options.items():

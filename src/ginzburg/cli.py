@@ -80,14 +80,17 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    """argparse type for a finite number >= 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
+
+
 def _times_list(text: str) -> list[float]:
     """argparse type for a comma-separated list of finite numbers >= 0."""
-    values = []
-    for tok in filter(str.strip, text.split(",")):
-        value = _finite_float(tok)
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"expected a number >= 0, got {tok!r}")
-        values.append(value)
+    values = [_nonnegative_float(tok) for tok in filter(str.strip, text.split(","))]
     if not values:
         raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
     return values
@@ -100,19 +103,12 @@ def _grid(params, n: int) -> np.ndarray:
     return np.linspace(-half, half, n)
 
 
-def _omega_d(args, params) -> float:
-    """--omega-d if given (0 included, for the library to reject), else the
-    first detector frequency of the parameters."""
-    return params.detector.omega_d1 if args.omega_d is None else args.omega_d
-
-
 # -- subcommand handlers (return (summary, [output paths])) --------------------
 
 
 def _cmd_modes(args, params):
-    omega_d = _omega_d(args, params)
     spec = mode_spectrum(params)
-    g = coupling_strengths(params, omega_d, alphas=spec.alphas)
+    g = coupling_strengths(params, params.detector.omega_d1, alphas=spec.alphas)
     rows = [(int(a), float(om), float(gv), float(fv), bool(r))
             for a, om, gv, fv, r in zip(spec.alphas, spec.omega, g, spec.f, spec.retained)]
     out = write_csv(args.csv, ["alpha", "omega", "g_alpha", "f_factor", "retained"], rows)
@@ -178,16 +174,15 @@ def _cmd_oracle_compare(args, params):
 
 
 def _cmd_resonance(args, params):
-    omega_d = _omega_d(args, params)
-    if args.v2 is None and (args.omega_d2 is not None or params.detector.two_level):
-        raise ValidationError("a second detector frequency (--omega-d2 or the params "
-                              "file) needs a second trajectory; give --v2")
+    det = params.detector
+    if args.v2 is None and det.two_level:
+        raise ValidationError("a second detector frequency in the params file "
+                              "needs a second trajectory; give --v2")
+    omega_d = det.omega_d1
     outputs = []
     if args.v2 is not None:
-        omega_d2 = args.omega_d2
-        if omega_d2 is None:
-            omega_d2 = (params.detector.omega_d2 if params.detector.two_level
-                        else omega_d)
+        # the second frequency when two-level, the one frequency otherwise
+        omega_d2 = det.omega_d[-1]
         pair = resonance_pair(args.v, args.v2, omega_d, omega_d2, params)
         payload = {**asdict(pair), "mode": "pair", "v1": args.v, "v2": args.v2,
                    "omega_d1": omega_d, "omega_d2": omega_d2}
@@ -214,7 +209,7 @@ def _exact_option(err: GuardError, option: str) -> GuardError:
 
 
 def _cmd_evolve(args, params):
-    omega_d = _omega_d(args, params)
+    omega_d = params.detector.omega_d1
     res = resonance_mode(args.v, omega_d, params)
     coupling = mode_coupling(res.alpha0, params, omega_d)
     g_abs = abs(coupling.g_alpha)
@@ -248,7 +243,7 @@ def _cmd_evolve(args, params):
             psi = evolve_exact(h, space.vacuum(), t, hbar=hbar)
         else:
             psi = evolve_full(space.vacuum(), t, Trajectory(x0=args.x0, v=args.v),
-                              couplings, space, params, omega_d=omega_d)
+                              couplings, space, params)
         occ = tuple(1 if a == res.alpha0 else 0 for a in space.mode_labels)
         amp = psi.amplitudes[space.basis_index(1, occ)]
         rows.append((float(gt), float(t), float(psi.excitation_probability()),
@@ -260,15 +255,8 @@ def _cmd_evolve(args, params):
 
 
 def _cmd_reduced_state(args, params):
-    # a second frequency, from --omega-d2 or the params file, makes the
-    # detector two-level
-    omega_d2 = args.omega_d2
-    if omega_d2 is None and params.detector.two_level:
-        omega_d2 = params.detector.omega_d2
-    spec = branch_spec_from_resonance(
-        params, args.v1, args.v2, args.theta, args.phi,
-        omega_d=_omega_d(args, params), omega_d2=omega_d2,
-        x0_1=args.x0, x0_2=args.x0_2)
+    spec = branch_spec_from_resonance(params, args.v1, args.v2, args.theta,
+                                      args.phi, x0_1=args.x0, x0_2=args.x0_2)
     g1 = abs(spec.branches[0].coupling.g_alpha)
     t = args.t if args.t is not None else args.gt * params.hbar / g1
 
@@ -392,7 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modes", parents=[common],
                        help="mode table: frequency, coupling, cutoff factor")
     p.add_argument("--csv", required=True)
-    p.add_argument("--omega-d", type=_finite_float, default=None)
     p.set_defaults(func=_cmd_modes)
 
     p = sub.add_parser("meanfield", parents=[common],
@@ -400,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", required=True, choices=["closed", "series", "modesum"])
     p.add_argument("--v", type=_finite_float, required=True)
     p.add_argument("--x0", type=_finite_float, default=0.0)
-    p.add_argument("--t", type=_finite_float, required=True)
+    p.add_argument("--t", type=_nonnegative_float, required=True)
     p.add_argument("--grid", type=int, default=4001)
     p.add_argument("--csv", required=True)
     # route options: None when not given, so the library keeps its defaults
@@ -425,9 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resonance", parents=[common],
                        help="resonant mode index for one or two trajectories")
     p.add_argument("--v", type=_finite_float, required=True)
-    p.add_argument("--omega-d", type=_finite_float, default=None)
     p.add_argument("--v2", type=_finite_float, default=None)
-    p.add_argument("--omega-d2", type=_finite_float, default=None)
     p.add_argument("--json", type=str, default=None)
     p.set_defaults(func=_cmd_resonance)
 
@@ -436,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True,
                    choices=["exact", "perturbative", "full"])
     p.add_argument("--v", type=_finite_float, required=True)
-    p.add_argument("--omega-d", type=_finite_float, default=None)
     p.add_argument("--x0", type=_finite_float, default=0.0)
     p.add_argument("--gt", type=_times_list, required=True,
                    help="comma-separated |g_alpha| t / hbar values")
@@ -457,13 +441,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v2", type=_finite_float, required=True)
     p.add_argument("--x0", type=_finite_float, default=0.0)
     p.add_argument("--x0-2", type=_finite_float, default=0.0)
-    p.add_argument("--omega-d", type=_finite_float, default=None)
-    p.add_argument("--omega-d2", type=_finite_float, default=None)
     p.add_argument("--method", choices=["perturbative", "exact"],
                    default="perturbative")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gt", type=_finite_float, help="|g_alpha1| t / hbar")
-    group.add_argument("--t", type=_finite_float)
+    group.add_argument("--gt", type=_nonnegative_float, help="|g_alpha1| t / hbar")
+    group.add_argument("--t", type=_nonnegative_float)
     p.add_argument("--json", required=True)
     p.add_argument("--sweep-csv", type=str, default=None,
                    help="also sweep phi over {0, pi/4, pi/2, 3pi/4}")
@@ -475,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=_finite_float, default=0.0)
     p.add_argument("--v2", type=_finite_float, default=None)
     p.add_argument("--x0-2", type=_finite_float, default=None)
-    p.add_argument("--t-end", type=_finite_float, required=True)
+    p.add_argument("--t-end", type=_nonnegative_float, required=True)
     p.add_argument("--json", type=str, default=None)
     p.set_defaults(func=_cmd_regime)
 

@@ -110,8 +110,9 @@ class DetectorParams:
     """Detector: total/reduced masses, internal spring, dipole arm, height w.
 
     omega_d holds one internal frequency (single-level detector) or two
-    (two-level detector, frequencies omega_d1 and omega_d2); a scalar is
-    taken as the one frequency.
+    (two-level detector); a scalar is taken as the one frequency.  It is the
+    only source of the detector's frequencies: the command line reads them
+    from the params file.
     """
 
     M_d: float
@@ -132,12 +133,6 @@ class DetectorParams:
     @property
     def omega_d1(self) -> float:
         return self.omega_d[0]
-
-    @property
-    def omega_d2(self) -> float:
-        if len(self.omega_d) < 2:
-            raise ValidationError("detector has a single internal frequency; omega_d2 undefined")
-        return self.omega_d[1]
 
     @property
     def two_level(self) -> bool:

@@ -88,24 +88,21 @@ class BranchSpec:
 
 def branch_spec_from_resonance(params: SystemParams, v1: float, v2: float,
                                theta: float, phi: float,
-                               omega_d: float | None = None,
-                               omega_d2: float | None = None,
                                x0_1: float = 0.0, x0_2: float = 0.0) -> BranchSpec:
     """Resolve resonant modes/couplings for two trajectories.
 
-    omega_d2 given selects the two-internal-level detector (two_level):
-    branch i couples through its own frequency omega_d_i (resonance_pair
-    supplies the selectivity diagnosis).  Otherwise both share omega_d.
+    The detector model is params.detector's: with two internal frequencies
+    (two_level) branch i couples through its own omega_d_i (resonance_pair
+    supplies the selectivity diagnosis); with one, both branches share it.
     """
-    if omega_d is None:
-        omega_d = params.detector.omega_d1
-    two_level, selectivity = omega_d2 is not None, False
-    omegas = (omega_d, omega_d2 if two_level else omega_d)
+    det = params.detector
+    two_level, selectivity = det.two_level, False
+    omegas = (det.omega_d1, det.omega_d[-1])
     if two_level:
         pair = resonance_pair(v1, v2, *omegas, params)
         a1, a2, selectivity = pair.alpha1, pair.alpha2, pair.selectivity_violated
     else:
-        a1, a2 = (resonance_mode(v, omega_d, params).alpha0 for v in (v1, v2))
+        a1, a2 = (resonance_mode(v, det.omega_d1, params).alpha0 for v in (v1, v2))
         if a1 == a2:
             raise ValidationError(
                 f"v1 and v2 resonate with the same mode alpha = {a1}; "

@@ -58,8 +58,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                 "--grid", "1", "--csv", str(tmp_path / "x.csv")]) == 2
     assert run(["oracle-compare", "--v", "0.5", "--t", "0.1", "--stride", "-4",
                 "--csv", str(tmp_path / "x.csv")]) == 2
-    # an explicit 0 reaches the library instead of selecting the default
-    assert run(["modes", "--omega-d", "0", "--csv", str(tmp_path / "x.csv")]) == 2
+    # a zero detector frequency in the params file is refused
+    assert run(["modes", "--params", write_config(tmp_path, detector={"omega_d": 0}),
+                "--csv", str(tmp_path / "x.csv")]) == 2
     assert run(["oracle-compare", "--v", "0.5", "--t", "0.01", "--dt", "0",
                 "--csv", str(tmp_path / "x.csv")]) == 2
     capsys.readouterr()
@@ -79,8 +80,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 
 def test_no_subcommand_takes_y_max(tmp_path, capsys):
-    # the mode cutoff is the model constant modes.Y_MAX: every subcommand
-    # refuses --y-max with a one-line usage error that names it
+    # the mode cutoff is the model constant modes.Y_MAX and the detector
+    # frequencies come from the params file: every subcommand refuses
+    # --y-max, --omega-d and --omega-d2 with a one-line usage error naming it
     good = [["modes", "--csv", "{}.csv"],
             ["meanfield", "--route", "modesum", "--v", "0.5", "--t", "0.01",
              "--grid", "11", "--csv", "{}.csv"],
@@ -97,9 +99,11 @@ def test_no_subcommand_takes_y_max(tmp_path, capsys):
     assert {argv[0] for argv in good} == set(sub.choices)
     for argv in good:
         argv = [a.format(tmp_path / argv[0]) for a in argv]
-        assert run([*argv, "--y-max", "10"]) == 2, argv
-        err = capsys.readouterr().err.strip()
-        assert len(err.splitlines()) == 1 and "--y-max" in err, argv
+        for removed in (["--y-max", "10"], ["--omega-d", "20"],
+                        ["--omega-d2", "35.19"]):
+            assert run([*argv, *removed]) == 2, (argv, removed)
+            err = capsys.readouterr().err.strip()
+            assert len(err.splitlines()) == 1 and removed[0] in err, (argv, removed)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -192,17 +196,9 @@ def test_resonance_pair_json(tmp_path):
     assert data["cross_nearest"]["v2_omega_d1"]["alpha"] == 5
 
 
-def test_resonance_omega_d2_without_v2_exits_2(tmp_path, capsys):
-    out = tmp_path / "res.json"
-    assert run(["resonance", "--v", "2.0", "--omega-d2", "35.19",
-                "--json", str(out)]) == 2
-    assert "--v2" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_resonance_two_frequency_params_without_v2_exits_2(tmp_path, capsys):
-    # the second frequency from the params file pairs with --v2 as an
-    # explicit --omega-d2 does; the single-mode answer would drop it
+    # the params file's second frequency pairs with --v2; the single-mode
+    # answer would drop it
     cfg = write_config(tmp_path, detector={"omega_d": [31.4159, 35.19]})
     out = tmp_path / "res.json"
     assert run(["resonance", "--params", cfg, "--v", "2.0",
@@ -358,17 +354,25 @@ def test_evolve_exact_ignores_n_max(tmp_path, n_max):
     ["meanfield", "--route", "series", "--v", "0.5", "--t", "inf"],
     ["oracle-compare", "--v", "0.5", "--t", "nan"],
     ["reduced-state", "--theta", "0.5", "--v1", "2.0", "--v2", "2.5", "--t", "nan"],
+    ["regime", "--v", "0.5", "--t-end", "-1"],
+    ["reduced-state", "--theta", "0.5", "--v1", "2.0", "--v2", "1.5", "--t", "-1"],
+    ["reduced-state", "--theta", "0.5", "--v1", "2.0", "--v2", "1.5", "--gt", "-1"],
 ])
 def test_bad_time_or_trajectory_exits_2(tmp_path, capsys, argv):
-    out = ["--json" if argv[0] == "reduced-state" else "--csv", str(tmp_path / "bad")]
+    out = ["--csv" if argv[0] in ("meanfield", "oracle-compare") else "--json",
+           str(tmp_path / "bad")]
     assert run([*argv, *out]) == 2
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+    if "-1" in argv:
+        # a negative time is a usage error naming the option given
+        option = argv[argv.index("-1") - 1]
+        assert len(err.strip().splitlines()) == 1 and f"argument {option}:" in err
 
 
 @pytest.mark.parametrize("argv", [
-    ["resonance", "--v", "2.0", "--omega-d", "nan", "--json"],
+    ["resonance", "--v", "2.0", "--v2", "nan", "--json"],
     ["oracle-compare", "--v", "0.5", "--t", "0.01", "--tol", "nan", "--csv"],
     ["oracle-compare", "--v", "0.5", "--t", "0.01", "--tol", "inf", "--csv"],
 ])
@@ -436,16 +440,18 @@ def test_reduced_state_json_and_sweep(tmp_path, monkeypatch):
 
 def test_reduced_state_two_level(tmp_path):
     # the selectivity guard band scales with |g|, so a weak-coupling params
-    # file is needed for a clean two-frequency pairing
-    pfile = write_config(tmp_path, coupling={"g": 5e-8})
+    # file is needed for a clean two-frequency pairing; both frequencies come
+    # from that file and are recorded with the run
+    omega_d = [10 * math.pi, 11.2 * math.pi]
+    pfile = write_config(tmp_path, coupling={"g": 5e-8}, detector={"omega_d": omega_d})
     out = tmp_path / "red2.json"
     assert run(["reduced-state", "--params", pfile,
                 "--theta", str(math.pi / 4.0), "--v1", "2.0",
-                "--v2", "2.6", "--omega-d", str(10 * math.pi),
-                "--omega-d2", str(11.2 * math.pi), "--gt", "0.1",
-                "--json", str(out)]) == 0
+                "--v2", "2.6", "--gt", "0.1", "--json", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["detector_model"] == "two-level"
+    assert data["params"]["detector"]["omega_d"] == omega_d
+    assert [b["omega_d"] for b in data["branches"]] == omega_d
     assert [b["alpha"] for b in data["branches"]] == [10, 7]
     # each branch populates its own level: x^2 / (1 + x^2) of its normalized
     # first-order run, x = |g_alpha| t / 2 hbar
@@ -459,9 +465,13 @@ def test_reduced_state_two_level(tmp_path):
 
 def test_reduced_state_detector_option_is_gone(tmp_path):
     # the model follows the frequencies: a second one makes it two-level
+    pfile = write_config(tmp_path, coupling={"g": 5e-8},
+                         detector={"omega_d": [10 * math.pi, 11.2 * math.pi]})
     out = tmp_path / "red.json"
-    base = ["reduced-state", "--theta", "0.3", "--v1", "2.0", "--v2", "2.6",
-            "--gt", "0.1", "--omega-d2", "35.19", "--json", str(out)]
+    base = ["reduced-state", "--params", pfile, "--theta", "0.3", "--v1", "2.0",
+            "--v2", "2.6", "--gt", "0.1", "--json", str(out)]
+    assert run(base) == 0
+    out.unlink()
     for model in ("single", "two-level", "auto"):
         assert run(base + ["--detector", model]) == 2
     assert not out.exists()
@@ -624,12 +634,13 @@ def test_seed_refused_and_runs_deterministic(tmp_path):
 
 
 def test_rerun_of_manifest_with_removed_option_exits_2(tmp_path):
-    # a manifest written before --seed, --detector or --y-max were removed
-    # replays its argv, which argparse now refuses
+    # a manifest written before --seed, --detector, --y-max, --omega-d or
+    # --omega-d2 were removed replays its argv, which argparse now refuses
     out = tmp_path / "modes.csv"
     assert run(["modes", "--csv", str(out)]) == 0
     manifest = tmp_path / "modes.manifest.json"
-    for removed in (["--seed", "7"], ["--y-max", "10"]):
+    for removed in (["--seed", "7"], ["--y-max", "10"], ["--omega-d", "20"],
+                    ["--omega-d2", "35.19"]):
         data = json.loads(manifest.read_text())
         data["argv"] += removed
         old = tmp_path / "old.manifest.json"

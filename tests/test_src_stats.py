@@ -15,9 +15,9 @@ _spec = importlib.util.spec_from_file_location("src_stats",
 src_stats = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(src_stats)
 
-MAX_DEFAULT_PARAMETERS = 24
+MAX_DEFAULT_PARAMETERS = 22
 MAX_DEFAULT_FIELDS = 8
-MAX_CLI_OPTIONS = 60
+MAX_CLI_OPTIONS = 54
 
 
 def test_default_valued_knobs_do_not_grow():

@@ -84,33 +84,30 @@ def test_spec_from_resonance_single_frequency():
                                    theta=math.pi / 4.0, phi=0.0)
 
 
+def _paper(omega_d, g=1.0):
+    return build_params({"units": {"preset": "paper"}, "chain": {"N": 2001},
+                         "detector": {"w": 0.01, "omega_d": omega_d},
+                         "coupling": {"g": g}})
+
+
 def test_spec_from_resonance_two_level_selectivity():
-    params = build_params({"units": {"preset": "paper"}, "chain": {"N": 2001},
-                           "detector": {"w": 0.01}})
-    clean = branch_spec_from_resonance(params, v1=2.0, v2=2.6,
-                                       theta=math.pi / 4.0, phi=0.0,
-                                       omega_d=10.0 * math.pi,
-                                       omega_d2=11.2 * math.pi)
+    # two frequencies in the params make the detector two-level
+    clean = branch_spec_from_resonance(_paper([10.0 * math.pi, 11.2 * math.pi]),
+                                       v1=2.0, v2=2.6, theta=math.pi / 4.0, phi=0.0)
     assert tuple(b.alpha for b in clean.branches) == (10, 7)
 
     # v2 = 3 with a shared 10 pi reuses mode 5, whose cross detuning falls
     # inside the g = 1 guard band
-    dirty = branch_spec_from_resonance(params, v1=2.0, v2=3.0,
-                                       theta=math.pi / 4.0, phi=0.0,
-                                       omega_d=10.0 * math.pi,
-                                       omega_d2=10.0 * math.pi)
+    dirty = branch_spec_from_resonance(_paper([10.0 * math.pi, 10.0 * math.pi]),
+                                       v1=2.0, v2=3.0, theta=math.pi / 4.0, phi=0.0)
     assert dirty.selectivity_violated and dirty.two_level
     with pytest.raises(GuardError):
         evolve_superposed(dirty, 1e-9)
 
     # at a weak coupling the guard band is narrow and the pair selective;
     # the spec alone makes the evolution two-level
-    weak = build_params({"units": {"preset": "paper"}, "chain": {"N": 2001},
-                         "detector": {"w": 0.01}, "coupling": {"g": 5e-8}})
-    spec = branch_spec_from_resonance(weak, v1=2.0, v2=2.6,
-                                      theta=math.pi / 4.0, phi=0.0,
-                                      omega_d=10.0 * math.pi,
-                                      omega_d2=11.2 * math.pi)
+    spec = branch_spec_from_resonance(_paper([10.0 * math.pi, 11.2 * math.pi], g=5e-8),
+                                      v1=2.0, v2=2.6, theta=math.pi / 4.0, phi=0.0)
     assert spec.two_level and not spec.selectivity_violated
     state = evolve_superposed(spec, 0.1)
     assert state.spec.detector_model == "two-level"
