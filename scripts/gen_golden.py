@@ -34,6 +34,22 @@ a refactor, never from the code the fixtures are meant to check:
 
 Every regeneration is recorded in CHANGES.md with this command and the
 commit it was run on.
+
+A change meant to move outputs (round-off from a cut normalization, a
+corrected formula) regenerates from its own tree instead, in four steps:
+
+  1. Run tests/test_golden.py against the parent's fixtures.  Every output
+     the change is not meant to move must still match by sha256; the
+     tolerance pass warns with the name of each file that moved (a column
+     of round-off zeros, such as a trace distance to the phi = 0 state,
+     can fail it, since its tolerance is relative to its own max).
+  2. Run every case on the parent tree and on the change's tree and compare
+     the moved files value by value: the same text apart from numbers, and
+     each number within a stated absolute bound.
+  3. Regenerate with `python3 scripts/gen_golden.py <change tree>` and
+     check that `git diff tests/golden/cases.json` touches only the records
+     of the cases named in step 1.
+  4. List each moved file with its old and new sha256 in CHANGES.md.
 """
 
 from __future__ import annotations

@@ -268,10 +268,8 @@ def _cmd_reduced_state(args, params):
     rho_chain = reduce_chain(rho)
     rho_det = reduce_detector(rho)
     rho_mix = mixed_density_matrix(state)
-    chain_rep = discriminate([rho_chain, reduce_chain(rho_mix)],
-                             labels=["coherent", "mixed"])
-    det_rep = discriminate([rho_det, reduce_detector(rho_mix)],
-                           labels=["coherent", "mixed"])
+    chain_rep = discriminate(rho_chain, reduce_chain(rho_mix), ["coherent", "mixed"])
+    det_rep = discriminate(rho_det, reduce_detector(rho_mix), ["coherent", "mixed"])
 
     payload = {
         "detector_model": spec.detector_model, "method": args.method,
@@ -314,7 +312,7 @@ def _cmd_reduced_state(args, params):
              "p_det_e1", "p_det_e2", "td_chain_vs_phi0", "td_det_vs_phi0"],
             rows))
 
-    worst = max(p.trace_distance for p in chain_rep.pairs + det_rep.pairs)
+    worst = max(chain_rep.trace_distance, det_rep.trace_distance)
     return (f"reduced-state[{spec.detector_model},{args.method}]: "
             f"alpha1={spec.branches[0].alpha}, alpha2={spec.branches[1].alpha}, "
             f"coherent-vs-mixed max trace distance "

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModeCutoffError, ModeIndexError, SubsonicError, ValidationError
-from .params import ChainParams, SystemParams
+from .params import ChainParams, SystemParams, _require_finite
 from .specfun import cutoff_f
 
 # modes with Omega_alpha w / c_s above this are cut off (f < 1e-3 there)
@@ -189,6 +189,7 @@ def resonance_mode(v, omega_d, params: SystemParams) -> Resonance:
     """
     chain = params.chain
     _check_omega_d(omega_d)
+    _require_finite(v=v)
     c_s = chain.c_s
     if v <= c_s:
         raise SubsonicError(
@@ -233,17 +234,16 @@ class ResonancePair:
 def resonance_pair(v1, v2, omega_d1, omega_d2, params: SystemParams) -> ResonancePair:
     """Resonant indices for two branches plus cross-resonance diagnostics.
 
-    Branch i pairs v_i with omega_di.  Selectivity requires that no retained
-    chain mode sits within the guard band of either *cross* combination
-    (v1 with omega_d2, v2 with omega_d1); the guard band is
-    20*max(|g_alpha1|, |g_alpha2|)/hbar, the margin at which the rotating
-    wave approximation is comfortably valid.
+    Branch i pairs v_i with omega_di, in either order; the velocities must
+    differ.  Selectivity requires that no retained chain mode sits within
+    the guard band of either *cross* combination (v1 with omega_d2, v2 with
+    omega_d1); the guard band is 20*max(|g_alpha1|, |g_alpha2|)/hbar, the
+    margin at which the rotating wave approximation is comfortably valid.
     """
     chain = params.chain
     c_s = chain.c_s
-    if not (c_s < v1 < v2):
-        raise ValidationError(
-            f"need c_s < v1 < v2, got c_s={c_s:.6g}, v1={v1:.6g}, v2={v2:.6g}")
+    if v1 == v2:
+        raise ValidationError(f"v1 and v2 must differ, both are {v1:.6g}")
     r1 = resonance_mode(v1, omega_d1, params)
     r2 = resonance_mode(v2, omega_d2, params)
 

@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .modes import ModeCoupling, mode_coupling, resonance_mode, resonance_pair
-from .params import SystemParams, _check_time
+from .modes import ModeCoupling, mode_coupling, resonance_pair
+from .params import SystemParams
 from .quantum import (DensityMatrix, FockSpace, QuantumState, build_ndpa,
                       evolve_exact, evolve_perturbative, trace_distance)
 
@@ -89,28 +89,23 @@ class BranchSpec:
 def branch_spec_from_resonance(params: SystemParams, v1: float, v2: float,
                                theta: float, phi: float,
                                x0_1: float = 0.0, x0_2: float = 0.0) -> BranchSpec:
-    """Resolve resonant modes/couplings for two trajectories.
+    """Resolve resonant modes/couplings for two trajectories, in either
+    order, through resonance_pair.
 
     The detector model is params.detector's: with two internal frequencies
-    (two_level) branch i couples through its own omega_d_i (resonance_pair
-    supplies the selectivity diagnosis); with one, both branches share it.
+    (two_level) branch i couples through its own omega_d_i and the pair's
+    selectivity diagnosis applies; with one, both branches share it and the
+    cross combinations are the resonances themselves, so none is flagged.
     """
     det = params.detector
-    two_level, selectivity = det.two_level, False
     omegas = (det.omega_d1, det.omega_d[-1])
-    if two_level:
-        pair = resonance_pair(v1, v2, *omegas, params)
-        a1, a2, selectivity = pair.alpha1, pair.alpha2, pair.selectivity_violated
-    else:
-        a1, a2 = (resonance_mode(v, det.omega_d1, params).alpha0 for v in (v1, v2))
-        if a1 == a2:
-            raise ValidationError(
-                f"v1 and v2 resonate with the same mode alpha = {a1}; "
-                "the branches would be indistinguishable in the chain")
+    pair = resonance_pair(v1, v2, *omegas, params)
+    a1, a2 = pair.alpha1, pair.alpha2
     c1, c2 = (mode_coupling(a, params, om) for a, om in zip((a1, a2), omegas))
     return BranchSpec(branches=(Branch(x0_1, v1, a1, c1), Branch(x0_2, v2, a2, c2)),
                       theta=theta, phi=phi, hbar=params.hbar,
-                      selectivity_violated=selectivity, two_level=two_level)
+                      selectivity_violated=det.two_level and pair.selectivity_violated,
+                      two_level=det.two_level)
 
 
 @dataclass
@@ -153,7 +148,6 @@ def evolve_superposed(spec: BranchSpec, t: float,
     """
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}")
-    _check_time(t)
     if spec.two_level and spec.selectivity_violated:
         raise GuardError(
             "resonance selectivity violated: a cross detuning sits inside the "
@@ -175,12 +169,10 @@ def evolve_superposed(spec: BranchSpec, t: float,
 
 
 def density_matrix(state: BranchedState) -> DensityMatrix:
-    """|psi><psi| over branch x detector x mode_a1 x mode_a2, normalized once."""
+    """|psi><psi| over branch x detector x mode_a1 x mode_a2 from the
+    unit-norm branch states; validate() refuses a trace off 1 by 1e-12."""
     vec = state.global_vector()
-    nsq = float(np.vdot(vec, vec).real)
-    if nsq <= 0.0:
-        raise ValidationError("branched state has zero norm")
-    rho = DensityMatrix(np.outer(vec, vec.conj()) / nsq, state.dims, state.names)
+    rho = DensityMatrix(np.outer(vec, vec.conj()), state.dims, state.names)
     rho.validate()
     return rho
 
@@ -188,14 +180,14 @@ def density_matrix(state: BranchedState) -> DensityMatrix:
 def mixed_density_matrix(state: BranchedState) -> DensityMatrix:
     """Classical cos^2/sin^2 mixture of the two localized evolutions.
 
-    Each evolved branch is normalized as its own run, then the runs are
-    mixed with the squared superposition weights on the same global
-    factorization (branch label diagonal).
+    The unit-norm branch states are mixed with the squared superposition
+    weights on the same global factorization (branch label diagonal);
+    validate() refuses a trace off 1 by 1e-12.
     """
     dim = state.space.dim
     rho = np.zeros((2 * dim, 2 * dim), dtype=complex)
     for i, (w, psi) in enumerate(zip(state.spec.weights, state.branch_states)):
-        amp = psi.normalized().amplitudes
+        amp = psi.amplitudes
         block = np.outer(amp, amp.conj()) * (abs(w) ** 2)
         rho[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = block
     out = DensityMatrix(rho, state.dims, state.names)
@@ -213,64 +205,45 @@ def reduce_chain(rho: DensityMatrix) -> DensityMatrix:
 
 def reduce_detector(rho: DensityMatrix) -> DensityMatrix:
     """Trace out branch label and phonon modes, keeping the detector levels."""
-    if "detector" not in rho.names:
-        raise ValidationError(f"no detector factor in {rho.names}")
     return rho.partial_trace(["detector"])
 
 
 @dataclass(frozen=True)
-class PairDistance:
-    label_a: str
-    label_b: str
+class DiscriminationReport:
+    labels: tuple[str, str]
     trace_distance: float
     verdict: str
-
-
-@dataclass(frozen=True)
-class DiscriminationReport:
-    labels: tuple[str, ...]
-    pairs: tuple[PairDistance, ...]
     populations: dict
 
     def to_dict(self) -> dict:
+        a, b = self.labels
         return {
             "threshold": _TD_THRESHOLD,
-            "labels": list(self.labels),
-            "pairs": [{"a": p.label_a, "b": p.label_b,
-                       "trace_distance": p.trace_distance, "verdict": p.verdict}
-                      for p in self.pairs],
+            "labels": [a, b],
+            "pairs": [{"a": a, "b": b, "trace_distance": self.trace_distance,
+                       "verdict": self.verdict}],
             "populations": self.populations,
         }
 
 
-def discriminate(rhos: Sequence[DensityMatrix],
-                 labels: Sequence[str] | None = None) -> DiscriminationReport:
-    """Pairwise trace distances between reduced states on a common
-    factorization, with a distinguishable/indistinguishable verdict per pair."""
-    if len(rhos) < 2:
-        raise ValidationError("need at least two density matrices to compare")
-    if labels is None:
-        labels = tuple(f"state_{i}" for i in range(len(rhos)))
+def discriminate(rho_a: DensityMatrix, rho_b: DensityMatrix,
+                 labels: Sequence[str]) -> DiscriminationReport:
+    """Trace distance between two reduced states on a common factorization,
+    with a distinguishable/indistinguishable verdict."""
     labels = tuple(labels)
-    if len(labels) != len(rhos):
-        raise ValidationError("one label per density matrix required")
-    base = rhos[0]
-    for r in rhos[1:]:
-        if r.dims != base.dims or r.names != base.names:
-            raise ValidationError(
-                f"factorization mismatch: {r.names}{r.dims} vs {base.names}{base.dims}")
-    pairs = []
-    for i in range(len(rhos)):
-        for j in range(i + 1, len(rhos)):
-            td = trace_distance(rhos[i], rhos[j])
-            verdict = "distinguishable" if td > _TD_THRESHOLD else "indistinguishable"
-            pairs.append(PairDistance(labels[i], labels[j], td, verdict))
+    if len(labels) != 2:
+        raise ValidationError(f"need one label per density matrix, got {labels}")
+    if rho_b.dims != rho_a.dims or rho_b.names != rho_a.names:
+        raise ValidationError(f"factorization mismatch: {rho_b.names}{rho_b.dims} "
+                              f"vs {rho_a.names}{rho_a.dims}")
+    td = trace_distance(rho_a, rho_b)
     populations = {
         label: {str(tuple(int(v) for v in np.unravel_index(k, r.dims))):
                 float(np.real(r.matrix[k, k]))
                 for k in range(r.matrix.shape[0])
                 if abs(r.matrix[k, k]) > 1e-300}
-        for label, r in zip(labels, rhos)
+        for label, r in zip(labels, (rho_a, rho_b))
     }
-    return DiscriminationReport(labels=labels, pairs=tuple(pairs),
+    verdict = "distinguishable" if td > _TD_THRESHOLD else "indistinguishable"
+    return DiscriminationReport(labels=labels, trace_distance=td, verdict=verdict,
                                 populations=populations)

@@ -196,6 +196,26 @@ def test_resonance_pair_json(tmp_path):
     assert data["cross_nearest"]["v2_omega_d1"]["alpha"] == 5
 
 
+def test_resonance_pair_either_order(tmp_path):
+    out = tmp_path / "pair.json"
+    assert run(["resonance", "--v", "2.0", "--v2", "1.5",
+                "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert (data["alpha1"], data["alpha2"]) == (10, 20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["resonance", "--v", "2.0", "--v2", "2.0"],
+    ["reduced-state", "--theta", "0.3", "--v1", "2.0", "--v2", "2.0", "--gt", "0.1"],
+])
+def test_equal_branch_velocities_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--json", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "v1 and v2 must differ" in err
+    assert not out.exists()
+
+
 def test_resonance_two_frequency_params_without_v2_exits_2(tmp_path, capsys):
     # the params file's second frequency pairs with --v2; the single-mode
     # answer would drop it
@@ -461,6 +481,35 @@ def test_reduced_state_two_level(tmp_path):
     assert det_pop["(2,)"] > 0 and det_pop["(1,)"] > 0
     assert det_pop["(1,)"] / det_pop["(2,)"] == pytest.approx(
         (x2 ** 2 / (1.0 + x2 ** 2)) / (x1 ** 2 / (1.0 + x1 ** 2)), rel=1e-6)
+
+
+def test_reduced_state_two_level_either_order(tmp_path):
+    # swapping the branches, velocities and frequencies both, gives the same
+    # reduced states with theta -> pi/2 - theta, the mode axes swapped and
+    # the detector levels swapped
+    theta = 0.3
+    runs = {}
+    for name, v1, v2, omega_d, th in (
+            ("forward", "2.0", "2.6", [10 * math.pi, 11.2 * math.pi], theta),
+            ("reversed", "2.6", "2.0", [11.2 * math.pi, 10 * math.pi],
+             math.pi / 2.0 - theta)):
+        pfile = write_config(tmp_path, name=f"{name}.json", coupling={"g": 5e-8},
+                             detector={"omega_d": omega_d})
+        out = tmp_path / f"{name}_red.json"
+        assert run(["reduced-state", "--params", pfile, "--theta", repr(th),
+                    "--v1", v1, "--v2", v2, "--t", "1e-6", "--json", str(out)]) == 0
+        runs[name] = json.loads(out.read_text())
+    fwd, rev = runs["forward"], runs["reversed"]
+    assert rev["detector_model"] == "two-level"
+    assert [b["alpha"] for b in rev["branches"]] == [7, 10]
+    fwd_chain, rev_chain = fwd["populations"]["chain"], rev["populations"]["chain"]
+    assert sorted(fwd_chain) == ["(0, 0)", "(0, 1)", "(1, 0)"]
+    for (i, j) in ((0, 0), (0, 1), (1, 0)):
+        assert rev_chain[str((j, i))] == pytest.approx(fwd_chain[str((i, j))],
+                                                        rel=0, abs=1e-12)
+    fwd_det, rev_det = fwd["populations"]["detector"], rev["populations"]["detector"]
+    for a, b in (("(0,)", "(0,)"), ("(1,)", "(2,)"), ("(2,)", "(1,)")):
+        assert rev_det[a] == pytest.approx(fwd_det[b], rel=0, abs=1e-12)
 
 
 def test_reduced_state_detector_option_is_gone(tmp_path):

@@ -38,7 +38,8 @@ OUT = {"--csv": "{d}/out.csv", "--json": "{d}/out.json",
 
 # params files written into the run directory: one detector frequency of
 # 10 or 1e2, the two frequencies of a two-level detector at a coupling weak
-# enough for a selective pair, and the one paper frequency at that coupling
+# enough for a selective pair, in either order, and the one paper frequency
+# at that coupling
 _PAPER = {"units": {"preset": "paper"}, "chain": {"N": 2001}}
 PARAMS_FILES = {
     "omega_d_10.json": {**_PAPER, "detector": {"w": 0.01, "omega_d": 10.0}},
@@ -46,6 +47,10 @@ PARAMS_FILES = {
     "two_level.json": {**_PAPER, "detector": {"w": 0.01,
                                               "omega_d": [10 * math.pi, 11.2 * math.pi]},
                        "coupling": {"g": 5e-8}},
+    "two_level_reversed.json": {**_PAPER,
+                                "detector": {"w": 0.01,
+                                             "omega_d": [11.2 * math.pi, 10 * math.pi]},
+                                "coupling": {"g": 5e-8}},
     "weak.json": {**_PAPER, "detector": {"w": 0.01}, "coupling": {"g": 5e-8}},
 }
 PARAMS = ("--params", tuple(f"{{d}}/{name}" for name in PARAMS_FILES), False)
@@ -182,6 +187,9 @@ def check(argv):
 @example(["reduced-state", "--params", "{d}/two_level.json", "--theta", "0.785",
           "--v1", "2.0", "--v2", "2.6", "--t", "1e-6", "--json", "{d}/out.json",
           "--sweep-csv", "{d}/sweep.csv"])
+@example(["reduced-state", "--params", "{d}/two_level_reversed.json",
+          "--theta", "0.785", "--v1", "2.6", "--v2", "2.0", "--t", "1e-6",
+          "--json", "{d}/out.json", "--sweep-csv", "{d}/sweep.csv"])
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_generated_argv_exit_cleanly(argv):
     check(argv)

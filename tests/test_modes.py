@@ -244,6 +244,36 @@ def test_resonance_pair_degenerate_velocities_rejected():
         resonance_pair(2.0, 2.0, 10.0 * math.pi, 10.0 * math.pi, p)
 
 
+def test_resonance_pair_takes_either_order():
+    # no c_s < v1 < v2 rule: swapping the branches swaps every result
+    p = paper()
+    om = 10.0 * math.pi
+    fwd = resonance_pair(2.0, 1.5, om, om, p)
+    rev = resonance_pair(1.5, 2.0, om, om, p)
+    assert (fwd.alpha1, fwd.alpha2) == (10, 20)
+    assert (rev.alpha1, rev.alpha2) == (fwd.alpha2, fwd.alpha1)
+    assert (rev.detuning1, rev.detuning2) == (fwd.detuning2, fwd.detuning1)
+    for a, b in (("v1_omega_d2_at_alpha1", "v2_omega_d1_at_alpha2"),
+                 ("v1_omega_d2_at_alpha2", "v2_omega_d1_at_alpha1")):
+        assert rev.cross_detunings[a] == fwd.cross_detunings[b]
+        assert rev.cross_detunings[b] == fwd.cross_detunings[a]
+    assert rev.cross_nearest["v1_omega_d2"] == fwd.cross_nearest["v2_omega_d1"]
+    assert rev.cross_nearest["v2_omega_d1"] == fwd.cross_nearest["v1_omega_d2"]
+    assert rev.guard_band == fwd.guard_band
+    assert rev.selectivity_violated == fwd.selectivity_violated
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_non_finite_velocity_rejected(v):
+    p = paper()
+    om = 10.0 * math.pi
+    for call in (lambda: resonance_mode(v, om, p),
+                 lambda: resonance_pair(v, 2.0, om, om, p),
+                 lambda: resonance_pair(2.0, v, om, om, p)):
+        with pytest.raises(ValidationError, match="v must be a finite number"):
+            call()
+
+
 @settings(max_examples=30, deadline=None)
 @given(v=st.floats(1.05, 5.0), k=st.integers(5, 40))
 def test_resonance_alpha_linear_consistency(v, k):

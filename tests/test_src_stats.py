@@ -15,7 +15,7 @@ _spec = importlib.util.spec_from_file_location("src_stats",
 src_stats = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(src_stats)
 
-MAX_DEFAULT_PARAMETERS = 22
+MAX_DEFAULT_PARAMETERS = 21
 MAX_DEFAULT_FIELDS = 8
 MAX_CLI_OPTIONS = 54
 

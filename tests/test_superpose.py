@@ -7,6 +7,7 @@ with x_i = g_i t / 2 hbar, times the branch's squared weight.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from ginzburg import quantum
 from ginzburg.errors import GuardError, ValidationError
 from ginzburg.modes import ModeCoupling
 from ginzburg.params import build_params
-from ginzburg.quantum import (FockSpace, build_ndpa, evolve_perturbative,
-                              trace_distance)
+from ginzburg.quantum import (FockSpace, QuantumState, build_ndpa,
+                              evolve_perturbative, trace_distance)
 from ginzburg.superpose import (Branch, BranchSpec, branch_spec_from_resonance,
                                 density_matrix, discriminate, evolve_superposed,
                                 mixed_density_matrix, reduce_chain,
@@ -243,6 +244,24 @@ def test_density_matrix_is_pure_and_normalized():
     assert np.max(np.abs(evals[:-1])) < 1e-12
 
 
+def test_unnormalized_branch_fails_validation():
+    # branch states are used as they are; validate() is the guard
+    state = evolve_superposed(hand_spec(math.pi / 4.0, 0.0), 0.2)
+    psi1, psi2 = state.branch_states
+    scaled = replace(state, branch_states=(
+        QuantumState(psi1.space, 1.001 * psi1.amplitudes), psi2))
+    for build in (density_matrix, mixed_density_matrix):
+        with pytest.raises(ValidationError, match="trace"):
+            build(scaled)
+
+
+@pytest.mark.parametrize("method", ["perturbative", "exact"])
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_bad_time_rejected(method, t):
+    with pytest.raises(ValidationError, match="t must be finite"):
+        evolve_superposed(hand_spec(math.pi / 4.0, 0.0), t, method=method)
+
+
 # -- pairing sectors (exact method) -------------------------------------------
 
 def test_exact_method_stays_in_pair_sector():
@@ -301,13 +320,14 @@ def test_coherent_matches_classical_mixture():
     dim = coherent.matrix.shape[0] // 2
     assert np.max(np.abs(mixed.matrix[:dim, dim:])) == 0.0
 
-    report = discriminate([reduce_chain(coherent), reduce_chain(mixed)],
-                          labels=["coherent", "mixed"])
-    assert report.pairs[0].trace_distance < 1e-10
-    assert report.pairs[0].verdict == "indistinguishable"
+    report = discriminate(reduce_chain(coherent), reduce_chain(mixed),
+                          ["coherent", "mixed"])
+    assert report.trace_distance < 1e-10
+    assert report.verdict == "indistinguishable"
 
-    det_report = discriminate([reduce_detector(coherent), reduce_detector(mixed)])
-    assert det_report.pairs[0].trace_distance < 1e-10
+    det_report = discriminate(reduce_detector(coherent), reduce_detector(mixed),
+                              ["coherent", "mixed"])
+    assert det_report.trace_distance < 1e-10
 
 
 @pytest.mark.parametrize("method", ["perturbative", "exact"])
@@ -327,22 +347,20 @@ def test_discriminate_separates_localized_from_superposed():
         evolve_superposed(hand_spec(math.pi / 4.0, 0.0), t)))
     loc = reduce_chain(density_matrix(
         evolve_superposed(hand_spec(0.0, 0.0), t)))
-    report = discriminate([sup, loc], labels=["superposed", "localized"])
-    assert report.pairs[0].verdict == "distinguishable"
-    assert report.pairs[0].trace_distance > 1e-3
+    report = discriminate(sup, loc, ["superposed", "localized"])
+    assert report.verdict == "distinguishable"
+    assert report.trace_distance > 1e-3
     assert report.labels == ("superposed", "localized")
     assert "(1, 0)" in report.populations["localized"]
 
-    same = discriminate([sup, sup])
-    assert same.pairs[0].trace_distance == 0.0
+    same = discriminate(sup, sup, ["a", "b"])
+    assert same.trace_distance == 0.0
 
     with pytest.raises(ValidationError):
-        discriminate([sup])
+        discriminate(sup, loc, ["only-one"])
     with pytest.raises(ValidationError):
-        discriminate([sup, loc], labels=["only-one"])
-    with pytest.raises(ValidationError):
-        discriminate([sup, reduce_detector(density_matrix(
-            evolve_superposed(hand_spec(0.0, 0.0), t)))])
+        discriminate(sup, reduce_detector(density_matrix(
+            evolve_superposed(hand_spec(0.0, 0.0), t))), ["sup", "det"])
 
 
 def test_reductions_match_loop_trace_oracle():
