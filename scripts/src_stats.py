@@ -1,4 +1,5 @@
-"""Size of the package: lines per module, default-valued knobs, CLI options.
+"""Size of the package: lines per module, default-valued knobs, CLI options
+and public names.
 
     python3 scripts/src_stats.py [--src src]
 
@@ -9,9 +10,9 @@ the AST, and the options each subcommand of the command line accepts (-h
 left out).  A settable field of a config object is as much a knob as a
 keyword parameter, so moving one into the other shows in the sum.  It also
 lists the ten longest functions, counted from the def line to the last line
-of the body.
+of the body, and the number of names the package exports in __all__.
 The script never fails on a count; tests/test_src_stats.py holds the
-ceilings that keep the knob and option counts from growing.
+ceilings that keep the knob, option and public-name counts from growing.
 """
 
 from __future__ import annotations
@@ -79,6 +80,13 @@ def cli_options(src: Path) -> dict[str, list[str]]:
             for name, parser in sub.choices.items()}
 
 
+def public_names(src: Path) -> list[str]:
+    sys.path.insert(0, str(src))
+    import ginzburg
+
+    return list(ginzburg.__all__)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
@@ -102,6 +110,7 @@ def main() -> int:
     print(f"CLI options: {sum(map(len, options.values()))}")
     for name, opts in options.items():
         print(f"  {name} ({len(opts)}): {' '.join(opts)}")
+    print(f"public names: {len(public_names(src))}")
     return 0
 
 

@@ -19,9 +19,7 @@ del _os, _threads
 
 __version__ = "0.1.0"
 
-from .errors import (GinzburgError, GuardError, ModeCutoffError, ModeIndexError,
-                     PoleError, StabilityError, SubsonicError, ToleranceError,
-                     ValidationError)
+from .errors import GinzburgError, GuardError, ToleranceError, ValidationError
 from .params import (ChainParams, CouplingParams, DetectorParams, RegimeCheck,
                      RegimeReport, SystemParams, build_params, load_params,
                      regime_check)
@@ -44,9 +42,7 @@ from .superpose import (Branch, BranchSpec, BranchedState, DiscriminationReport,
                         reduce_detector)
 
 __all__ = [
-    "GinzburgError", "GuardError", "ModeCutoffError", "ModeIndexError",
-    "PoleError", "StabilityError", "SubsonicError", "ToleranceError",
-    "ValidationError",
+    "GinzburgError", "GuardError", "ToleranceError", "ValidationError",
     "ChainParams", "CouplingParams", "DetectorParams", "RegimeCheck",
     "RegimeReport", "SystemParams", "build_params", "load_params",
     "regime_check",

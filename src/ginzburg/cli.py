@@ -168,8 +168,7 @@ def _cmd_oracle_compare(args, params):
     if l2 > args.tol:
         print(summary)
         raise ToleranceError(
-            f"discrete-vs-closed L2/peak = {l2:.4e} exceeds tol = {args.tol}",
-            achieved=l2, target=args.tol)
+            f"discrete-vs-closed L2/peak = {l2:.4e} exceeds tol = {args.tol}")
     return summary, [out]
 
 
@@ -485,7 +484,7 @@ def run(argv) -> int:
     except ToleranceError as exc:
         print(f"ginzburg {args.subcommand}: tolerance failure: {exc}", file=sys.stderr)
         return 3
-    except (GinzburgError, OSError) as exc:
+    except (GinzburgError, OSError, MemoryError) as exc:
         print(f"ginzburg {args.subcommand}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StabilityError, ValidationError
+from .errors import ValidationError
 from .params import SystemParams
 from .specfun import kernel_h_deriv
 
@@ -48,9 +48,6 @@ class ChainState:
     p: np.ndarray
     x_d: float
     p_d: float
-
-    def copy(self) -> "ChainState":
-        return ChainState(self.t, self.phi.copy(), self.p.copy(), self.x_d, self.p_d)
 
     def constraint_residuals(self) -> tuple[float, float]:
         """(|sum phi_n|, |sum p_n|) scaled by N * max amplitude."""
@@ -172,7 +169,7 @@ def integrate(state: ChainState, params: SystemParams, dt: float, steps: int,
     prescribed: x_d(t) = x_d(0) + (p_d/M_d) t exactly, p_d untouched.
     dynamic:    detector kicked and drifted alongside the chain.
 
-    dt may be negative (time-reversed run).  Raises StabilityError when
+    dt may be negative (time-reversed run).  Raises ValidationError when
     |dt| exceeds max_stable_dt, a tenth of the shortest chain period.
 
     The steps update fixed buffers in place.  Each step evaluates h'' once,
@@ -187,7 +184,7 @@ def integrate(state: ChainState, params: SystemParams, dt: float, steps: int,
         raise ValidationError(f"store_every must be >= 1, got {store_every}")
     dt_max = max_stable_dt(params)
     if dt == 0.0 or abs(dt) > dt_max:
-        raise StabilityError(
+        raise ValidationError(
             f"|dt| = {abs(dt):.3e} outside (0, {dt_max:.3e}] "
             "(0.1 x shortest chain period)")
     state.validate(params)

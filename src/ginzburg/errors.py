@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps ValidationError (and argparse failures) to exit code 2 and
-ToleranceError to exit code 3; everything else is a genuine bug.
+ToleranceError to exit code 3; everything else is a genuine bug.  Bad input
+raises ValidationError itself, its message naming the value; the one
+subclass, GuardError, marks the weak-coupling guard that callers catch.
 """
 
 
@@ -13,37 +15,9 @@ class ValidationError(GinzburgError):
     """Bad physical parameters, malformed config, or out-of-domain input."""
 
 
-class ModeIndexError(ValidationError):
-    """Mode index outside 1..N-1."""
-
-
-class ModeCutoffError(ValidationError):
-    """Mode index valid but truncated by the short-wavelength cutoff."""
-
-
-class SubsonicError(ValidationError):
-    """Resonance requested for |v| <= c_s: subsonic, no Ginzburg resonance."""
-
-
-class PoleError(ValidationError):
-    """Closed-form mean field evaluated at |v| = c_s exactly."""
-
-
-class StabilityError(ValidationError):
-    """Integrator time step too large for the fastest frequency present."""
-
-
 class GuardError(ValidationError):
     """Weak-coupling guard violated for a perturbative formula."""
 
 
 class ToleranceError(GinzburgError):
-    """Adaptive quadrature exhausted its budget without meeting tolerance.
-
-    Carries the achieved error estimate so callers can report diagnostics.
-    """
-
-    def __init__(self, message, achieved=None, target=None):
-        super().__init__(message)
-        self.achieved = achieved
-        self.target = target
+    """A numerical check missed its tolerance; the message names both values."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError, ToleranceError, ValidationError
+from .errors import ToleranceError, ValidationError
 from .modes import _on_chain, mode_spectrum
 from .params import SystemParams, _check_time
 from .specfun import kernel_h, kernel_h_deriv
@@ -87,19 +87,15 @@ class QuadReport:
 class FieldProfile:
     """phi-bar sampled on a grid at one time, plus route metadata."""
 
-    grid: np.ndarray
-    t: float
     values: np.ndarray
-    route: str
     components: dict | None     # packet decomposition; None for modesum
     constraint_integral: float  # trapezoid of phi over the grid
-    l1_integral: float          # trapezoid of |phi|
-    meta: dict
+    meta: dict                  # "quadrature": the modesum QuadReport
 
 
 def _pole_check(v, c_s):
     if abs(abs(v) - c_s) <= 1e-12 * c_s:
-        raise PoleError(
+        raise ValidationError(
             f"|v| = c_s is a pole of the closed/series forms (v = {v}); "
             "use the modesum route for sonic trajectories")
 
@@ -336,7 +332,7 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     longwave switches the mode wavenumber to Omega_alpha/c_s; extended_domain
     integrates over a detector-centered window instead of the physical chain
     (the far-from-edge idealization the analytic routes make).  Raises
-    ToleranceError (carrying the achieved estimate) if the doubling budget
+    ToleranceError, naming the estimate reached, if the doubling budget
     runs out.
     """
     chain, det = params.chain, params.detector
@@ -389,8 +385,7 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     else:
         raise ToleranceError(
             f"modesum quadrature did not reach rel_tol={rel_tol:.2e} after "
-            f"{_MAX_DOUBLINGS} doublings (achieved {est:.2e})",
-            achieved=est, target=rel_tol)
+            f"{_MAX_DOUBLINGS} doublings (achieved {est:.2e})")
 
     return prev, QuadReport(panels_x=panels_x, panels_t=panels_t,
                             doublings=doublings, error_estimate=est,
@@ -432,7 +427,7 @@ def profile(route: str, grid, t, traj: Trajectory, params: SystemParams,
     _on_chain(grid, params.chain)
     traj.validate(params)
 
-    meta = {"trajectory": {"x0": traj.x0, "v": traj.v}}
+    meta = {}
     components = None
     if route == "closed":
         values, components = meanfield_closed(grid, t, traj, params,
@@ -444,8 +439,6 @@ def profile(route: str, grid, t, traj: Trajectory, params: SystemParams,
         values, meta["quadrature"] = meanfield_modesum(grid, t, traj, params,
                                                        **route_options)
 
-    constraint = float(np.trapezoid(values, grid))
-    l1 = float(np.trapezoid(np.abs(values), grid))
-    return FieldProfile(grid=grid, t=float(t), values=values, route=route,
-                        components=components, constraint_integral=constraint,
-                        l1_integral=l1, meta=meta)
+    return FieldProfile(values=values, components=components,
+                        constraint_integral=float(np.trapezoid(values, grid)),
+                        meta=meta)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModeCutoffError, ModeIndexError, SubsonicError, ValidationError
+from .errors import ValidationError
 from .params import ChainParams, SystemParams, _require_finite
 from .specfun import cutoff_f
 
@@ -41,7 +41,7 @@ Y_MAX = 10.0
 
 def _check_alpha(alpha, N):
     if not (isinstance(alpha, (int, np.integer)) and 1 <= alpha <= N - 1):
-        raise ModeIndexError(f"mode index must be an integer in 1..{N - 1}, got {alpha!r}")
+        raise ValidationError(f"mode index must be an integer in 1..{N - 1}, got {alpha!r}")
 
 
 def _check_omega_d(omega_d):
@@ -106,7 +106,7 @@ class ModeSpectrum:
         """Modes 1..alpha_max of this table."""
         n = self.alphas.size
         if not (isinstance(alpha_max, (int, np.integer)) and 1 <= alpha_max <= n):
-            raise ModeIndexError(f"alpha_max must be an integer in 1..{n}, got {alpha_max!r}")
+            raise ValidationError(f"alpha_max must be an integer in 1..{n}, got {alpha_max!r}")
         head = slice(0, alpha_max)
         return ModeSpectrum(alphas=self.alphas[head], omega=self.omega[head],
                             f=self.f[head], retained=self.retained[head])
@@ -128,7 +128,6 @@ class ModeCoupling:
     g_alpha: float
     omega_d: float
     omega_alpha: float
-    f_factor: float
 
 
 def coupling_strengths(params: SystemParams, omega_d, alphas=None) -> np.ndarray:
@@ -149,19 +148,19 @@ def coupling_strengths(params: SystemParams, omega_d, alphas=None) -> np.ndarray
 def mode_coupling(alpha, params: SystemParams, omega_d) -> ModeCoupling:
     """Signed coupling g_alpha for one retained mode.
 
-    Raises ModeIndexError outside 1..N-1 and ModeCutoffError for valid
-    indices truncated by the cutoff.
+    Raises ValidationError outside 1..N-1 and for valid indices truncated
+    by the cutoff.
     """
     chain = params.chain
     _check_alpha(alpha, chain.N)
     omega = mode_frequency(alpha, chain)
     y = _cutoff_y(omega, params)
     if y > Y_MAX:
-        raise ModeCutoffError(
+        raise ValidationError(
             f"mode {alpha} truncated: Omega_alpha*w/c_s = {y:.4g} > y_max = {Y_MAX}")
     g_alpha = float(coupling_strengths(params, omega_d, alphas=np.array([alpha]))[0])
     return ModeCoupling(alpha=int(alpha), g_alpha=g_alpha, omega_d=float(omega_d),
-                        omega_alpha=omega, f_factor=float(cutoff_f(y)))
+                        omega_alpha=omega)
 
 
 # -- resonance --------------------------------------------------------------
@@ -185,14 +184,15 @@ def resonance_mode(v, omega_d, params: SystemParams) -> Resonance:
     Solves Omega* = omega_d c_s/(v - c_s); the returned alpha0 minimizes the
     exact-dispersion detuning (floor/ceil of the arcsin-mapped continuous
     index are compared), which coincides with rounding the linear-map index
-    Omega* L/(pi c_s) in the long-wavelength regime.
+    Omega* L/(pi c_s) in the long-wavelength regime.  Raises ValidationError
+    for v <= c_s, a resonant mode past the cutoff or an overflowing detuning.
     """
     chain = params.chain
     _check_omega_d(omega_d)
     _require_finite(v=v)
     c_s = chain.c_s
     if v <= c_s:
-        raise SubsonicError(
+        raise ValidationError(
             f"subsonic: no Ginzburg resonance (v = {v:.6g} <= c_s = {c_s:.6g})")
     omega_star = omega_d * c_s / (v - c_s)
     alpha_linear = omega_star * chain.L / (math.pi * c_s)
@@ -209,9 +209,12 @@ def resonance_mode(v, omega_d, params: SystemParams) -> Resonance:
 
     y = _cutoff_y(mode_frequency(alpha0, chain), params)
     if y > Y_MAX:
-        raise ModeCutoffError(
+        raise ValidationError(
             f"resonant mode {alpha0} lies past the cutoff (y = {y:.4g} > {Y_MAX})")
-    return Resonance(alpha0=alpha0, detuning=_detuning(alpha0, v, omega_d, chain),
+    detuning = _detuning(alpha0, v, omega_d, chain)
+    if not math.isfinite(detuning):
+        raise ValidationError(f"v = {v:.6g} overflows the detuning at mode {alpha0}")
+    return Resonance(alpha0=alpha0, detuning=detuning,
                      omega_star=omega_star, alpha_linear=alpha_linear)
 
 

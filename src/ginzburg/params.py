@@ -322,12 +322,6 @@ class RegimeReport:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def __getitem__(self, name: str) -> RegimeCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {"all_pass": self.all_pass,
                 "checks": [asdict(c) for c in self.checks]}

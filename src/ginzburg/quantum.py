@@ -148,10 +148,6 @@ class QuantumState:
             raise ValidationError("cannot normalize the zero vector")
         return QuantumState(self.space, self.amplitudes / n)
 
-    def probability(self, detector_level: int, occupations: Sequence[int]) -> float:
-        idx = self.space.basis_index(detector_level, occupations)
-        return float(abs(self.amplitudes[idx]) ** 2)
-
     def expectation(self, op: np.ndarray) -> float:
         return float(np.real(self.amplitudes.conj() @ (op @ self.amplitudes)))
 

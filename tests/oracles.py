@@ -111,6 +111,18 @@ def fit_order(scales, errors):
                       np.log(np.asarray(errors, float)), 1)[0]
 
 
+def probability(state, level, occupations):
+    """|amplitude|^2 of one basis state of a QuantumState: the detector level
+    and the mode occupations in tensor order, detector slowest, row-major."""
+    space = state.space
+    dims = [2 ** space.detector_qubits] + [n_max + 1 for _, n_max in space.modes]
+    index = 0
+    for digit, size in zip((level, *occupations), dims, strict=True):
+        assert 0 <= digit < size, (level, occupations, dims)
+        index = index * size + digit
+    return float(abs(state.amplitudes[index]) ** 2)
+
+
 def _kron_ladders(n_maxes, detector_qubits=1, qubit=0):
     """Detector lowering b of qubit `qubit` (qubit 0 the slowest) and mode
     lowerings a_k on qubits x modes by np.kron."""

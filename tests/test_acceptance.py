@@ -47,9 +47,9 @@ def scaled_coupling():
 def equal_coupling_spec(theta, phi, two_level=False):
     """Two branches with unit |g| each, so g t is the only scale."""
     c1 = ModeCoupling(alpha=10, g_alpha=-1.0, omega_d=10.0 * math.pi,
-                      omega_alpha=31.4156, f_factor=0.91)
+                      omega_alpha=31.4156)
     c2 = ModeCoupling(alpha=7, g_alpha=-1.0, omega_d=11.2 * math.pi,
-                      omega_alpha=21.9908, f_factor=0.95)
+                      omega_alpha=21.9908)
     return BranchSpec(branches=(Branch(0.0, 2.0, 10, c1),
                                 Branch(0.0, 2.6, 7, c2)),
                       theta=theta, phi=phi, hbar=1.0, two_level=two_level)

@@ -216,6 +216,20 @@ def test_equal_branch_velocities_exit_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["resonance", "--v", "1e308"],
+    ["reduced-state", "--theta", "0.3", "--v1", "1e308", "--v2", "2.0", "--gt", "0.1"],
+])
+def test_overflowing_detuning_exits_2(tmp_path, capsys, argv):
+    # a finite v whose detuning overflows would be written as Infinity,
+    # which is not JSON
+    out = tmp_path / "out.json"
+    assert run(argv + ["--json", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and "overflows the detuning" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_resonance_two_frequency_params_without_v2_exits_2(tmp_path, capsys):
     # the params file's second frequency pairs with --v2; the single-mode
     # answer would drop it
@@ -348,6 +362,22 @@ def test_evolve_over_operator_budget_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and "MiB budget" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes", "--csv"],
+    ["regime", "--v", "2.0", "--t-end", "0.1", "--json"],
+])
+def test_chain_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
+    # 8e18 bytes of mode indices exceed any address space, so numpy refuses
+    # the array at once, before anything is allocated
+    cfg = write_config(tmp_path, chain={"N": 10 ** 18 + 1})
+    out = tmp_path / "out"
+    assert run([argv[0], "--params", cfg, *argv[1:], str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"ginzburg {argv[0]}: error: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n_max", ["20000", "1000"])

@@ -31,9 +31,9 @@ OMEGA_A2 = 21.9908035869  # mode 7
 
 def hand_spec(theta, phi, g1=1.0, g2=1.0, hbar=1.0, two_level=False):
     c1 = ModeCoupling(alpha=10, g_alpha=-abs(g1), omega_d=10.0 * math.pi,
-                      omega_alpha=OMEGA_A1, f_factor=0.91)
+                      omega_alpha=OMEGA_A1)
     c2 = ModeCoupling(alpha=7, g_alpha=-abs(g2), omega_d=11.2 * math.pi,
-                      omega_alpha=OMEGA_A2, f_factor=0.95)
+                      omega_alpha=OMEGA_A2)
     return BranchSpec(branches=(Branch(0.0, 2.0, 10, c1),
                                 Branch(0.0, 2.6, 7, c2)),
                       theta=theta, phi=phi, hbar=hbar, two_level=two_level)
@@ -53,7 +53,7 @@ def test_branch_spec_validation():
     with pytest.raises(ValidationError):
         hand_spec(0.3, 0.2, hbar=0.0)
     c = ModeCoupling(alpha=10, g_alpha=-1.0, omega_d=1.0,
-                     omega_alpha=OMEGA_A1, f_factor=1.0)
+                     omega_alpha=OMEGA_A1)
     with pytest.raises(ValidationError):
         BranchSpec(branches=(Branch(0.0, 2.0, 10, c), Branch(0.0, 2.1, 10, c)),
                    theta=0.3, phi=0.0, hbar=1.0)
