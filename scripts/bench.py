@@ -8,7 +8,8 @@ Measures the package under src/ next to this script (the "after" section)
 and, with --src DIR, the package under DIR too (the "before" section),
 alternating the two trees within every repeat.  Each measurement runs in a
 fresh interpreter with GINZBURG_NUM_THREADS=1, and the record holds the
-median over the repeats (the minimum for evolve_full_s_per_step) of:
+median over the repeats (the minimum for evolve_full_s_per_step,
+leapfrog_us_per_step and series_s) of:
 
   evolve_full_s_per_step  CPU seconds per Magnus-2 step of evolve_full at the
                           criterion-8 configuration (|g_10|/hbar = 0.05 at
@@ -27,6 +28,18 @@ median over the repeats (the minimum for evolve_full_s_per_step) of:
                           (v = 0.5, t = 0.25 and v = 2.5, t = 0.1, x0 = 0,
                           801 grid points), timed in a fresh child after
                           its imports, and that child's peak RSS in MB
+  leapfrog_us_per_step    CPU microseconds per step of the prescribed and the
+                          dynamic leapfrog chain at the Fig. 2 defaults
+                          (v = 0.5, x0 = 0, t = 0.25 in steps of half the
+                          stability bound), each the minimum over
+                          LAYER_CALLS calls after a warm-up call, the modes
+                          taking turns, and then over the repeats, as for
+                          evolve_full
+  series_s                CPU seconds of the series profile (v = 0.5,
+                          t = 0.25, x0 = 0) at 801 and at 4001 grid points,
+                          each the minimum over LAYER_CALLS calls after a
+                          warm-up call, the grids taking turns, and then over
+                          the repeats
   import_floor_s          child CPU seconds of `python -c "import ginzburg.cli"`
   cli_cpu_s               child CPU seconds of each subcommand at the Fig. 2
                           defaults (N = 2001, w = 0.01)
@@ -56,6 +69,8 @@ SCRIPTS = Path(__file__).resolve().parent
 OWN_SRC = SCRIPTS.parent / "src"
 # timed evolve_full calls per configuration and repeat; the fastest counts
 KERNEL_CALLS = 25
+# timed leapfrog and series calls per configuration and repeat; the fastest counts
+LAYER_CALLS = 5
 FIG2 = {"units": {"preset": "paper"}, "chain": {"N": 2001},
         "detector": {"w": 0.01}}
 # the cli_sweep calls of the benchmark, at x0 = 0 and fixed angles; series
@@ -179,6 +194,49 @@ def modesum_child():
     print(json.dumps({"cpu_s": cpu, "peak_rss_mb": rss}))
 
 
+def layer_minima(calls: dict) -> dict:
+    """CPU seconds of each call, the minimum over LAYER_CALLS timed calls
+    after a warm-up call, the calls taking turns."""
+    for call in calls.values():
+        call()
+    samples = {name: [] for name in calls}
+    for _ in range(LAYER_CALLS):
+        for name, call in calls.items():
+            c0 = time.process_time()
+            call()
+            samples[name].append(time.process_time() - c0)
+    return {name: min(s) for name, s in samples.items()}
+
+
+def leapfrog_child():
+    """Runs in a fresh interpreter: prints the CPU microseconds per step of
+    the prescribed and the dynamic leapfrog as one JSON line."""
+    from ginzburg import discrete_oracle, params
+
+    p = params.build_params(FIG2)
+    steps = round(0.25 / (0.5 * discrete_oracle.max_stable_dt(p)))
+    state = discrete_oracle.initial_state(p, x_d=0.0, v=0.5)
+    calls = {mode: (lambda mode=mode: discrete_oracle.integrate(
+        state, p, 0.25 / steps, steps, mode=mode, store_every=steps))
+        for mode in ("prescribed", "dynamic")}
+    print(json.dumps({mode: cpu / steps * 1e6
+                      for mode, cpu in layer_minima(calls).items()}))
+
+
+def series_child():
+    """Runs in a fresh interpreter: prints the CPU seconds of the series
+    profile at 801 and 4001 grid points as one JSON line."""
+    from ginzburg import params
+    from ginzburg.meanfield import Trajectory, meanfield_series
+    import numpy as np
+
+    p = params.build_params(FIG2)
+    half = p.chain.L / 2.0
+    calls = {f"grid{n}": (lambda grid=np.linspace(-half, half, n): meanfield_series(
+        grid, 0.25, Trajectory(0.0, 0.5), p)) for n in (801, 4001)}
+    print(json.dumps(layer_minima(calls)))
+
+
 def stats_child(src: str):
     """Runs in a fresh interpreter: prints the src_stats counts of <src>."""
     import src_stats
@@ -198,6 +256,8 @@ def measure(src: Path, work: str) -> dict:
     env = child_env(src)
     kernels = child_json("import bench; bench.kernel_child()", env, work)
     modesum = child_json("import bench; bench.modesum_child()", env, work)
+    leapfrog = child_json("import bench; bench.leapfrog_child()", env, work)
+    series = child_json("import bench; bench.series_child()", env, work)
     floor = child_cpu([sys.executable, "-c", "import ginzburg.cli"], env, work)
     cli = {}
     with tempfile.TemporaryDirectory(dir=work) as d:
@@ -205,8 +265,8 @@ def measure(src: Path, work: str) -> dict:
             cli[label] = child_cpu(
                 [sys.executable, "-m", "ginzburg",
                  *[a.replace("{d}", d) for a in argv]], env, work)
-    return {"kernels": kernels, "modesum": modesum, "import_floor_s": floor,
-            "cli_cpu_s": cli}
+    return {"kernels": kernels, "modesum": modesum, "leapfrog": leapfrog,
+            "series": series, "import_floor_s": floor, "cli_cpu_s": cli}
 
 
 def summarize(runs: list, stats: dict) -> dict:
@@ -221,6 +281,10 @@ def summarize(runs: list, stats: dict) -> dict:
                               for name, (_, steps) in first["kernels"].items()},
         "modesum": {key: statistics.median(r["modesum"][key] for r in runs)
                     for key in first["modesum"]},
+        "leapfrog_us_per_step": {key: min(r["leapfrog"][key] for r in runs)
+                                 for key in first["leapfrog"]},
+        "series_s": {key: min(r["series"][key] for r in runs)
+                     for key in first["series"]},
         "import_floor_s": statistics.median(r["import_floor_s"] for r in runs),
         "cli_cpu_s": cli,
         "cli_cpu_total_s": sum(cli.values()),

@@ -56,9 +56,15 @@ def write_csv(path, header, rows) -> Path:
 
 
 def write_json(path, payload: dict) -> Path:
+    """Write payload as strict JSON; a non-finite number raises
+    ValidationError before the file is opened."""
     path = Path(path)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8", newline="\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(
+            f"{path} not written: {exc} (inf and nan have no JSON form)") from None
+    path.write_text(text + "\n", encoding="utf-8", newline="\n")
     return path
 
 

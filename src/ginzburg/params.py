@@ -300,7 +300,7 @@ def load_params(path) -> SystemParams:
 @dataclass(frozen=True)
 class RegimeCheck:
     name: str
-    ratio: float
+    ratio: float | None     # None when the check has nothing to measure
     threshold: float
     # "ge": pass when ratio >= threshold; "le": pass when ratio <= threshold
     direction: str
@@ -339,7 +339,8 @@ def regime_check(params: SystemParams, t_end: float, trajectories) -> RegimeRepo
                        units of w, must be >= MUCH_FACTOR
       mode_wavelength  lambda_alpha >= w for the modes that actually couple
                        (cutoff f >= 1/2); the shorter retained modes carry
-                       negligible weight by construction
+                       negligible weight by construction.  With no such
+                       mode the ratio is None (null in JSON) and it passes
       weak_coupling    max_alpha |g_alpha| * t_end / hbar <= WEAK_COUPLING_MAX
     """
     # local import: modes imports params for types
@@ -368,12 +369,12 @@ def regime_check(params: SystemParams, t_end: float, trajectories) -> RegimeRepo
     spec = mode_spectrum(params)
     significant = spec.omega[spec.retained & (spec.f >= 0.5)]
     if significant.size:
-        lam_min = float((2.0 * math.pi * chain.c_s / significant).min())
-        r = lam_min / w
+        r = float((2.0 * math.pi * chain.c_s / significant).min()) / w
+        checks.append(RegimeCheck("mode_wavelength", r, 1.0, "ge", r >= 1.0,
+                                  note="min lambda/w over modes with f >= 1/2"))
     else:
-        r = math.inf
-    checks.append(RegimeCheck("mode_wavelength", r, 1.0, "ge", r >= 1.0,
-                              note="min lambda/w over modes with f >= 1/2"))
+        checks.append(RegimeCheck("mode_wavelength", None, 1.0, "ge", True,
+                                  note="no retained mode with f >= 1/2"))
 
     g_abs = abs(coupling_strengths(params, det.omega_d1)[spec.retained])
     gt_max = float(g_abs.max()) * t_end / params.hbar if g_abs.size else 0.0

@@ -28,6 +28,11 @@ import numpy as np
 
 from .errors import ValidationError
 
+# elements per block (512 KB of float64): the series and modesum sums and the
+# leapfrog's prescribed drive take their kernel and cos/sin matrices a block
+# at a time, so that no temporary leaves the core's cache
+_BLOCK_ELEMENTS = 65_536
+
 # Generated by scripts/gen_k1_coefficients.py (mpmath, 40 digits):
 # truncated Chebyshev series in power form, sum_k a_k x^k, a_0 first.
 # I1(y)/y on y <= 2, in t = y^2/2 - 1: 11 terms, vs mpmath 1.3e-17

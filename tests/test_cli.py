@@ -21,6 +21,7 @@ import pytest
 import ginzburg
 import ginzburg.cli
 from ginzburg.cli import run
+from ginzburg.io_utils import write_json
 from ginzburg.superpose import evolve_superposed
 
 from reference_values import G_ALPHA_10, OMEGA_10
@@ -592,6 +593,32 @@ def test_regime_x0_2_needs_v2(tmp_path, capsys):
     failed = [c["name"] for c in json.loads(out.read_text())["checks"]
               if not c["passed"]]
     assert "edge_distance" in failed
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_regime_without_coupled_modes_writes_strict_json(tmp_path, capsys):
+    # at w = 0.5 no retained mode has f >= 1/2, so the wavelength check has
+    # nothing to measure: its ratio is null, not Infinity
+    pfile = write_config(tmp_path, detector={"w": 0.5})
+    out = tmp_path / "reg.json"
+    assert run(["regime", "--params", pfile, "--v", "0.5", "--t-end", "0.25",
+                "--json", str(out)]) == 0
+    checks = _strict_json(out.read_text())["checks"]
+    check, = [c for c in checks if c["name"] == "mode_wavelength"]
+    assert check["ratio"] is None and check["passed"] is True
+    assert check["note"] == "no retained mode with f >= 1/2"
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    out = tmp_path / "out.json"
+    with pytest.raises(ginzburg.ValidationError, match="not written"):
+        write_json(out, {"ratio": math.inf})
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,key", [

@@ -8,7 +8,7 @@ from ginzburg import ValidationError, build_params, mode_frequency
 from ginzburg.discrete_oracle import (ChainState, force_field, initial_state,
                                       integrate, max_stable_dt, site_positions,
                                       total_energy)
-from ginzburg.specfun import kernel_h_deriv
+from ginzburg.specfun import _BLOCK_ELEMENTS, kernel_h_deriv
 
 from oracles import frequency_from_crossings, leapfrog_reference
 
@@ -270,3 +270,22 @@ def test_reversibility_property(steps):
     fwd = integrate(st0, p, 2e-4, steps, store_every=steps)
     back = integrate(fwd.final, p, -2e-4, steps, store_every=steps)
     assert np.abs(back.final.phi - st0.phi).max() <= 1e-8 * np.abs(st0.phi).max()
+
+
+# integrate builds the prescribed drive for _BLOCK_ELEMENTS // N steps at a
+# time, 648 at N = 101: 647 steps evaluate forces at exactly one full block
+# (steps 0..647), 1295 steps at exactly two
+@pytest.mark.parametrize("steps", [647, 1295])
+def test_integrate_matches_reference_at_drive_block_edges(steps):
+    assert _BLOCK_ELEMENTS // _N_REF == 648
+    p = paper(N=_N_REF, w=0.05)
+    chain, det = p.chain, p.detector
+    st0 = displaced(p, mode_profile(p, [1, 3], [1e-3, 4e-4]),
+                    0.5 * mode_profile(p, [2], [2e-3]), x_d=0.02, v=0.3)
+    run = integrate(st0, p, 1e-3, steps, store_every=100)
+    ref = leapfrog_reference(st0.phi, st0.p, st0.x_d, st0.p_d, st0.t, chain.a_c,
+                             chain.m_c, chain.k_c, det.M_d,
+                             p.g * det.a_d * chain.a_c, det.w, 1e-3, steps,
+                             store_every=100)
+    for a, b in zip((run.times, run.phi, run.p, run.x_d, run.p_d), ref):
+        assert np.array_equal(a, b)

@@ -214,6 +214,33 @@ def test_blocked_series_matches_dense_oracle(v, t, x0, p2001):
     assert np.max(np.abs(phi - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+# -- blocked trig sums --------------------------------------------------------
+
+# 300 columns give blocks of _BLOCK_ELEMENTS // 300 = 218 rows: 1000 rows are
+# four full blocks and a partial one, 150 rows less than one block; a grid
+# jittered by 1e-6 is not uniform and takes the direct path
+_TRIG_COLS = np.linspace(0.5, 30.0, 300)
+_JITTERED = (np.linspace(0.0, 2.0, 1000)
+             + 1e-6 * np.random.default_rng(5).uniform(-1, 1, 1000))
+
+
+@pytest.mark.parametrize("fn", [np.cos, np.sin])
+@pytest.mark.parametrize("rows, uniform", [
+    (np.linspace(0.0, 2.0, 1000), True),
+    (np.linspace(0.0, 2.0, 150), True),
+    (_JITTERED, False),
+], ids=["blocks", "one_block", "jittered"])
+@pytest.mark.parametrize("weight_shape", [(300,), (300, 3)])
+def test_trig_dot_matches_direct_product(fn, rows, uniform, weight_shape):
+    assert meanfield._uniform(rows) is uniform
+    weights = np.random.default_rng(rows.size).standard_normal(weight_shape)
+    got = meanfield._trig_dot(fn, rows, _TRIG_COLS, weights)
+    ref = fn(np.multiply.outer(rows, _TRIG_COLS)) @ weights
+    assert got.shape == ref.shape
+    assert np.all(np.max(np.abs(got - ref), axis=0)
+                  <= 1e-14 * np.max(np.abs(ref), axis=0))
+
+
 # -- mode-sum route -----------------------------------------------------------
 
 def test_modesum_matches_closed(p2001):
