@@ -58,9 +58,14 @@ class ChainState:
                 abs(float(self.p.sum())) / (n * p_scale))
 
     def validate(self, params: SystemParams):
+        if not (math.isfinite(self.x_d) and math.isfinite(self.p_d)):
+            raise ValidationError(
+                f"detector state not finite: x_d = {self.x_d}, p_d = {self.p_d}")
         if self.phi.shape != (params.chain.N,) or self.p.shape != (params.chain.N,):
             raise ValidationError(
                 f"state arrays must have shape ({params.chain.N},)")
+        if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.p))):
+            raise ValidationError("chain state not finite: phi or p holds inf or nan")
         r_phi, r_p = self.constraint_residuals()
         if r_phi > _CONSTRAINT_TOL or r_p > _CONSTRAINT_TOL:
             raise ValidationError(
@@ -75,8 +80,10 @@ def initial_state(params: SystemParams, x_d: float = 0.0,
     A displaced start is a ChainState built directly and checked with
     validate(params)."""
     N = params.chain.N
-    return ChainState(t=0.0, phi=np.zeros(N), p=np.zeros(N), x_d=float(x_d),
-                      p_d=float(v) * params.detector.M_d)
+    state = ChainState(t=0.0, phi=np.zeros(N), p=np.zeros(N), x_d=float(x_d),
+                       p_d=float(v) * params.detector.M_d)
+    state.validate(params)
+    return state
 
 
 def max_stable_dt(params: SystemParams) -> float:
@@ -108,10 +115,11 @@ def _point_forces(phi, x_d, x_sites, params: SystemParams, views, bufs,
                   f) -> float:
     """Chain force into f at one phase-space point; returns the detector force.
 
-    h'' and h''' come from one s, one r2 and one 4 s^2, each product in
-    kernel_h_deriv's operand order, so their values are kernel_h_deriv's bit
-    for bit, and h'' serves both forces.  bufs holds four rows of N scratch
-    values.
+    With s = x_n - x_d and r2 = s^2 + w^2, h'' = 3 (4 s^2 - w^2) r2^(-7/2)
+    and h''' = 15 s (3 w^2 - 4 s^2) r2^(-9/2) come from one s, one r2 and one
+    4 s^2.  h'' keeps kernel_h_deriv's operand order, so it is that function's
+    value bit for bit, and serves both forces.  bufs holds four rows of N
+    scratch values.
     """
     _elastic_force(views, params.chain.k_c, f)
     big_g = params.g * params.detector.a_d * params.chain.a_c

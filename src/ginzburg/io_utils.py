@@ -22,7 +22,7 @@ from .errors import ValidationError
 def format_value(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
-    if isinstance(x, (int,)):
+    if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
         if math.isnan(x):
@@ -30,14 +30,7 @@ def format_value(x) -> str:
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
         return f"{x:.17g}"
-    if isinstance(x, str):
-        if any(c in x for c in ",\n\r\""):
-            raise ValidationError(f"CSV field needs no quoting by design, got {x!r}")
-        return x
-    try:
-        return format_value(float(x))
-    except (TypeError, ValueError):
-        raise ValidationError(f"cannot format {type(x).__name__} for CSV") from None
+    raise ValidationError(f"cannot format {type(x).__name__} for CSV")
 
 
 def write_csv(path, header, rows) -> Path:

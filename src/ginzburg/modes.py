@@ -173,9 +173,9 @@ class Resonance:
     alpha_linear: float    # continuous index from the linear dispersion map
 
 
-def _detuning(alpha, v, omega_d, chain: ChainParams) -> float:
-    om = mode_frequency(alpha, chain)
-    return abs(v * om / chain.c_s - om - omega_d)
+def _detuning(v, omega_d, omega, c_s):
+    # |v Omega/c_s - Omega - omega_d|, elementwise in Omega
+    return abs(v * omega / c_s - omega - omega_d)
 
 
 def resonance_mode(v, omega_d, params: SystemParams) -> Resonance:
@@ -205,13 +205,14 @@ def resonance_mode(v, omega_d, params: SystemParams) -> Resonance:
             omega_star / omega_top)
     candidates = {int(np.clip(f(alpha_cont), 1, chain.N - 1))
                   for f in (math.floor, math.ceil)}
-    alpha0 = min(candidates, key=lambda a: _detuning(a, v, omega_d, chain))
+    alpha0, omega0 = min(((a, mode_frequency(a, chain)) for a in candidates),
+                         key=lambda am: _detuning(v, omega_d, am[1], c_s))
 
-    y = _cutoff_y(mode_frequency(alpha0, chain), params)
+    y = _cutoff_y(omega0, params)
     if y > Y_MAX:
         raise ValidationError(
             f"resonant mode {alpha0} lies past the cutoff (y = {y:.4g} > {Y_MAX})")
-    detuning = _detuning(alpha0, v, omega_d, chain)
+    detuning = _detuning(v, omega_d, omega0, c_s)
     if not math.isfinite(detuning):
         raise ValidationError(f"v = {v:.6g} overflows the detuning at mode {alpha0}")
     return Resonance(alpha0=alpha0, detuning=detuning,
@@ -224,6 +225,7 @@ class ResonancePair:
     alpha2: int
     detuning1: float
     detuning2: float
+    couplings: tuple[ModeCoupling, ModeCoupling]  # branch i's, at alpha_i
     # |v_i Omega/c_s - Omega - omega_dj| for the cross combinations (i != j),
     # evaluated at both in-play modes
     cross_detunings: dict
@@ -235,46 +237,41 @@ class ResonancePair:
 
 
 def resonance_pair(v1, v2, omega_d1, omega_d2, params: SystemParams) -> ResonancePair:
-    """Resonant indices for two branches plus cross-resonance diagnostics.
+    """Resonant modes and couplings for two branches plus cross-resonance
+    diagnostics: the one place a superposed pair is resolved.
 
     Branch i pairs v_i with omega_di, in either order; the velocities must
     differ.  Selectivity requires that no retained chain mode sits within
     the guard band of either *cross* combination (v1 with omega_d2, v2 with
-    omega_d1); the guard band is 20*max(|g_alpha1|, |g_alpha2|)/hbar, the
-    margin at which the rotating wave approximation is comfortably valid.
+    omega_d1); the guard band, 20*max(|g_alpha1|, |g_alpha2|)/hbar from the
+    pair's couplings, is the margin at which the RWA is comfortably valid.
     """
-    chain = params.chain
-    c_s = chain.c_s
+    c_s = params.chain.c_s
     if v1 == v2:
         raise ValidationError(f"v1 and v2 must differ, both are {v1:.6g}")
     r1 = resonance_mode(v1, omega_d1, params)
     r2 = resonance_mode(v2, omega_d2, params)
 
-    g1 = mode_coupling(r1.alpha0, params, omega_d1).g_alpha
-    g2 = mode_coupling(r2.alpha0, params, omega_d2).g_alpha
-    guard_band = 20.0 * max(abs(g1), abs(g2)) / params.hbar
+    c1 = mode_coupling(r1.alpha0, params, omega_d1)
+    c2 = mode_coupling(r2.alpha0, params, omega_d2)
+    guard_band = 20.0 * max(abs(c1.g_alpha), abs(c2.g_alpha)) / params.hbar
 
-    cross_nearest = {}
+    cross = (("v1_omega_d2", v1, omega_d2), ("v2_omega_d1", v2, omega_d1))
+    cross_detunings = {f"{tag}_at_alpha{i}": _detuning(v, om_d, c.omega_alpha, c_s)
+                       for tag, v, om_d in cross for i, c in ((1, c1), (2, c2))}
     spectrum = mode_spectrum(params)
-    retained = spectrum.retained_alphas
-    omega_ret = spectrum.omega[spectrum.retained]
-    violated = False
-    cross_detunings = {
-        "v1_omega_d2_at_alpha1": _detuning(r1.alpha0, v1, omega_d2, chain),
-        "v1_omega_d2_at_alpha2": _detuning(r2.alpha0, v1, omega_d2, chain),
-        "v2_omega_d1_at_alpha1": _detuning(r1.alpha0, v2, omega_d1, chain),
-        "v2_omega_d1_at_alpha2": _detuning(r2.alpha0, v2, omega_d1, chain),
-    }
-    for tag, v, om_d in (("v1_omega_d2", v1, omega_d2), ("v2_omega_d1", v2, omega_d1)):
-        det_all = np.abs(v * omega_ret / c_s - omega_ret - om_d)
+    omega_ret, cross_nearest = spectrum.omega[spectrum.retained], {}
+    for tag, v, om_d in cross:
+        det_all = _detuning(v, om_d, omega_ret, c_s)
         j = int(det_all.argmin())
-        cross_nearest[tag] = {"alpha": int(retained[j]), "detuning": float(det_all[j])}
-        if det_all[j] < guard_band:
-            violated = True
+        cross_nearest[tag] = {"alpha": int(spectrum.retained_alphas[j]),
+                              "detuning": float(det_all[j])}
 
     return ResonancePair(
         alpha1=r1.alpha0, alpha2=r2.alpha0,
-        detuning1=r1.detuning, detuning2=r2.detuning,
+        detuning1=r1.detuning, detuning2=r2.detuning, couplings=(c1, c2),
         cross_detunings=cross_detunings, cross_nearest=cross_nearest,
-        guard_band=float(guard_band), selectivity_violated=violated,
+        guard_band=float(guard_band),
+        selectivity_violated=any(c["detuning"] < guard_band
+                                 for c in cross_nearest.values()),
         degenerate_modes=r1.alpha0 == r2.alpha0)

@@ -81,8 +81,9 @@ class FockSpace:
         labels = [alpha for alpha, _ in self.modes]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate mode labels: {labels}")
-        if any(n_max < 1 for _, n_max in self.modes):
-            raise ValidationError("every mode needs n_max >= 1")
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   and n >= 1 for _, n in self.modes):
+            raise ValidationError("every mode needs an integer n_max >= 1")
         if self.detector_qubits not in (1, 2):
             raise ValidationError("detector_qubits must be 1 or 2")
 
@@ -180,6 +181,8 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix)))
 
     def validate(self):
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValidationError("density matrix has a non-finite entry")
         scale = max(float(np.max(np.abs(self.matrix))), 1e-300)
         if float(np.max(np.abs(self.matrix - self.matrix.conj().T))) > _HERM_TOL * scale:
             raise ValidationError("density matrix not Hermitian")
@@ -239,6 +242,8 @@ def build_ndpa(coupling: ModeCoupling, space: FockSpace,
 
 
 def _check_hermitian(h: np.ndarray):
+    if not np.all(np.isfinite(h)):
+        raise ValidationError("Hamiltonian has a non-finite entry")
     scale = max(float(np.max(np.abs(h))), 1e-300)
     if float(np.max(np.abs(h - h.conj().T))) > 1e-10 * scale:
         raise ValidationError("Hamiltonian is not Hermitian")
@@ -275,6 +280,8 @@ def evolve_perturbative(h: np.ndarray, psi0: QuantumState, t: float,
     """
     _check_time(t)
     _require_positive(hbar=hbar)
+    if not np.all(np.isfinite(h)):
+        raise ValidationError("Hamiltonian has a non-finite entry")
     gt = 2.0 * float(np.max(np.abs(h))) * t / hbar
     if gt > DEFAULT_PERTURBATIVE_GUARD:
         raise GuardError(

@@ -98,24 +98,23 @@ _K1_RP_SMALL = np.array([_K1_R_SMALL, _K1_P_SMALL]).T[:, :, None]
 
 def kernel_h(x, x_d, w):
     """h(x, x_d) = [(x - x_d)^2 + w^2]^(-3/2); peak w^-3 at x = x_d."""
-    if w <= 0:
-        raise ValidationError(f"w must be positive, got {w}")
+    if not (np.isfinite(w) and w > 0):
+        raise ValidationError(f"w must be finite and positive, got {w}")
     s = np.asarray(x, dtype=float) - x_d
     return (s * s + w * w) ** -1.5
 
 
 def kernel_h_deriv(order, x, x_d, w):
-    """Closed-form d^k/dx^k of kernel_h for k in {1, 2, 3}.
+    """Closed-form d^k/dx^k of kernel_h for k in {1, 2}.
 
     With s = x - x_d and r2 = s^2 + w^2:
         h'   = -3 s r2^(-5/2)
         h''  =  3 (4 s^2 - w^2) r2^(-7/2)      (h''(x_d) = -3 w^-5)
-        h''' = 15 s (3 w^2 - 4 s^2) r2^(-9/2)
     """
-    if w <= 0:
-        raise ValidationError(f"w must be positive, got {w}")
-    if order not in (1, 2, 3):
-        raise ValidationError(f"derivative order must be 1, 2 or 3, got {order}")
+    if not (np.isfinite(w) and w > 0):
+        raise ValidationError(f"w must be finite and positive, got {w}")
+    if order not in (1, 2):
+        raise ValidationError(f"derivative order must be 1 or 2, got {order}")
     # in place, so that a call holds three arrays; every product keeps the
     # operands and the order of the formulas above
     s = np.asarray(x, dtype=float) - x_d
@@ -124,18 +123,12 @@ def kernel_h_deriv(order, x, x_d, w):
     if order == 1:
         out = -3.0 * s
         r2 **= -2.5
-    elif order == 2:
+    else:
         out = 4.0 * s
         out *= s
         out -= w * w
         out *= 3.0
         r2 **= -3.5
-    else:
-        out = 4.0 * s
-        out *= s
-        out = 3.0 * w * w - out
-        out *= 15.0 * s
-        r2 **= -4.5
     out *= r2
     return out
 

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .modes import ModeCoupling, mode_coupling, resonance_pair
+from .modes import ModeCoupling, resonance_pair
 from .params import SystemParams
 from .quantum import (DensityMatrix, FockSpace, QuantumState, build_ndpa,
                       evolve_exact, evolve_perturbative, trace_distance)
@@ -53,13 +53,13 @@ class Branch:
 @dataclass(frozen=True)
 class BranchSpec:
     """Two branches with superposition weights cos(theta), e^{i phi} sin(theta),
-    exciting one shared detector level, or level i each when two_level."""
+    exciting one shared detector level, or level i each when two_level;
+    branch_spec_from_resonance checks a two-level pair's selectivity."""
 
     branches: tuple[Branch, Branch]
     theta: float
     phi: float
     hbar: float
-    selectivity_violated: bool = False
     two_level: bool = False
 
     def __post_init__(self):
@@ -89,23 +89,25 @@ class BranchSpec:
 def branch_spec_from_resonance(params: SystemParams, v1: float, v2: float,
                                theta: float, phi: float,
                                x0_1: float = 0.0, x0_2: float = 0.0) -> BranchSpec:
-    """Resolve resonant modes/couplings for two trajectories, in either
-    order, through resonance_pair.
+    """The spec of two trajectories, in either order, with the modes and
+    couplings resonance_pair resolves for them.
 
     The detector model is params.detector's: with two internal frequencies
-    (two_level) branch i couples through its own omega_d_i and the pair's
-    selectivity diagnosis applies; with one, both branches share it and the
-    cross combinations are the resonances themselves, so none is flagged.
+    (two_level) branch i couples through its own omega_d_i, and a pair that
+    is not selective raises GuardError; with one, both branches share it and
+    the cross combinations are the resonances themselves, so none is flagged.
     """
     det = params.detector
-    omegas = (det.omega_d1, det.omega_d[-1])
-    pair = resonance_pair(v1, v2, *omegas, params)
-    a1, a2 = pair.alpha1, pair.alpha2
-    c1, c2 = (mode_coupling(a, params, om) for a, om in zip((a1, a2), omegas))
-    return BranchSpec(branches=(Branch(x0_1, v1, a1, c1), Branch(x0_2, v2, a2, c2)),
-                      theta=theta, phi=phi, hbar=params.hbar,
-                      selectivity_violated=det.two_level and pair.selectivity_violated,
-                      two_level=det.two_level)
+    pair = resonance_pair(v1, v2, det.omega_d1, det.omega_d[-1], params)
+    c1, c2 = pair.couplings
+    spec = BranchSpec(branches=(Branch(x0_1, v1, c1.alpha, c1),
+                                Branch(x0_2, v2, c2.alpha, c2)),
+                      theta=theta, phi=phi, hbar=params.hbar, two_level=det.two_level)
+    if det.two_level and pair.selectivity_violated:
+        raise GuardError(
+            "resonance selectivity violated: a cross detuning sits inside the "
+            "guard band, so branch/mode pairing is not clean")
+    return spec
 
 
 @dataclass
@@ -142,16 +144,12 @@ def evolve_superposed(spec: BranchSpec, t: float,
     """Evolve both branches from the joint vacuum for time t.
 
     Each branch is a localized run: build_ndpa of its mode, on detector
-    qubit i of a two-level spec (whose selectivity must hold), on qubit 0
-    otherwise, evolved by evolve_perturbative (under its weak-coupling
-    guard, then normalized) or evolve_exact.
+    qubit i of a two-level spec, on qubit 0 otherwise, evolved by
+    evolve_perturbative (under its weak-coupling guard, then normalized) or
+    evolve_exact.  Selectivity is branch_spec_from_resonance's check.
     """
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}")
-    if spec.two_level and spec.selectivity_violated:
-        raise GuardError(
-            "resonance selectivity violated: a cross detuning sits inside the "
-            "guard band, so branch/mode pairing is not clean")
     space = FockSpace(modes=tuple((b.alpha, 1) for b in spec.branches),
                       detector_qubits=2 if spec.two_level else 1)
     vac = space.vacuum()

@@ -26,10 +26,6 @@ def fd_kernel_deriv(order, x, x_d, w):
     if order == 2:
         return (-f(x - 2 * h) + 16 * f(x - h) - 30 * f(x)
                 + 16 * f(x + h) - f(x + 2 * h)) / (12 * h * h)
-    if order == 3:
-        # 6-point O(h^4) stencil; the plain 4-point one stalls near 1e-3
-        return (f(x - 3 * h) / 8 - f(x - 2 * h) + 13 * f(x - h) / 8
-                - 13 * f(x + h) / 8 + f(x + 2 * h) - f(x + 3 * h) / 8) / h ** 3
     raise ValueError(order)
 
 

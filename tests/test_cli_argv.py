@@ -1,6 +1,6 @@
 """Generated argv over every subcommand: the CLI exits 0, 2 or 3, never with
 a traceback, and a successful run writes no NaN or inf outside the
-documented NaN columns.
+documented NaN columns, and only strict JSON (no NaN or Infinity tokens).
 
 Each argv is built from good values, then maybe spoiled once: one value
 swapped for a bad token (nan, inf, negative numbers, exponent forms, junk),
@@ -38,8 +38,9 @@ OUT = {"--csv": "{d}/out.csv", "--json": "{d}/out.json",
 
 # params files written into the run directory: one detector frequency of
 # 10 or 1e2, the two frequencies of a two-level detector at a coupling weak
-# enough for a selective pair, in either order, and the one paper frequency
-# at that coupling
+# enough for a selective pair, in either order, the one paper frequency at
+# that coupling, and a detector distance w = 0.5 that leaves no retained
+# mode with f >= 1/2
 _PAPER = {"units": {"preset": "paper"}, "chain": {"N": 2001}}
 PARAMS_FILES = {
     "omega_d_10.json": {**_PAPER, "detector": {"w": 0.01, "omega_d": 10.0}},
@@ -52,6 +53,7 @@ PARAMS_FILES = {
                                              "omega_d": [11.2 * math.pi, 10 * math.pi]},
                                 "coupling": {"g": 5e-8}},
     "weak.json": {**_PAPER, "detector": {"w": 0.01}, "coupling": {"g": 5e-8}},
+    "w05.json": {**_PAPER, "detector": {"w": 0.5}},
 }
 PARAMS = ("--params", tuple(f"{{d}}/{name}" for name in PARAMS_FILES), False)
 
@@ -154,6 +156,10 @@ def nan_allowed(argv, d: Path) -> set:
     return set()
 
 
+def _no_constant(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
 def check(argv):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
@@ -173,6 +179,9 @@ def check(argv):
                     for column, cell in row.items():
                         if column not in allowed:
                             assert math.isfinite(float(cell)), (argv, path.name, column)
+        # every JSON written, the outputs and their manifests, is strict
+        for path in d.glob("*.json"):
+            json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
 
 
 @given(argvs())
@@ -190,6 +199,8 @@ def check(argv):
 @example(["reduced-state", "--params", "{d}/two_level_reversed.json",
           "--theta", "0.785", "--v1", "2.6", "--v2", "2.0", "--t", "1e-6",
           "--json", "{d}/out.json", "--sweep-csv", "{d}/sweep.csv"])
+@example(["regime", "--params", "{d}/w05.json", "--v", "0.5", "--t-end", "0.25",
+          "--json", "{d}/out.json"])
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_generated_argv_exit_cleanly(argv):
     check(argv)

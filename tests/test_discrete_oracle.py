@@ -68,6 +68,30 @@ def test_initial_state_rejects_unbalanced_profile(paper_params):
         displaced(paper_params, phi)
 
 
+@pytest.mark.parametrize("x_d, v", [(0.0, math.nan), (math.inf, 0.0),
+                                     (math.nan, 0.5), (0.0, -math.inf)])
+def test_non_finite_detector_state_rejected(x_d, v):
+    p = paper(N=101)
+    with pytest.raises(ValidationError, match="detector state not finite"):
+        initial_state(p, x_d=x_d, v=v)
+    # a hand-built state is refused by validate, and so by integrate
+    state = ChainState(t=0.0, phi=np.zeros(101), p=np.zeros(101), x_d=x_d,
+                       p_d=v * p.detector.M_d)
+    with pytest.raises(ValidationError, match="detector state not finite"):
+        state.validate(p)
+    with pytest.raises(ValidationError, match="detector state not finite"):
+        integrate(state, p, 1e-3, 10)
+
+
+@pytest.mark.parametrize("field", ["phi", "p"])
+def test_non_finite_chain_state_rejected(field):
+    p = paper(N=101)
+    state = initial_state(p)
+    getattr(state, field)[3] = math.nan
+    with pytest.raises(ValidationError, match="chain state not finite"):
+        integrate(state, p, 1e-3, 10)
+
+
 # -- forces -------------------------------------------------------------------
 
 def test_equilibrium_forces_vanish():

@@ -80,6 +80,10 @@ def test_fock_space_validation():
         FockSpace(modes=((5, 0),), detector_qubits=1)
     with pytest.raises(ValidationError):
         FockSpace(modes=((5, 1),), detector_qubits=3)
+    for n_max in (1.5, True, 2.0):
+        with pytest.raises(ValidationError, match="integer n_max"):
+            FockSpace(modes=((10, n_max),))
+    assert FockSpace(modes=((10, np.int64(2)),)).dim == 6
     for no_detector in ((), ((5, 1),)):
         with pytest.raises(ValidationError):
             FockSpace(modes=no_detector, detector_qubits=0)
@@ -346,6 +350,17 @@ def test_evolutions_reject_bad_hbar(c10, evolve, hbar):
     space, h = pair_space(c10)
     with pytest.raises(ValidationError, match="hbar"):
         evolve(h, space.vacuum(), 0.1, hbar)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("evolve", [evolve_exact, evolve_perturbative],
+                         ids=["exact", "perturbative"])
+def test_evolutions_reject_non_finite_hamiltonian(c10, evolve, bad):
+    space, h = pair_space(c10)
+    h = h.copy()
+    h[0, 0] = bad
+    with pytest.raises(ValidationError, match="Hamiltonian has a non-finite entry"):
+        evolve(h, space.vacuum(), 0.1, HBAR)
 
 
 def test_perturbative_guard(c10, monkeypatch):
@@ -701,6 +716,9 @@ def test_density_matrix_validation():
                       ("a", "b")).validate()
     with pytest.raises(ValidationError):
         DensityMatrix(np.eye(4) / 2.0, (2, 2), ("a", "b")).validate()
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="non-finite entry"):
+            DensityMatrix(np.full((2, 2), bad), (2,), ("a",)).validate()
 
 
 def test_partial_trace_matches_loop_oracle(rng):

@@ -17,7 +17,7 @@ src_stats = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(src_stats)
 
 MAX_DEFAULT_PARAMETERS = 19
-MAX_DEFAULT_FIELDS = 8
+MAX_DEFAULT_FIELDS = 7
 MAX_CLI_OPTIONS = 54
 MAX_PUBLIC_NAMES = 64
 

@@ -12,9 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ginzburg import quantum
+from ginzburg import quantum, superpose
 from ginzburg.errors import GuardError, ValidationError
-from ginzburg.modes import ModeCoupling
+from ginzburg.modes import ModeCoupling, mode_coupling, resonance_pair
 from ginzburg.params import build_params
 from ginzburg.quantum import (FockSpace, QuantumState, build_ndpa,
                               evolve_perturbative, trace_distance)
@@ -77,7 +77,7 @@ def test_spec_from_resonance_single_frequency():
     spec = branch_spec_from_resonance(params, v1=2.0, v2=1.5,
                                       theta=math.pi / 4.0, phi=0.0)
     assert tuple(b.alpha for b in spec.branches) == (10, 20)
-    assert not spec.selectivity_violated
+    assert not spec.two_level
     assert spec.hbar == params.hbar
     # same resonant mode cannot label the branches
     with pytest.raises(ValidationError):
@@ -92,27 +92,58 @@ def _paper(omega_d, g=1.0):
 
 
 def test_spec_from_resonance_two_level_selectivity():
-    # two frequencies in the params make the detector two-level
-    clean = branch_spec_from_resonance(_paper([10.0 * math.pi, 11.2 * math.pi]),
-                                       v1=2.0, v2=2.6, theta=math.pi / 4.0, phi=0.0)
-    assert tuple(b.alpha for b in clean.branches) == (10, 7)
-
-    # v2 = 3 with a shared 10 pi reuses mode 5, whose cross detuning falls
-    # inside the g = 1 guard band
-    dirty = branch_spec_from_resonance(_paper([10.0 * math.pi, 10.0 * math.pi]),
-                                       v1=2.0, v2=3.0, theta=math.pi / 4.0, phi=0.0)
-    assert dirty.selectivity_violated and dirty.two_level
-    with pytest.raises(GuardError):
-        evolve_superposed(dirty, 1e-9)
-
-    # at a weak coupling the guard band is narrow and the pair selective;
-    # the spec alone makes the evolution two-level
+    # two frequencies in the params make the detector two-level; at a weak
+    # coupling the guard band is narrow and the pair selective, and the spec
+    # alone makes the evolution two-level
     spec = branch_spec_from_resonance(_paper([10.0 * math.pi, 11.2 * math.pi], g=5e-8),
                                       v1=2.0, v2=2.6, theta=math.pi / 4.0, phi=0.0)
-    assert spec.two_level and not spec.selectivity_violated
+    assert tuple(b.alpha for b in spec.branches) == (10, 7)
+    assert spec.two_level
     state = evolve_superposed(spec, 0.1)
     assert state.spec.detector_model == "two-level"
     assert state.dims == (2, 4, 2, 2)
+
+    # v2 = 3 with a shared 10 pi reuses mode 5, whose cross detuning falls
+    # inside the g = 1 guard band: the spec itself is refused
+    dirty = _paper([10.0 * math.pi, 10.0 * math.pi])
+    assert resonance_pair(2.0, 3.0, 10.0 * math.pi, 10.0 * math.pi,
+                          dirty).selectivity_violated
+    with pytest.raises(GuardError, match="resonance selectivity violated"):
+        branch_spec_from_resonance(dirty, v1=2.0, v2=3.0, theta=math.pi / 4.0,
+                                   phi=0.0)
+    # a spec that is invalid in itself says so before the selectivity check
+    with pytest.raises(ValidationError, match="theta"):
+        branch_spec_from_resonance(dirty, v1=2.0, v2=3.0, theta=math.pi / 2.0,
+                                   phi=0.0)
+    # the same pair is no error for a single-level detector
+    single = branch_spec_from_resonance(_paper(10.0 * math.pi), v1=2.0, v2=3.0,
+                                        theta=math.pi / 4.0, phi=0.0)
+    assert not single.two_level
+
+
+@pytest.mark.parametrize("omega_d", [[10.0 * math.pi], [10.0 * math.pi, 11.2 * math.pi]])
+def test_spec_reuses_the_pair_couplings(omega_d, monkeypatch):
+    # the pair carries the couplings its guard band is sized from, and the
+    # spec's branches hold those same objects
+    params = _paper(omega_d, g=5e-8)
+    v1, v2 = 2.0, 2.6
+    pair = resonance_pair(v1, v2, omega_d[0], omega_d[-1], params)
+    c1, c2 = pair.couplings
+    assert c1 == mode_coupling(pair.alpha1, params, omega_d[0])
+    assert c2 == mode_coupling(pair.alpha2, params, omega_d[-1])
+    assert pair.guard_band == 20.0 * max(abs(c1.g_alpha), abs(c2.g_alpha)) / params.hbar
+    spec_pairs = []
+
+    def recording_pair(*args):
+        spec_pairs.append(resonance_pair(*args))
+        return spec_pairs[-1]
+
+    monkeypatch.setattr(superpose, "resonance_pair", recording_pair)
+    spec = branch_spec_from_resonance(params, v1, v2, theta=0.3, phi=0.0)
+    (spec_pair,) = spec_pairs
+    assert spec_pair.couplings == pair.couplings
+    for branch, coupling in zip(spec.branches, spec_pair.couplings):
+        assert branch.coupling is coupling and branch.alpha == coupling.alpha
 
 
 # -- first-order branch amplitudes --------------------------------------------
