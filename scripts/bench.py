@@ -15,11 +15,15 @@ leapfrog_us_per_step and series_s) of:
                           criterion-8 configuration (|g_10|/hbar = 0.05 at
                           the v = 2 resonance, modes 9, 10, 11 with n_max
                           2, 3, 2, dim 72, 36 rows stepped) at gt 0.1 and
-                          0.2, and of the one step of `evolve --scheme full
-                          --v 2.0 --gt 3` at the CLI defaults (window 2,
-                          dim 96, 48 rows stepped); each the minimum over
-                          KERNEL_CALLS = 25 calls after a warm-up call,
-                          the configurations taking turns, and then over
+                          0.2 and, at the same coupling, on modes 7..13
+                          with n_max 2 on mode 10 and 1 elsewhere (dim 384,
+                          192 rows stepped, above the size rule of the
+                          dense step) at gt 0.1, and of the one step of
+                          `evolve --scheme full --v 2.0 --gt 3` at the CLI
+                          defaults (window 2, dim 96, 48 rows stepped);
+                          each the minimum over KERNEL_CALLS = 25 calls
+                          after a warm-up call, the configurations taking
+                          turns, and then over
                           the repeats: host load only ever adds time to a
                           call, and on a shared 2-vCPU host it came and went
                           over seconds (the criterion-8 step ran at about
@@ -130,7 +134,7 @@ def kernel_child():
 
     def configured(gt, p, omega_d, couplings, space):
         """The evolve_full call of one configuration and its step count."""
-        # the resonant mode sits in the middle of both mode windows
+        # the resonant mode sits in the middle of every mode window
         t = gt * p.hbar / abs(couplings[len(couplings) // 2].g_alpha)
         traj = Trajectory(0.0, 2.0)
 
@@ -154,6 +158,12 @@ def kernel_child():
     configs = {f"criterion8_gt{gt}": configured(gt, scaled, omega_d, couplings,
                                                 space)
                for gt in (0.1, 0.2)}
+    # the same coupling on modes 7..13, a sector above the dense size rule
+    couplings = [modes.mode_coupling(a, scaled, omega_d=omega_d)
+                 for a in range(7, 14)]
+    space = quantum.FockSpace(modes=tuple((c.alpha, 2 if c.alpha == 10 else 1)
+                                          for c in couplings))
+    configs["window3_gt0.1"] = configured(0.1, scaled, omega_d, couplings, space)
 
     # evolve --scheme full --v 2.0 --gt 3 at the CLI defaults
     omega_d = base.detector.omega_d1

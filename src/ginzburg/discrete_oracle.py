@@ -57,15 +57,18 @@ class ChainState:
         return (abs(float(self.phi.sum())) / (n * phi_scale),
                 abs(float(self.p.sum())) / (n * p_scale))
 
-    def validate(self, params: SystemParams):
+    def _check_finite(self):
         if not (math.isfinite(self.x_d) and math.isfinite(self.p_d)):
             raise ValidationError(
                 f"detector state not finite: x_d = {self.x_d}, p_d = {self.p_d}")
+        if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.p))):
+            raise ValidationError("chain state not finite: phi or p holds inf or nan")
+
+    def validate(self, params: SystemParams):
+        self._check_finite()
         if self.phi.shape != (params.chain.N,) or self.p.shape != (params.chain.N,):
             raise ValidationError(
                 f"state arrays must have shape ({params.chain.N},)")
-        if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.p))):
-            raise ValidationError("chain state not finite: phi or p holds inf or nan")
         r_phi, r_p = self.constraint_residuals()
         if r_phi > _CONSTRAINT_TOL or r_p > _CONSTRAINT_TOL:
             raise ValidationError(
@@ -148,7 +151,9 @@ def _point_forces(phi, x_d, x_sites, params: SystemParams, views, bufs,
 
 
 def force_field(state: ChainState, params: SystemParams):
-    """(dp_n/dt, dp_d/dt) at the given phase-space point."""
+    """(dp_n/dt, dp_d/dt) at the given phase-space point, which must be
+    finite; a driven state need not pass validate's centre-of-mass check."""
+    state._check_finite()
     n = state.phi.size
     f_chain = np.empty(n)
     f_det = _point_forces(state.phi, state.x_d, site_positions(params), params,
@@ -157,7 +162,9 @@ def force_field(state: ChainState, params: SystemParams):
 
 
 def total_energy(state: ChainState, params: SystemParams) -> float:
-    """Chain kinetic + elastic + interaction energy + detector kinetic."""
+    """Chain kinetic + elastic + interaction energy + detector kinetic at a
+    finite phase-space point, which need not pass validate."""
+    state._check_finite()
     chain, det = params.chain, params.detector
     e = float(np.sum(state.p ** 2)) / (2.0 * chain.m_c)
     e += 0.5 * chain.k_c * float(np.sum(np.diff(state.phi) ** 2))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from pathlib import Path
 
@@ -25,10 +24,7 @@ def format_value(x) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
+        # also nan (of either sign), inf and -inf
         return f"{x:.17g}"
     raise ValidationError(f"cannot format {type(x).__name__} for CSV")
 

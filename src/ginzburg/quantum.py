@@ -10,8 +10,8 @@ paths validate each other:
   evolve_full           fixed-step midpoint-exponential (Magnus-2) stepping
                         of the time-dependent pre-RWA Hamiltonian, unitary to
                         round-off: Taylor action with a norm-bounded degree
-                        and sub-steps, matrix-free; the step resolves the
-                        fastest phase by FULL_STEPS_PER_CYCLE steps a cycle
+                        and sub-steps; the step resolves the fastest phase
+                        by FULL_STEPS_PER_CYCLE steps a cycle
 
 hbar is explicit on every evolution, an argument of evolve_exact and
 evolve_perturbative and params.hbar in evolve_full; none assumes hbar = 1.
@@ -20,11 +20,13 @@ Every Hamiltonian comes from one sparse pair stencil.  Each pair term a b,
 a b^dag and adjoint flips one detector qubit and moves one mode by one
 quantum, so it is a weighted partial permutation of the basis: per basis row
 and slot, a column, a coefficient index and a sqrt(n) weight, built from the
-space's dims.  evolve_full applies H(t) to the amplitude vector by a gather
-and a row-wise dot into the rows of one preallocated Taylor power buffer,
-O(dim * modes) memory and work, on the rows of the parity sector its start
-state occupies; build_ndpa and interaction_hamiltonian_full scatter the same
-stencil into a dense matrix.
+space's dims.  evolve_full applies H(t) to the amplitude vector on the
+rows of the parity sector its start state occupies, into the rows of one
+preallocated Taylor power buffer: a sector of at most 128 rows by one
+np.dot with the stencil scattered into a dense sector matrix, a larger one
+by a gather and a row-wise dot, O(dim * modes) memory and work;
+build_ndpa and interaction_hamiltonian_full scatter the same stencil into a
+dense matrix.
 Every operator allocation, the amplitude vector and evolve_exact's dense
 temporaries are checked against OPERATOR_BYTES first.
 
@@ -397,8 +399,17 @@ def interaction_hamiltonian_full(t: float, x_d: float,
 _TAYLOR_TOL = 2.0 ** -53
 # steps whose coefficients are held at once, so memory stays flat in t
 _STEP_BLOCK = 4096
-# bytes of stencil values gathered for a run of steps at once
-_GATHER_BYTES = 2 ** 16
+# bytes of stencil values, or of dense sector matrices, built for a run of
+# steps at once; a sector whose one-step matrix fits is stepped densely
+_GATHER_BYTES = 2 ** 18
+
+
+def _norm_bound(couplings: Sequence[ModeCoupling], space: FockSpace, dt: float,
+                hbar: float) -> float:
+    """evolve_full's theta >= ||H(t)|| dt / hbar at every t (see its
+    docstring)."""
+    return 2.0 * dt / hbar * sum(abs(c.g_alpha) * math.sqrt(n_max)
+                                 for c, (_, n_max) in zip(couplings, space.modes))
 
 
 def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoupling],
@@ -419,12 +430,26 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
     j = 1..m, of one (m + 1) x rows buffer, allocated once per call, and sums
     them as (1/j!) @ buffer back into row 0.
 
+    theta: H = K + K^dag with K = sum_a a_a (x) (c_a^+ b + c_a^- b^dag).  On
+    qubit 0 the factor c^+ b + c^- b^dag is [[0, c^+], [c^-, 0]], of norm
+    max(|c^+|, |c^-|) <= |g_alpha|, and ||a_alpha|| = sqrt(n_max_alpha), so
+    ||H|| <= 2 ||K|| <= 2 sum_a |g_alpha| sqrt(n_max_alpha) and
+    theta = 2 (dt / hbar) sum_a |g_alpha| sqrt(n_max_alpha).
+
+    G^j psi takes one of two forms, by the size n of the stepped sector.
+    When one step's dense n x n generator, 16 n^2 bytes, fits _GATHER_BYTES
+    (n <= 128), the stencil entries of a run of steps are scattered into
+    dense sector matrices, the pattern fixed for the call, and each power is
+    one np.dot.  A larger sector gathers psi[cols] per row and takes a
+    row-wise dot with the stencil values, O(n * modes) memory, where a dense
+    matrix would not fit.
+
     Only the rows whose parity of (phonons + qubit-0 excitation) occurs in
     psi0's support are stepped: from the vacuum, 36 of the 72 rows of the
     criterion-8 space.  Every pair term moves one phonon and flips qubit 0,
     so H(t) never couples two parities and each other row keeps its exact
-    0.  The stepped rows see the same stencil entries in the same order,
-    so their amplitudes are those of stepping every row, bit for bit; a
+    0.  The stepped rows see the same stencil entries, so their amplitudes
+    are those of stepping every row (bit for bit in the gathered form); a
     psi0 with both parities steps every row.
     """
     _check_time(t)
@@ -440,12 +465,7 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
     dt = 2.0 * math.pi / (FULL_STEPS_PER_CYCLE * omega_fast)
     n_steps = max(1, int(math.ceil(t / dt)))
     dt = t / n_steps
-    # ||H|| dt / hbar <= 2 sum_k |c_k| ||A_k|| over the pair operators A_k,
-    # with |c_k| <= |g_alpha| dt / hbar and ||a_alpha b|| = ||a_alpha b^dag||
-    # = sqrt(n_max_alpha) because ||b|| = 1
-    theta = 4.0 * dt / params.hbar * sum(
-        abs(c.g_alpha) * math.sqrt(n_max)
-        for c, (_, n_max) in zip(couplings, space.modes))
+    theta = _norm_bound(couplings, space, dt, params.hbar)
     n_sub = max(1, math.ceil(theta))
     ratio, n_terms, tail = theta / n_sub, 0, 1.0
     while tail > _TAYLOR_TOL:
@@ -453,9 +473,11 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
         tail *= ratio / n_terms
 
     # per row, a step holds vals and the gather row[cols] (16 B per slot
-    # each), the n_terms + 1 power rows, and the sum's temporary and result
-    cols, cidx, weight = _pair_stencil(space, 0,
-                                       64 * len(space.modes) + 16 * (n_terms + 3))
+    # each), the n_terms + 1 power rows, and the sum's temporary and result;
+    # a run of dense sector matrices holds at most _GATHER_BYTES in all
+    cols, cidx, weight = _pair_stencil(
+        space, 0, 64 * len(space.modes) + 16 * (n_terms + 3)
+        + math.ceil(_GATHER_BYTES / space.dim))
     # the rows of the parities psi0 occupies, their columns renumbered
     # within that sector; the others stay 0 (see the docstring)
     levels = np.unravel_index(np.arange(space.dim), space.dims)
@@ -463,29 +485,47 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
     keep = np.isin(parity, parity[psi0.amplitudes != 0])
     sector = np.cumsum(keep) - 1
     cols, cidx, weight = sector[cols[keep]], cidx[keep], weight[keep]
+    n_rows = len(cols)
     inv_factorials = np.array([1.0 / math.factorial(j)
                                for j in range(n_terms + 1)], dtype=complex)
     # row j holds G^j psi, G the sub-step generator; row 0 is the state
-    powers = np.empty((n_terms + 1, len(cols)), dtype=complex)
+    powers = np.empty((n_terms + 1, n_rows), dtype=complex)
     powers[0] = psi0.amplitudes[keep]
     pairs = list(zip(powers, powers[1:]))
-    # steps whose stencil values are gathered at once, within _GATHER_BYTES
-    run = max(1, _GATHER_BYTES // (16 * max(cidx.size, 1)))
+    dense = 16 * n_rows ** 2 <= _GATHER_BYTES
+    if dense:
+        run = _GATHER_BYTES // (16 * max(n_rows, 1) ** 2)
+        # entries off the fixed pattern stay 0; the padded slots write 0 onto
+        # the diagonal, where no pair term sits
+        generators = np.zeros((run, n_rows, n_rows), dtype=complex)
+        rows = np.arange(n_rows)[:, None]
+    else:
+        run = max(1, _GATHER_BYTES // (16 * max(cidx.size, 1)))
     for start in range(0, n_steps, _STEP_BLOCK):
         t_mid = (np.arange(start, min(start + _STEP_BLOCK, n_steps)) + 0.5) * dt
-        # sub-step generator is X - X^dag with X = -i (dt / hbar s) K(t_mid)
+        # sub-step generator is X - X^dag with X = -i (dt / hbar s) K(t_mid);
+        # its stencil entries take the coefficients [c, adjoint coefficients]
         coef = (-1j * dt / (params.hbar * n_sub)) * _pair_coefficients(
             t_mid, traj.position(t_mid), couplings, params, omega_d)
-        # np.vecdot conjugates its first argument, so each step's vals holds
-        # the conjugated stencil entries of X - X^dag
-        coef = np.concatenate([coef.conj(), -coef], axis=-1)
+        coef = np.concatenate([coef, -coef.conj()], axis=-1)
+        if not dense:
+            # np.vecdot conjugates its first argument
+            coef = coef.conj()
         for first in range(0, len(coef), run):
-            for vals in coef[first:first + run, cidx] * weight:
+            vals = coef[first:first + run, cidx] * weight
+            if dense:
+                generators[:len(vals), rows, cols] = vals
+                vals = generators[:len(vals)]
+            for g in vals:
                 for _ in range(n_sub):
-                    for prev, row in pairs:
-                        np.vecdot(vals, prev[cols], out=row)
+                    if dense:
+                        for prev, row in pairs:
+                            np.dot(g, prev, out=row)
+                    else:
+                        for prev, row in pairs:
+                            np.vecdot(g, prev[cols], out=row)
                     # numpy buffers the sum, since its output row 0 is also read
-                    np.matmul(inv_factorials, powers, out=powers[0])
+                    np.dot(inv_factorials, powers, out=powers[0])
     amplitudes = np.zeros(space.dim, dtype=complex)
     amplitudes[keep] = powers[0]
     return QuantumState(space, amplitudes)

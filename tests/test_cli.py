@@ -21,7 +21,7 @@ import pytest
 import ginzburg
 import ginzburg.cli
 from ginzburg.cli import run
-from ginzburg.io_utils import write_json
+from ginzburg.io_utils import write_csv, write_json
 from ginzburg.superpose import evolve_superposed
 
 from reference_values import G_ALPHA_10, OMEGA_10
@@ -619,6 +619,16 @@ def test_write_json_refuses_non_finite_numbers(tmp_path):
     with pytest.raises(ginzburg.ValidationError, match="not written"):
         write_json(out, {"ratio": math.inf})
     assert not out.exists()
+
+
+def test_write_csv_spells_non_finite_and_signed_zero(tmp_path):
+    # the CSV spellings of the non-finite floats, whatever the sign of a NaN
+    values = [math.nan, -math.nan, math.copysign(math.nan, -1.0), math.inf,
+              -math.inf, -0.0, np.float64(math.nan), np.float64(-math.inf),
+              np.float64(-0.0)]
+    out = write_csv(tmp_path / "x.csv", [f"c{i}" for i in range(len(values))],
+                    [values])
+    assert out.read_text().splitlines()[1] == "nan,nan,nan,inf,-inf,-0,nan,-inf,-0"
 
 
 @pytest.mark.parametrize("section,key", [

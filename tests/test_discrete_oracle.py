@@ -92,6 +92,32 @@ def test_non_finite_chain_state_rejected(field):
         integrate(state, p, 1e-3, 10)
 
 
+@pytest.mark.parametrize("field", ["x_d", "p_d", "phi", "p"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_forces_and_energy_refuse_non_finite_state(field, bad):
+    p = paper(N=101)
+    state = initial_state(p, x_d=0.0, v=0.5)
+    if field in ("phi", "p"):
+        getattr(state, field)[3] = bad
+    else:
+        setattr(state, field, bad)
+    for fn in (force_field, total_energy):
+        with pytest.raises(ValidationError, match="state not finite"):
+            fn(state, p)
+
+
+def test_driven_final_state_has_finite_energy_and_forces():
+    """A driven run's final state need not pass validate's centre-of-mass
+    check, and force_field and total_energy still take it."""
+    p = paper()
+    dt = 0.5 * max_stable_dt(p)
+    final = integrate(initial_state(p, x_d=0.0, v=0.5), p, dt, 500,
+                      store_every=500).final
+    assert math.isfinite(total_energy(final, p))
+    f_chain, f_det = force_field(final, p)
+    assert np.all(np.isfinite(f_chain)) and math.isfinite(f_det)
+
+
 # -- forces -------------------------------------------------------------------
 
 def test_equilibrium_forces_vanish():

@@ -558,11 +558,11 @@ def test_full_matches_ndpa_on_resonance(scaled):
 
 @pytest.mark.parametrize("setup, gt, dt_scale", [
     ("window", 0.1, None),
-    ("cli_default", 3.0, None),    # one step, norm bound ~65
+    ("cli_default", 3.0, None),    # one step, norm bound ~33
     ("cli_default", 10.0, None),   # one step; unsplit Taylor loses ~0.07
     ("window", 0.2, 0.5),          # 4200 steps, more than one block
-    ("cli_window3", 1.0, None),    # dim 384, seven modes
-    ("strong_random", 800.0, None),  # random start, 3 sub-steps, 4200 steps
+    ("cli_window3", 1.0, None),    # dim 384, seven modes, gathered stencil
+    ("strong_random", 800.0, None),  # random start, 2 sub-steps, 4200 steps
 ])
 def test_full_matches_dense_magnus2_oracle(scaled, rng, monkeypatch, setup, gt,
                                            dt_scale):
@@ -601,11 +601,15 @@ def test_full_matches_dense_magnus2_oracle(scaled, rng, monkeypatch, setup, gt,
         assert np.linalg.norm(h_mid, 2) * t / params.hbar > 10.0
     if setup == "strong_random":
         # more than one step block, and the norm bound theta of evolve_full
-        # asks for ceil(theta) = 3 sub-steps per step
-        theta = 4.0 * dt_max / params.hbar * sum(
+        # asks for ceil(theta) = 2 sub-steps per step
+        theta = 2.0 * dt_max / params.hbar * sum(
             abs(g) * math.sqrt(n_max) for n_max, g, _ in modes_in)
         assert t / dt_max > quantum._STEP_BLOCK
-        assert math.ceil(theta) == 3
+        assert math.ceil(theta) == 2
+    # the stepped sector, half the rows from the vacuum: cli_window3 is the
+    # case above the dense size rule, so each form of the step is checked
+    rows = space.dim if setup == "strong_random" else space.dim // 2
+    assert (16 * rows ** 2 > quantum._GATHER_BYTES) == (setup == "cli_window3")
 
     traj = Trajectory(0.0, V_RES)
     psi = evolve_full(psi0, t, traj, couplings, space, params, omega_d)
@@ -613,6 +617,23 @@ def test_full_matches_dense_magnus2_oracle(scaled, rng, monkeypatch, setup, gt,
                              traj.x0, traj.v, modes_in, omega_d,
                              params.chain.L, params.chain.c_s, params.hbar)
     assert np.max(np.abs(psi.amplitudes - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_full_norm_bound_covers_every_step(scaled, qubits):
+    """evolve_full's theta bounds ||H(t_mid)|| dt / hbar at every step, and
+    is less than twice the largest: a ladder of n_max 3 has ||a + a^dag||
+    = 2.33, against the bound's 2 sqrt(3) = 3.46."""
+    params, omega_d = scaled
+    couplings = [mode_coupling(a, params, omega_d=omega_d) for a in (9, 10, 11)]
+    space = FockSpace(modes=((9, 1), (10, 3), (11, 1)), detector_qubits=qubits)
+    dt = 2.0 * math.pi / (50.0 * (couplings[-1].omega_alpha + omega_d))
+    theta = quantum._norm_bound(couplings, space, dt, params.hbar)
+    norms = [np.linalg.norm(interaction_hamiltonian_full(
+        t_mid, V_RES * t_mid, couplings, space, params, omega_d), 2)
+        * dt / params.hbar for t_mid in (np.arange(400) + 0.5) * dt * 7.0]
+    assert max(norms) <= theta
+    assert max(norms) > 0.5 * theta
 
 
 def odd_rows(space):
