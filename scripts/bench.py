@@ -31,7 +31,9 @@ leapfrog_us_per_step and series_s) of:
   modesum                 CPU seconds of the two Fig. 2 modesum profiles
                           (v = 0.5, t = 0.25 and v = 2.5, t = 0.1, x0 = 0,
                           801 grid points), timed in a fresh child after
-                          its imports, and that child's peak RSS in MB
+                          its imports, that child's peak RSS in MB, and the
+                          larger tracemalloc peak, in MB, of one profile run
+                          again after the timing
   leapfrog_us_per_step    CPU microseconds per step of the prescribed and the
                           dynamic leapfrog chain at the Fig. 2 defaults
                           (v = 0.5, x0 = 0, t = 0.25 in steps of half the
@@ -67,6 +69,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent
@@ -188,7 +191,8 @@ def kernel_child():
 
 def modesum_child():
     """Runs in a fresh interpreter: prints the CPU seconds of both Fig. 2
-    modesum profiles and the peak RSS of the process as one JSON line."""
+    modesum profiles, the peak RSS of the process and the larger tracemalloc
+    peak of one profile, each run again after the timing, as one JSON line."""
     # the package caps the BLAS threads only if it loads before numpy does
     from ginzburg import params
     from ginzburg.meanfield import Trajectory, meanfield_modesum
@@ -196,12 +200,20 @@ def modesum_child():
 
     p = params.build_params(FIG2)
     grid = np.linspace(-p.chain.L / 2.0, p.chain.L / 2.0, 801)
+    runs = ((0.5, 0.25), (2.5, 0.1))
     c0 = time.process_time()
-    for v, t in ((0.5, 0.25), (2.5, 0.1)):
+    for v, t in runs:
         meanfield_modesum(grid, t, Trajectory(0.0, v), p)
     cpu = time.process_time() - c0
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"cpu_s": cpu, "peak_rss_mb": rss}))
+    peaks = []
+    for v, t in runs:
+        tracemalloc.start()
+        meanfield_modesum(grid, t, Trajectory(0.0, v), p)
+        peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        tracemalloc.stop()
+    print(json.dumps({"cpu_s": cpu, "peak_rss_mb": rss,
+                      "profile_alloc_peak_mb": max(peaks)}))
 
 
 def layer_minima(calls: dict) -> dict:

@@ -57,18 +57,20 @@ class ChainState:
         return (abs(float(self.phi.sum())) / (n * phi_scale),
                 abs(float(self.p.sum())) / (n * p_scale))
 
-    def _check_finite(self):
+    def _check_arrays(self, params: SystemParams):
+        """Finite values, and phi and p of one entry per site."""
         if not (math.isfinite(self.x_d) and math.isfinite(self.p_d)):
             raise ValidationError(
                 f"detector state not finite: x_d = {self.x_d}, p_d = {self.p_d}")
         if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.p))):
             raise ValidationError("chain state not finite: phi or p holds inf or nan")
-
-    def validate(self, params: SystemParams):
-        self._check_finite()
         if self.phi.shape != (params.chain.N,) or self.p.shape != (params.chain.N,):
             raise ValidationError(
                 f"state arrays must have shape ({params.chain.N},)")
+
+    def validate(self, params: SystemParams):
+        """_check_arrays plus the centre-of-mass constraint of a start state."""
+        self._check_arrays(params)
         r_phi, r_p = self.constraint_residuals()
         if r_phi > _CONSTRAINT_TOL or r_p > _CONSTRAINT_TOL:
             raise ValidationError(
@@ -153,7 +155,7 @@ def _point_forces(phi, x_d, x_sites, params: SystemParams, views, bufs,
 def force_field(state: ChainState, params: SystemParams):
     """(dp_n/dt, dp_d/dt) at the given phase-space point, which must be
     finite; a driven state need not pass validate's centre-of-mass check."""
-    state._check_finite()
+    state._check_arrays(params)
     n = state.phi.size
     f_chain = np.empty(n)
     f_det = _point_forces(state.phi, state.x_d, site_positions(params), params,
@@ -164,7 +166,7 @@ def force_field(state: ChainState, params: SystemParams):
 def total_energy(state: ChainState, params: SystemParams) -> float:
     """Chain kinetic + elastic + interaction energy + detector kinetic at a
     finite phase-space point, which need not pass validate."""
-    state._check_finite()
+    state._check_arrays(params)
     chain, det = params.chain, params.detector
     e = float(np.sum(state.p ** 2)) / (2.0 * chain.m_c)
     e += 0.5 * chain.k_c * float(np.sum(np.diff(state.phi) ** 2))
@@ -207,8 +209,10 @@ def integrate(state: ChainState, params: SystemParams, dt: float, steps: int,
     prescribed: x_d(t) = x_d(0) + (p_d/M_d) t exactly, p_d untouched.
     dynamic:    detector kicked and drifted alongside the chain.
 
-    dt may be negative (time-reversed run).  Raises ValidationError when
-    |dt| exceeds max_stable_dt, a tenth of the shortest chain period.
+    dt may be negative (time-reversed run), from any finite state of N sites:
+    validate's centre-of-mass check is not applied, as a driven run's final
+    state fails it.  Raises ValidationError when |dt| exceeds max_stable_dt,
+    a tenth of the shortest chain period.
 
     The steps update buffers and views made once per call, in place.  The
     half kick that ends a step and the one that starts the next add the same
@@ -231,7 +235,7 @@ def integrate(state: ChainState, params: SystemParams, dt: float, steps: int,
         raise ValidationError(
             f"|dt| = {abs(dt):.3e} outside (0, {dt_max:.3e}] "
             "(0.1 x shortest chain period)")
-    state.validate(params)
+    state._check_arrays(params)
 
     n = chain.N
     x_sites = site_positions(params)

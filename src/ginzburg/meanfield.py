@@ -254,46 +254,46 @@ def _block_tables(freq, edges, nodes, weights, per_block, shift, scale):
     return tables
 
 
-def _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
-                  extended_domain):
-    """One fixed-resolution evaluation of the double quadrature.
+def _mode_amplitudes(t, traj, params, k, omega, panels_x, panels_t,
+                     extended_domain):
+    """q_alpha of one fixed-resolution pass of the double quadrature,
 
-    q_alpha = sum_t' w_t' sin[Omega_alpha (t - t')] S_alpha(t') / Omega_alpha,
-    where S_alpha(t') is the spatial integral of u_alpha against
-    h''(x', x_d(t')).  Both axes go in blocks of whole panels, space outside
-    and time inside, and every kernel value is computed once.  The weighted
-    cos k(x' + L/2) and sin Omega(t - t') come from _block_tables, and the
-    sine is contracted with S_alpha block by block: an array holds a block of
-    rows (about _BLOCK_ELEMENTS, more at the 16-panel floor) or one row per
-    block.
+        q_alpha = -(g a_d / rho_c) sqrt(2/L) / Omega_alpha
+                  * sum_t' w_t' sin[Omega_alpha (t - t')] S_alpha(t'),
+
+    S_alpha(t') the spatial integral of u_alpha against h''(x', x_d(t')).
+    The pass runs time-major over blocks of whole panels: a block of time
+    rows sums kernel @ U over the space blocks into one (rows x modes)
+    accumulator, every kernel value computed once, and contracts it with the
+    weighted sin Omega(t - t') in one einsum.  U, the weighted cos
+    k(x' + L/2) of a space block, is rebuilt from _block_tables for every
+    time block; the sine comes from those of the time axis.  On the extended
+    domain S_alpha of a time block is one cos/sin phase factor per row.
+    Only the node arrays and the start rows of the tables, one row of modes
+    per block, grow with the panel counts.
     """
     chain, det = params.chain, params.detector
     L, w = chain.L, det.w
     norm = math.sqrt(2.0 / L)
     n_modes = k.size
-    # rows sized by the mode count, at most 32 panels so a kernel block stays
-    # in bounds; off the extended domain at least 16, so that the products
-    # stay efficient at many modes
-    fewest = 1 if extended_domain else 16
-    per_block = min(32, max(fewest, _BLOCK_ELEMENTS // (8 * n_modes)))
+    # the block arrays: of (rows x modes), the cos and sin offset tables of
+    # the time axis, the accumulator and the product, and off the extended
+    # domain those of the space axis and U; of (rows x rows), kernel_h_deriv's
+    # three.  A block takes the most whole panels, up to a whole axis, that
+    # keep them within 4 _BLOCK_ELEMENTS (2 MB).  Past 348 modes fewer than
+    # 12 panels fit: the arrays outgrow a core's cache at any block size,
+    # and U is rebuilt once per time block, so blocks of 16 panels keep the
+    # rebuilds few against the products
+    arrays, square = (4, 0) if extended_domain else (7, 24)
+    per_block = 1
+    while (per_block < max(panels_x, panels_t) and 8 * (per_block + 1)
+           * (arrays * n_modes + square * (per_block + 1)) <= 4 * _BLOCK_ELEMENTS):
+        per_block += 1
+    if per_block < 12 and not extended_domain:
+        per_block = 16
     rows = 8 * per_block
     edges_t, tq, wt = _panels(0.0, t, panels_t)
     xd = traj.position(tq)
-    # sin[Omega (t - t')] = sin[-Omega (t' - t)] = S_b c_r + C_b s_r: the
-    # block tables pair with the offset tables in reverse order
-    starts_t, offsets_t = _block_tables(-omega, edges_t, tq, wt, per_block, -t, 1.0)
-    starts_t = starts_t[::-1]
-
-    def time_sum(spatial, *args):
-        """sum_t' of the weighted sin[Omega (t - t')] times spatial(i0, i1,
-        *args), the rows of time nodes i0..i1-1, one block at a time."""
-        q = np.zeros(n_modes)
-        for b, i0 in enumerate(range(0, tq.size, rows)):
-            i1 = min(i0 + rows, tq.size)
-            q += np.einsum("ka,kra,ra->a", starts_t[:, b], offsets_t[:, :i1 - i0],
-                           spatial(i0, i1, *args))
-        return q
-
     if extended_domain:
         # detector-centered offsets; exploits translation invariance so the
         # kernel factor is computed once
@@ -302,33 +302,50 @@ def _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
         hpp = kernel_h_deriv(2, xiq, 0.0, w) * np.tile(wx, panels_x)
         c_alpha = norm * _trig_dot(np.cos, k, xiq, hpp)    # (nmodes,)
         s_alpha = norm * _trig_dot(np.sin, k, xiq, hpp)
-
-        def spatial(i0, i1):
-            phase = np.multiply.outer(xd[i0:i1] + L / 2.0, k)
-            return np.cos(phase) * c_alpha - np.sin(phase) * s_alpha
-        q_alpha = time_sum(spatial)
     else:
         edges_x, xq, wx = _panels(-L / 2.0, L / 2.0, panels_x)
         starts_x, offsets_x = _block_tables(k, edges_x, xq, wx, per_block,
                                             L / 2.0, norm)
-        # two buffers filled block by block (a fresh array per block costs
-        # more): the block's cos factor, and scratch for it, then the product
-        u_w, product = np.empty((2, rows, n_modes))
-
-        def spatial(i0, i1, x_b, u_b):
-            kernel = kernel_h_deriv(2, x_b, xd[i0:i1, None], w)
-            return np.matmul(kernel, u_b, out=product[:i1 - i0])
-        q_alpha = np.zeros(n_modes)
-        for b, j0 in enumerate(range(0, xq.size, rows)):
-            j1 = min(j0 + rows, xq.size)
-            # norm * w * cos k(x' + L/2) = C_b c_r - S_b s_r
-            u_b = np.multiply(offsets_x[0, :j1 - j0], starts_x[0, b],
-                              out=u_w[:j1 - j0])
-            u_b -= np.multiply(offsets_x[1, :j1 - j0], starts_x[1, b],
-                               out=product[:j1 - j0])
-            q_alpha += time_sum(spatial, xq[j0:j1], u_b)
+        # norm * w * cos k(x' + L/2) = C_j c_r - S_j s_r: one einsum per
+        # block with the sign of S_j folded into the table
+        starts_x[1] *= -1.0
+        u = np.empty((rows, n_modes))
+    # sin[Omega (t - t')] = sin[-Omega (t' - t)] = S_b c_r + C_b s_r: the
+    # block tables pair with the offset tables in reverse order
+    starts_t, offsets_t = _block_tables(-omega, edges_t, tq, wt, per_block, -t, 1.0)
+    starts_t = starts_t[::-1]
+    # buffers filled block by block (a fresh array per block costs more)
+    spatial, product = np.empty((2, rows, n_modes))
+    q_alpha = np.zeros(n_modes)
+    for b, i0 in enumerate(range(0, tq.size, rows)):
+        i1 = min(i0 + rows, tq.size)
+        s_b = spatial[:i1 - i0]
+        if extended_domain:
+            phase = np.multiply.outer(xd[i0:i1] + L / 2.0, k, out=product[:i1 - i0])
+            np.multiply(np.cos(phase, out=s_b), c_alpha, out=s_b)
+            s_b -= np.multiply(np.sin(phase, out=phase), s_alpha, out=phase)
+        else:
+            s_b.fill(0.0)
+            for j, j0 in enumerate(range(0, xq.size, rows)):
+                j1 = min(j0 + rows, xq.size)
+                u_j = np.einsum("kra,ka->ra", offsets_x[:, :j1 - j0], starts_x[:, j],
+                                out=u[:j1 - j0])
+                kernel = kernel_h_deriv(2, xq[j0:j1], xd[i0:i1, None], w)
+                s_b += np.matmul(kernel, u_j, out=product[:i1 - i0])
+        q_alpha += np.einsum("ka,kra,ra->a", starts_t[:, b],
+                             offsets_t[:, :i1 - i0], s_b)
     q_alpha *= -params.g * det.a_d / chain.rho_c * norm / omega
-    return _trig_dot(np.cos, x_out + L / 2.0, k, q_alpha)
+    return q_alpha
+
+
+def _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
+                  extended_domain):
+    """One fixed-resolution evaluation of the double quadrature at x_out:
+    the q_alpha of _mode_amplitudes projected on sqrt(2/L) cos k(x + L/2)
+    by _trig_dot, once the pass's tables are released."""
+    q_alpha = _mode_amplitudes(t, traj, params, k, omega, panels_x, panels_t,
+                               extended_domain)
+    return _trig_dot(np.cos, x_out + params.chain.L / 2.0, k, q_alpha)
 
 
 def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
@@ -349,9 +366,11 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     finer one is returned, so the cost follows rel_tol.  The budget of
     _MAX_DOUBLINGS = 5 reaches 32x the first pass on each axis.
 
-    Every pass works on blocks of whole panels on both axes (_modesum_once),
-    so no (nodes x modes) matrix is held and memory grows only by one row of
-    modes per block.  The work grows with t: a first pass covering more than
+    Every pass works on blocks of whole panels on both axes, time blocks
+    outside (_mode_amplitudes), so no (nodes x modes) matrix is held: its
+    block arrays take at most 2 MB up to 348 modes (2.3 MB allocated in all
+    by one Fig. 2 profile), and memory grows only by one row of modes per
+    block.  The work grows with t: a first pass covering more than
     _CHUNK_ELEMENTS (time nodes x modes) elements (at Fig. 2 defaults, t past
     4.3 for v=0.5 and 1.8 for v=2.5) is refused with ValidationError before
     it starts.

@@ -74,7 +74,7 @@ def test_non_finite_detector_state_rejected(x_d, v):
     p = paper(N=101)
     with pytest.raises(ValidationError, match="detector state not finite"):
         initial_state(p, x_d=x_d, v=v)
-    # a hand-built state is refused by validate, and so by integrate
+    # a hand-built state is refused by validate, and by integrate
     state = ChainState(t=0.0, phi=np.zeros(101), p=np.zeros(101), x_d=x_d,
                        p_d=v * p.detector.M_d)
     with pytest.raises(ValidationError, match="detector state not finite"):
@@ -254,6 +254,21 @@ def test_leapfrog_reversibility(rng):
     scale = np.abs(st0.phi).max()
     assert np.abs(back.final.phi - st0.phi).max() <= 1e-8 * scale
     assert np.abs(back.final.p - st0.p).max() <= 1e-8 * scale
+
+
+def test_driven_run_steps_back_to_its_start():
+    """A driven state leaves the centre-of-mass constraint (Sigma phi 5.96e-8
+    of the field scale here), and integrate still steps it back."""
+    p = paper()
+    assert p.g != 0.0
+    dt = 0.5 * max_stable_dt(p)
+    st0 = initial_state(p, x_d=0.0, v=0.5)
+    fwd = integrate(st0, p, dt, 500, store_every=500).final
+    assert fwd.constraint_residuals()[0] > 1e-10
+    back = integrate(fwd, p, -dt, 500, store_every=500).final
+    peak = np.abs(fwd.phi).max()
+    assert np.abs(back.phi - st0.phi).max() <= 1e-12 * peak
+    assert back.x_d == pytest.approx(st0.x_d, abs=1e-15)
 
 
 def test_dynamic_detector_conserves_total_energy():

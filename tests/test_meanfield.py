@@ -317,8 +317,9 @@ def test_modesum_fig2_panel_counts(v, t, counts, p2001):
 
 # (v, t, x0, (panels_x, panels_t), alpha_max, longwave, extended_domain): the
 # first and the doubled pass of both Fig. 2 runs, longwave mode shapes, the
-# extended domain, and 600 modes, where a block is its floor of 16 panels
-# and both axes end in a partial block
+# extended domain, and 600 modes.  Each axis ends in a partial block in the
+# doubled passes (blocks of 12 panels at 321 modes) and at 600 modes (blocks
+# of 16 panels, 225 and 17 panels)
 @pytest.mark.parametrize("v, t, x0, panels, alpha_max, longwave, extended", [
     (0.5, 0.25, 0.0, (121, 45), None, False, False),
     (0.5, 0.25, 0.0, (242, 90), None, False, False),
@@ -405,32 +406,42 @@ def test_profile_passes_the_options_the_route_reads(route, p2001):
 
 # -- memory -----------------------------------------------------------------------
 
-# a modesum pass holds nine block arrays at once (two angle-addition tables
-# per axis, the cos factor and the product, kernel_h_deriv's three arrays) of
-# at most max(_BLOCK_ELEMENTS, 128 x modes) float64; twelve leave room for the
-# per-block start rows, the grid and the first pass's profile
-def _modesum_bound(n_modes):
-    return 12 * 8 * max(meanfield._BLOCK_ELEMENTS, 128 * n_modes)
+# a modesum pass holds its block arrays, seven of (rows x modes) float64 (the
+# cos and sin offset tables of both axes, U, the product and the accumulator)
+# and kernel_h_deriv's three of (rows x rows): within 4 _BLOCK_ELEMENTS up to
+# 348 modes, and in blocks of 16 panels (128 rows) past them.  extra_mb
+# leaves room for the start rows, one row of modes per block (0.6 MB at
+# t = 4 and 0.75 MB at 1000 modes), the node arrays, the grid and the
+# output projection, which runs after the pass's arrays are released
+def _modesum_bound(n_modes, extra_mb=0.5):
+    if n_modes <= 348:
+        elements = 4 * meanfield._BLOCK_ELEMENTS
+    else:
+        elements = 128 * (7 * n_modes + 3 * 128)
+    return 8 * elements + extra_mb * 1e6
 
 
-# (run, bound in bytes); measured peaks on numpy 2.4: modesum_fig2 5.1 MB,
-# modesum_t4 4.9 MB and modesum_extended 2.9 MB (bound 6.3 MB), and
-# modesum_1000_modes 7.7 MB (bound 12.3 MB; 49.7 MB when the route held a
+# (run, bound in bytes); measured peaks on numpy 2.4: modesum_fig2 2.3 MB and
+# modesum_extended 2.45 MB (bound 2.6 MB), modesum_t4 3.0 MB (bound 3.35 MB),
+# and modesum_1000_modes 8.0 MB (bound 8.8 MB; 49.7 MB when the route held a
 # whole (space nodes x modes) matrix)
 @pytest.mark.parametrize("run, bound", [
     (lambda p: meanfield_series(_GRID_4001, 0.25, fig2a(0.5), p), 16e6),
     (lambda p: meanfield_modesum(_GRID_801, 0.25, fig2a(0.5), p),
      _modesum_bound(321)),
     (lambda p: meanfield_modesum(_GRID_801, 4.0, fig2a(0.5), p),
-     _modesum_bound(321)),
+     _modesum_bound(321, extra_mb=1.25)),
     (lambda p: meanfield_modesum(_GRID_801, 0.25, fig2a(0.5), p, longwave=True,
                                  extended_domain=True), _modesum_bound(321)),
     (lambda p: meanfield_modesum(_GRID_801, 0.01, fig2a(0.5), p, alpha_max=1000),
-     _modesum_bound(1000)),
+     _modesum_bound(1000, extra_mb=1.25)),
 ], ids=["series_grid4001", "modesum_fig2", "modesum_t4", "modesum_extended",
         "modesum_1000_modes"])
 def test_blocked_routes_bound_peak_allocation(run, bound, p2001):
-    # the routes hold blocks, not (nodes x modes) matrices
+    # the routes hold blocks, not (nodes x modes) matrices; numpy loads
+    # numpy.polynomial, 0.7 MB of module objects, on first use, so the
+    # quadrature rule is built once outside the count
+    meanfield._panels(0.0, 1.0, 1)
     tracemalloc.start()
     try:
         run(p2001)

@@ -719,6 +719,41 @@ def test_full_unitary_to_round_off(scaled):
     assert abs(psi.norm - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("modes", [
+    ((9, 2), (10, 3), (11, 2)),
+    tuple((a, 2 if a == 10 else 1) for a in range(7, 14)),
+], ids=["criterion8", "window3"])
+def test_full_step_blocks_leave_the_state(scaled, monkeypatch, modes):
+    """2 _STEP_BLOCK + 1 steps, two whole blocks and one step, give the
+    amplitudes of the same run in one block: bit for bit in the dense form
+    of the step (criterion 8, 36 rows stepped), and to round-off in the
+    gathered one (modes 7..13, 192 rows stepped), where np.vecdot's sum
+    order follows the memory alignment of each run's stencil values, which
+    the split moves (1.7e-24 here)."""
+    params, omega_d = scaled
+    couplings = [mode_coupling(a, params, omega_d=omega_d) for a, _ in modes]
+    space = FockSpace(modes=modes, detector_qubits=1)
+    dense = 16 * (space.dim // 2) ** 2 <= quantum._GATHER_BYTES
+    assert dense == (len(modes) == 3)
+    omega_fast = max(c.omega_alpha for c in couplings) + omega_d
+    steps = 2 * quantum._STEP_BLOCK + 1
+    # evolve_full takes ceil(t / dt) steps of the largest dt its rule allows
+    t = (steps - 0.5) * 2.0 * math.pi / (quantum.FULL_STEPS_PER_CYCLE * omega_fast)
+
+    def amplitudes():
+        return evolve_full(space.vacuum(), t, Trajectory(0.0, V_RES), couplings,
+                           space, params, omega_d).amplitudes
+
+    blocked = amplitudes()
+    monkeypatch.setattr(quantum, "_STEP_BLOCK", steps + 1)
+    whole = amplitudes()
+    assert np.abs(blocked).max() < 1.0   # the state has moved off the vacuum
+    if dense:
+        assert np.array_equal(blocked, whole)
+    else:
+        assert np.abs(blocked - whole).max() <= 1e-15
+
+
 # -- density matrices ---------------------------------------------------------
 
 def test_density_matrix_validation():
