@@ -36,7 +36,7 @@ from .discrete_oracle import (ChainState, ChainTrajectory, force_field,
 from .quantum import (DensityMatrix, FockSpace, QuantumState, build_ndpa,
                       evolve_exact, evolve_full, evolve_perturbative,
                       trace_distance)
-from .superpose import (Branch, BranchSpec, BranchedState, DiscriminationReport,
+from .superpose import (Branch, BranchSpec, BranchedState,
                         branch_spec_from_resonance, density_matrix, discriminate,
                         evolve_superposed, mixed_density_matrix, reduce_chain,
                         reduce_detector)
@@ -57,7 +57,7 @@ __all__ = [
     "integrate", "site_positions", "total_energy",
     "DensityMatrix", "FockSpace", "QuantumState", "build_ndpa",
     "evolve_exact", "evolve_full", "evolve_perturbative", "trace_distance",
-    "Branch", "BranchSpec", "BranchedState", "DiscriminationReport",
+    "Branch", "BranchSpec", "BranchedState",
     "branch_spec_from_resonance", "density_matrix", "discriminate",
     "evolve_superposed", "mixed_density_matrix", "reduce_chain",
     "reduce_detector",

@@ -177,19 +177,18 @@ def _cmd_resonance(args, params):
     if args.v2 is None and det.two_level:
         raise ValidationError("a second detector frequency in the params file "
                               "needs a second trajectory; give --v2")
-    omega_d = det.omega_d1
     outputs = []
     if args.v2 is not None:
-        # the second frequency when two-level, the one frequency otherwise
-        omega_d2 = det.omega_d[-1]
-        pair = resonance_pair(args.v, args.v2, omega_d, omega_d2, params)
+        pair = resonance_pair(args.v, args.v2, params)
+        c1, c2 = pair.couplings
         payload = {**asdict(pair), "mode": "pair", "v1": args.v, "v2": args.v2,
-                   "omega_d1": omega_d, "omega_d2": omega_d2}
+                   "omega_d1": c1.omega_d, "omega_d2": c2.omega_d}
         summary = (f"resonance pair: alpha1={pair.alpha1}, alpha2={pair.alpha2}, "
                    f"selectivity_violated={pair.selectivity_violated}")
     else:
-        res = resonance_mode(args.v, omega_d, params)
-        payload = {**asdict(res), "mode": "single", "v": args.v, "omega_d": omega_d}
+        res = resonance_mode(args.v, det.omega_d1, params)
+        payload = {**asdict(res), "mode": "single", "v": args.v,
+                   "omega_d": det.omega_d1}
         summary = (f"resonance: alpha0={res.alpha0}, Omega*={res.omega_star:.6g}, "
                    f"detuning={res.detuning:.4e}")
     if args.json:
@@ -263,58 +262,45 @@ def _cmd_reduced_state(args, params):
         state = evolve_superposed(spec, t, method=args.method)
     except GuardError as err:
         raise _exact_option(err, "--method exact") from None
-    rho = density_matrix(state)
-    rho_chain = reduce_chain(rho)
-    rho_det = reduce_detector(rho)
-    rho_mix = mixed_density_matrix(state)
-    chain_rep = discriminate(rho_chain, reduce_chain(rho_mix), ["coherent", "mixed"])
-    det_rep = discriminate(rho_det, reduce_detector(rho_mix), ["coherent", "mixed"])
+    rho, rho_mix = density_matrix(state), mixed_density_matrix(state)
+    reports = {name: discriminate(reduce(rho), reduce(rho_mix), ["coherent", "mixed"])
+               for name, reduce in (("chain", reduce_chain),
+                                    ("detector", reduce_detector))}
 
     payload = {
         "detector_model": spec.detector_model, "method": args.method,
         "theta": args.theta, "phi": args.phi, "t": t,
-        "branches": [{"x0": b.x0, "v": b.v, "alpha": b.alpha,
-                      "g_alpha": b.coupling.g_alpha,
-                      "omega_alpha": b.coupling.omega_alpha,
-                      "omega_d": b.coupling.omega_d}
+        "branches": [{"x0": b.x0, "v": b.v, **asdict(b.coupling)}
                      for b in spec.branches],
-        "populations": {"chain": chain_rep.populations["coherent"],
-                        "detector": det_rep.populations["coherent"]},
-        "coherent_vs_mixed": {"chain": chain_rep.to_dict(),
-                              "detector": det_rep.to_dict()},
+        "populations": {name: rep["populations"]["coherent"]
+                        for name, rep in reports.items()},
+        "coherent_vs_mixed": reports,
         "params": params.to_dict(),
     }
     outputs = [write_json(args.json, payload)]
 
     if args.sweep_csv:
-        ref_chain = ref_det = None
-        rows = []
-        for phi in _PHI_SWEEP:
-            # the phase only reweights the branches already evolved
-            r = density_matrix(replace(state, spec=replace(spec, phi=phi)))
-            rc, rd = reduce_chain(r), reduce_detector(r)
-            if ref_chain is None:
-                ref_chain, ref_det = rc, rd
-            p00 = rc.population((0, 0))
-            p10 = rc.population((1, 0))
-            p01 = rc.population((0, 1))
-            if spec.two_level:
-                pe1, pe2 = rd.population((2,)), rd.population((1,))
-            else:
-                pe1, pe2 = rd.population((1,)), float("nan")
-            rows.append((float(phi), p00, p10, p01, pe1, pe2,
-                         trace_distance(rc, ref_chain),
-                         trace_distance(rd, ref_det)))
+        # the phase only reweights the branches already evolved
+        reduced = [(reduce_chain(r), reduce_detector(r)) for r in (
+            density_matrix(replace(state, spec=replace(spec, phi=phi)))
+            for phi in _PHI_SWEEP)]
+        ref_chain, ref_det = reduced[0]
+        # the detector levels branches 1 and 2 excite; one shared level has no second
+        levels = ((2,), (1,)) if spec.two_level else ((1,), None)
+        rows = [(phi, *map(rc.population, ((0, 0), (1, 0), (0, 1))),
+                 *(rd.population(lv) if lv else math.nan for lv in levels),
+                 trace_distance(rc, ref_chain), trace_distance(rd, ref_det))
+                for phi, (rc, rd) in zip(_PHI_SWEEP, reduced)]
         outputs.append(write_csv(
             args.sweep_csv,
             ["phi", "p_chain_00", "p_chain_10", "p_chain_01",
              "p_det_e1", "p_det_e2", "td_chain_vs_phi0", "td_det_vs_phi0"],
             rows))
 
-    worst = max(chain_rep.trace_distance, det_rep.trace_distance)
+    worst = max(rep["pairs"][0]["trace_distance"] for rep in reports.values())
+    a1, a2 = (b.coupling.alpha for b in spec.branches)
     return (f"reduced-state[{spec.detector_model},{args.method}]: "
-            f"alpha1={spec.branches[0].alpha}, alpha2={spec.branches[1].alpha}, "
-            f"coherent-vs-mixed max trace distance "
+            f"alpha1={a1}, alpha2={a2}, coherent-vs-mixed max trace distance "
             f"= {worst:.3e} -> {outputs[0]}",
             outputs)
 

@@ -236,16 +236,18 @@ class ResonancePair:
     degenerate_modes: bool
 
 
-def resonance_pair(v1, v2, omega_d1, omega_d2, params: SystemParams) -> ResonancePair:
+def resonance_pair(v1, v2, params: SystemParams) -> ResonancePair:
     """Resonant modes and couplings for two branches plus cross-resonance
     diagnostics: the one place a superposed pair is resolved.
 
-    Branch i pairs v_i with omega_di, in either order; the velocities must
-    differ.  Selectivity requires that no retained chain mode sits within
-    the guard band of either *cross* combination (v1 with omega_d2, v2 with
-    omega_d1); the guard band, 20*max(|g_alpha1|, |g_alpha2|)/hbar from the
-    pair's couplings, is the margin at which the RWA is comfortably valid.
+    Branch 1 pairs v1 with omega_d1 = params.detector.omega_d[0], branch 2
+    v2 with omega_d2 = omega_d[-1]; the velocities differ, in either order.
+    Selectivity requires that no retained chain mode sits within the guard
+    band of either *cross* combination (v1 with omega_d2, v2 with omega_d1);
+    the guard band, 20*max(|g_alpha1|, |g_alpha2|)/hbar from the pair's
+    couplings, is the margin at which the RWA is comfortably valid.
     """
+    omega_d1, omega_d2 = params.detector.omega_d[0], params.detector.omega_d[-1]
     c_s = params.chain.c_s
     if v1 == v2:
         raise ValidationError(f"v1 and v2 must differ, both are {v1:.6g}")

@@ -24,7 +24,7 @@ space's dims.  evolve_full applies H(t) to the amplitude vector on the
 rows of the parity sector its start state occupies, into the rows of one
 preallocated Taylor power buffer: a sector of at most 128 rows by one
 np.dot with the stencil scattered into a dense sector matrix, a larger one
-by a gather and a row-wise dot, O(dim * modes) memory and work;
+by a gather and an in-order sum over slots, O(dim * modes) memory and work;
 build_ndpa and interaction_hamiltonian_full scatter the same stencil into a
 dense matrix.
 Every operator allocation, the amplitude vector and evolve_exact's dense
@@ -321,8 +321,8 @@ def _pair_stencil(space: FockSpace, qubit: int, row_bytes: int):
     Each term flips the qubit and moves one mode by one quantum, so a basis
     row has two slots per mode: a_a (column with n_a + 1) and a_a^dag
     (column with n_a - 1), with the qubit flip set by the row's level.
-    Returns (cols, cidx, weight), each (dim, 2 n_modes): the column, the
-    index of the term in the 4 n_modes coefficients [c, adjoint
+    Returns (cols, cidx, weight), each (2 n_modes, dim), slot-major: the
+    column, the index of the term in the 4 n_modes coefficients [c, adjoint
     coefficients], and the sqrt(n) ladder weight, 0 where the ladder ends.
     row_bytes is what the caller holds per basis row next to the stencil;
     both count against OPERATOR_BYTES before anything is allocated.
@@ -338,20 +338,20 @@ def _pair_stencil(space: FockSpace, qubit: int, row_bytes: int):
     # qubit 0 is the slowest bit of the detector level
     excited = (levels[0] >> (space.detector_qubits - 1 - qubit)) & 1
     flipped = rows + (dim >> (qubit + 1)) * (1 - 2 * excited)
-    cols = np.empty((dim, 2 * n_modes), dtype=np.intp)
+    cols = np.empty((2 * n_modes, dim), dtype=np.intp)
     cidx = np.empty_like(cols)
     weight = np.empty(cols.shape)
     for k, ((_, n_max), n) in enumerate(zip(space.modes, levels[1:])):
         stride = int(np.prod(dims[k + 2:]))
         # a_a b on a ground row, a_a b^dag on an excited one
         up = n < n_max
-        cols[:, 2 * k] = np.where(up, flipped + stride, rows)
-        cidx[:, 2 * k] = 2 * k + excited
-        weight[:, 2 * k] = np.sqrt(np.where(up, n + 1, 0))
+        cols[2 * k] = np.where(up, flipped + stride, rows)
+        cidx[2 * k] = 2 * k + excited
+        weight[2 * k] = np.sqrt(np.where(up, n + 1, 0))
         # (a_a b^dag)^dag on a ground row, (a_a b)^dag on an excited one
-        cols[:, 2 * k + 1] = np.where(n > 0, flipped - stride, rows)
-        cidx[:, 2 * k + 1] = 2 * n_modes + 2 * k + 1 - excited
-        weight[:, 2 * k + 1] = np.sqrt(n)
+        cols[2 * k + 1] = np.where(n > 0, flipped - stride, rows)
+        cidx[2 * k + 1] = 2 * n_modes + 2 * k + 1 - excited
+        weight[2 * k + 1] = np.sqrt(n)
     return cols, cidx, weight
 
 
@@ -364,7 +364,7 @@ def _scatter(space: FockSpace, coef: np.ndarray, qubit: int) -> np.ndarray:
                                        16 * (dim + 4 * len(space.modes)))
     h = np.zeros((dim, dim), dtype=complex)
     # the padded slots repeat the zero diagonal, so plain assignment is safe
-    h[np.arange(dim)[:, None], cols] = coef[cidx] * weight
+    h[np.arange(dim), cols] = coef[cidx] * weight
     return h
 
 
@@ -443,9 +443,10 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
     When one step's dense n x n generator, 16 n^2 bytes, fits _GATHER_BYTES
     (n <= 128), the stencil entries of a run of steps are scattered into
     dense sector matrices, the pattern fixed for the call, and each power is
-    one np.dot.  A larger sector gathers psi[cols] per row and takes a
-    row-wise dot with the stencil values, O(n * modes) memory, where a dense
-    matrix would not fit.
+    one np.dot.  A larger sector multiplies the stencil values, kept
+    slot-major, by the gather psi[cols] into one (2 modes, n) buffer and sums
+    its slots in order with np.add.reduce: elementwise work whose result does
+    not depend on memory alignment, O(n * modes) memory.
 
     Only the rows whose parity of (phonons + qubit-0 excitation) occurs in
     psi0's support are stepped: from the vacuum, 36 of the 72 rows of the
@@ -475,11 +476,11 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
         n_terms += 1
         tail *= ratio / n_terms
 
-    # per row, a step holds vals and the gather row[cols] (16 B per slot
-    # each), the n_terms + 1 power rows, and the sum's temporary and result;
-    # a run of dense sector matrices holds at most _GATHER_BYTES in all
+    # per row: vals, the gather prev[cols] and their products (16 B per slot
+    # each), the n_terms + 1 power rows, the sum's temporary and result; a
+    # run of dense sector matrices holds at most _GATHER_BYTES in all
     cols, cidx, weight = _pair_stencil(
-        space, 0, 64 * len(space.modes) + 16 * (n_terms + 3)
+        space, 0, 96 * len(space.modes) + 16 * (n_terms + 3)
         + math.ceil(_GATHER_BYTES / space.dim))
     # the rows of the parities psi0 occupies, their columns renumbered
     # within that sector; the others stay 0 (see the docstring)
@@ -487,8 +488,8 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
     parity = (sum(levels[1:]) + (levels[0] >> (space.detector_qubits - 1))) & 1
     keep = np.isin(parity, parity[psi0.amplitudes != 0])
     sector = np.cumsum(keep) - 1
-    cols, cidx, weight = sector[cols[keep]], cidx[keep], weight[keep]
-    n_rows = len(cols)
+    cols, cidx, weight = (x.compress(keep, 1) for x in (sector[cols], cidx, weight))
+    n_rows = cols.shape[1]
     inv_factorials = np.array([1.0 / math.factorial(j)
                                for j in range(n_terms + 1)], dtype=complex)
     # row j holds G^j psi, G the sub-step generator; row 0 is the state
@@ -501,9 +502,10 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
         # entries off the fixed pattern stay 0; the padded slots write 0 onto
         # the diagonal, where no pair term sits
         generators = np.zeros((run, n_rows, n_rows), dtype=complex)
-        rows = np.arange(n_rows)[:, None]
+        rows = np.arange(n_rows)
     else:
         run = max(1, _GATHER_BYTES // (16 * max(cidx.size, 1)))
+        products = np.empty(cols.shape, dtype=complex)
     for start in range(0, n_steps, _STEP_BLOCK):
         t_mid = (np.arange(start, min(start + _STEP_BLOCK, n_steps)) + 0.5) * dt
         # sub-step generator is X - X^dag with X = -i (dt / hbar s) K(t_mid);
@@ -511,9 +513,6 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
         coef = (-1j * dt / (params.hbar * n_sub)) * _pair_coefficients(
             t_mid, traj.position(t_mid), couplings, params, omega_d)
         coef = np.concatenate([coef, -coef.conj()], axis=-1)
-        if not dense:
-            # np.vecdot conjugates its first argument
-            coef = coef.conj()
         for first in range(0, len(coef), run):
             vals = coef[first:first + run, cidx] * weight
             if dense:
@@ -526,7 +525,8 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
                             np.dot(g, prev, out=row)
                     else:
                         for prev, row in pairs:
-                            np.vecdot(g, prev[cols], out=row)
+                            np.multiply(g, prev[cols], out=products)
+                            np.add.reduce(products, axis=0, out=row)
                     # numpy buffers the sum, since its output row 0 is also read
                     np.dot(inv_factorials, powers, out=powers[0])
     amplitudes = np.zeros(space.dim, dtype=complex)

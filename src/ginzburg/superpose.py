@@ -2,10 +2,11 @@
 
 The two trajectories are treated as perfectly distinguishable (an explicit
 orthogonal two-state branch label), with weights cos(theta) and
-e^{i phi} sin(theta).  Each branch resonantly excites its own chain mode:
-with a single internal frequency both branches share the detector's excited
-level; with two internal levels branch 1 excites the first level together
-with mode alpha_1 and branch 2 the second level with mode alpha_2.
+e^{i phi} sin(theta).  Each branch resonantly excites the chain mode of its
+coupling: with a single internal frequency both branches share the
+detector's excited level; with two internal levels branch 1 excites the
+first level together with mode alpha_1 and branch 2 the second level with
+mode alpha_2.
 
 Each branch is a localized run on the shared factor space, evolved by one
 of the two single-trajectory paths of quantum:
@@ -17,8 +18,8 @@ of the two single-trajectory paths of quantum:
 
 Tracing out the branch label kills every cross-branch term, which is why
 the reduced chain and detector states cannot tell a coherent trajectory
-superposition from the matching classical mixture; discriminate() reports
-exactly that comparison.
+superposition from the matching classical mixture; discriminate() returns
+that comparison as the JSON block the CLI writes.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ _TD_THRESHOLD = 1e-10
 
 @dataclass(frozen=True)
 class Branch:
-    """One trajectory plus the chain mode it resonantly excites."""
+    """One trajectory plus its coupling to the chain mode it excites."""
 
     x0: float
     v: float
-    alpha: int
     coupling: ModeCoupling
 
 
@@ -69,7 +69,7 @@ class BranchSpec:
             raise ValidationError(f"theta must be in [0, pi/2), got {self.theta}")
         if not 0.0 <= self.phi < math.pi:
             raise ValidationError(f"phi must be in [0, pi), got {self.phi}")
-        a1, a2 = (b.alpha for b in self.branches)
+        a1, a2 = (b.coupling.alpha for b in self.branches)
         if a1 == a2:
             raise ValidationError(
                 f"branches must excite distinct modes, both resonate with {a1}")
@@ -89,21 +89,19 @@ class BranchSpec:
 def branch_spec_from_resonance(params: SystemParams, v1: float, v2: float,
                                theta: float, phi: float,
                                x0_1: float = 0.0, x0_2: float = 0.0) -> BranchSpec:
-    """The spec of two trajectories, in either order, with the modes and
-    couplings resonance_pair resolves for them.
+    """The spec of two trajectories, in either order, on the couplings
+    resonance_pair resolves for them from params.detector.
 
-    The detector model is params.detector's: with two internal frequencies
-    (two_level) branch i couples through its own omega_d_i, and a pair that
-    is not selective raises GuardError; with one, both branches share it and
+    With two internal frequencies the spec is two-level and a pair that is
+    not selective raises GuardError; with one, both branches share it and
     the cross combinations are the resonances themselves, so none is flagged.
     """
-    det = params.detector
-    pair = resonance_pair(v1, v2, det.omega_d1, det.omega_d[-1], params)
+    pair = resonance_pair(v1, v2, params)
     c1, c2 = pair.couplings
-    spec = BranchSpec(branches=(Branch(x0_1, v1, c1.alpha, c1),
-                                Branch(x0_2, v2, c2.alpha, c2)),
-                      theta=theta, phi=phi, hbar=params.hbar, two_level=det.two_level)
-    if det.two_level and pair.selectivity_violated:
+    spec = BranchSpec(branches=(Branch(x0_1, v1, c1), Branch(x0_2, v2, c2)),
+                      theta=theta, phi=phi, hbar=params.hbar,
+                      two_level=params.detector.two_level)
+    if spec.two_level and pair.selectivity_violated:
         raise GuardError(
             "resonance selectivity violated: a cross detuning sits inside the "
             "guard band, so branch/mode pairing is not clean")
@@ -128,8 +126,7 @@ class BranchedState:
 
     @property
     def names(self) -> tuple[str, ...]:
-        a1, a2 = (b.alpha for b in self.spec.branches)
-        return ("branch", "detector", f"mode_{a1}", f"mode_{a2}")
+        return ("branch", "detector", *(f"mode_{a}" for a in self.space.mode_labels))
 
     def global_vector(self) -> np.ndarray:
         dim = self.space.dim
@@ -143,14 +140,14 @@ def evolve_superposed(spec: BranchSpec, t: float,
                       method: str = "perturbative") -> BranchedState:
     """Evolve both branches from the joint vacuum for time t.
 
-    Each branch is a localized run: build_ndpa of its mode, on detector
+    Each branch is a localized run: build_ndpa of its coupling, on detector
     qubit i of a two-level spec, on qubit 0 otherwise, evolved by
     evolve_perturbative (under its weak-coupling guard, then normalized) or
     evolve_exact.  Selectivity is branch_spec_from_resonance's check.
     """
     if method not in _METHODS:
         raise ValidationError(f"method must be one of {_METHODS}")
-    space = FockSpace(modes=tuple((b.alpha, 1) for b in spec.branches),
+    space = FockSpace(modes=tuple((b.coupling.alpha, 1) for b in spec.branches),
                       detector_qubits=2 if spec.two_level else 1)
     vac = space.vacuum()
     evolve = evolve_perturbative if method == "perturbative" else evolve_exact
@@ -206,29 +203,12 @@ def reduce_detector(rho: DensityMatrix) -> DensityMatrix:
     return rho.partial_trace(["detector"])
 
 
-@dataclass(frozen=True)
-class DiscriminationReport:
-    labels: tuple[str, str]
-    trace_distance: float
-    verdict: str
-    populations: dict
-
-    def to_dict(self) -> dict:
-        a, b = self.labels
-        return {
-            "threshold": _TD_THRESHOLD,
-            "labels": [a, b],
-            "pairs": [{"a": a, "b": b, "trace_distance": self.trace_distance,
-                       "verdict": self.verdict}],
-            "populations": self.populations,
-        }
-
-
 def discriminate(rho_a: DensityMatrix, rho_b: DensityMatrix,
-                 labels: Sequence[str]) -> DiscriminationReport:
+                 labels: Sequence[str]) -> dict:
     """Trace distance between two reduced states on a common factorization,
-    with a distinguishable/indistinguishable verdict."""
-    labels = tuple(labels)
+    with a distinguishable/indistinguishable verdict and both states' nonzero
+    populations: the JSON block the CLI writes."""
+    labels = list(labels)
     if len(labels) != 2:
         raise ValidationError(f"need one label per density matrix, got {labels}")
     if rho_b.dims != rho_a.dims or rho_b.names != rho_a.names:
@@ -243,5 +223,7 @@ def discriminate(rho_a: DensityMatrix, rho_b: DensityMatrix,
         for label, r in zip(labels, (rho_a, rho_b))
     }
     verdict = "distinguishable" if td > _TD_THRESHOLD else "indistinguishable"
-    return DiscriminationReport(labels=labels, trace_distance=td, verdict=verdict,
-                                populations=populations)
+    return {"threshold": _TD_THRESHOLD, "labels": labels,
+            "pairs": [{"a": labels[0], "b": labels[1], "trace_distance": td,
+                       "verdict": verdict}],
+            "populations": populations}

@@ -50,8 +50,7 @@ def equal_coupling_spec(theta, phi, two_level=False):
                       omega_alpha=31.4156)
     c2 = ModeCoupling(alpha=7, g_alpha=-1.0, omega_d=11.2 * math.pi,
                       omega_alpha=21.9908)
-    return BranchSpec(branches=(Branch(0.0, 2.0, 10, c1),
-                                Branch(0.0, 2.6, 7, c2)),
+    return BranchSpec(branches=(Branch(0.0, 2.0, c1), Branch(0.0, 2.6, c2)),
                       theta=theta, phi=phi, hbar=1.0, two_level=two_level)
 
 

@@ -22,7 +22,11 @@ import ginzburg
 import ginzburg.cli
 from ginzburg.cli import run
 from ginzburg.io_utils import write_csv, write_json
-from ginzburg.superpose import evolve_superposed
+from ginzburg.params import load_params
+from ginzburg.superpose import (branch_spec_from_resonance, density_matrix,
+                                discriminate, evolve_superposed,
+                                mixed_density_matrix, reduce_chain,
+                                reduce_detector)
 
 from reference_values import G_ALPHA_10, OMEGA_10
 
@@ -541,6 +545,33 @@ def test_reduced_state_two_level_either_order(tmp_path):
     fwd_det, rev_det = fwd["populations"]["detector"], rev["populations"]["detector"]
     for a, b in (("(0,)", "(0,)"), ("(1,)", "(2,)"), ("(2,)", "(1,)")):
         assert rev_det[a] == pytest.approx(fwd_det[b], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("omega_d", [[10 * math.pi], [10 * math.pi, 11.2 * math.pi]],
+                         ids=["single", "two-level"])
+def test_reduced_state_blocks_are_discriminate(tmp_path, omega_d):
+    # the JSON's coherent_vs_mixed blocks are discriminate()'s own return
+    # values for the same run, and its populations their coherent entries
+    pfile = write_config(tmp_path, coupling={"g": 5e-8}, detector={"omega_d": omega_d})
+    out = tmp_path / "red.json"
+    assert run(["reduced-state", "--params", pfile, "--theta", "0.3", "--phi", "0.5",
+                "--v1", "2.0", "--v2", "2.6", "--gt", "0.1", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+
+    params = load_params(pfile)
+    spec = branch_spec_from_resonance(params, 2.0, 2.6, theta=0.3, phi=0.5)
+    state = evolve_superposed(spec, data["t"])
+    rho, rho_mix = density_matrix(state), mixed_density_matrix(state)
+    for name, reduce in (("chain", reduce_chain), ("detector", reduce_detector)):
+        block = discriminate(reduce(rho), reduce(rho_mix), ["coherent", "mixed"])
+        assert data["coherent_vs_mixed"][name] == json.loads(json.dumps(block))
+        assert data["populations"][name] == data["coherent_vs_mixed"][name][
+            "populations"]["coherent"]
+    couplings = [b.coupling for b in spec.branches]
+    assert data["branches"] == [
+        {"x0": 0.0, "v": v, "alpha": c.alpha, "g_alpha": c.g_alpha,
+         "omega_d": c.omega_d, "omega_alpha": c.omega_alpha}
+        for v, c in zip((2.0, 2.6), couplings)]
 
 
 def test_reduced_state_detector_option_is_gone(tmp_path):

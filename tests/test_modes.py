@@ -13,9 +13,9 @@ from oracles import spectrum_eigensolve
 from reference_values import F_FACTOR_10, G_ALPHA_10, OMEGA_10
 
 
-def paper(N=2001, w=0.01, **coupling):
+def paper(N=2001, w=0.01, omega_d=10.0 * math.pi, **coupling):
     cfg = {"units": {"preset": "paper"}, "chain": {"N": N},
-           "detector": {"w": w}}
+           "detector": {"w": w, "omega_d": omega_d}}
     if coupling:
         cfg["coupling"] = coupling
     return build_params(cfg)
@@ -220,7 +220,7 @@ def test_non_finite_or_nonpositive_omega_d_rejected(omega_d):
 
 def test_resonance_pair_selectivity_violation():
     p = paper()
-    pair = resonance_pair(2.0, 3.0, 10.0 * math.pi, 10.0 * math.pi, p)
+    pair = resonance_pair(2.0, 3.0, p)
     assert (pair.alpha1, pair.alpha2) == (10, 5)
     # v2 with omega_d1 also resonates at alpha = 5 = alpha2
     assert pair.selectivity_violated
@@ -231,9 +231,9 @@ def test_resonance_pair_selectivity_violation():
 def test_resonance_pair_clean_configuration():
     # v2 - c_s = 1.6 makes both cross combinations land between modes; at a
     # weak coupling the computed guard band is narrower than that gap
-    p = paper(g=5e-8)
     omegas = (10.0 * math.pi, 11.2 * math.pi)
-    pair = resonance_pair(2.0, 2.6, *omegas, p)
+    p = paper(g=5e-8, omega_d=list(omegas))
+    pair = resonance_pair(2.0, 2.6, p)
     assert (pair.alpha1, pair.alpha2) == (10, 7)
     g_max = max(abs(mode_coupling(a, p, om).g_alpha)
                 for a, om in zip((10, 7), omegas))
@@ -253,15 +253,14 @@ def test_resonance_pair_clean_configuration():
 def test_resonance_pair_degenerate_velocities_rejected():
     p = paper()
     with pytest.raises(Exception):
-        resonance_pair(2.0, 2.0, 10.0 * math.pi, 10.0 * math.pi, p)
+        resonance_pair(2.0, 2.0, p)
 
 
 def test_resonance_pair_takes_either_order():
     # no c_s < v1 < v2 rule: swapping the branches swaps every result
     p = paper()
-    om = 10.0 * math.pi
-    fwd = resonance_pair(2.0, 1.5, om, om, p)
-    rev = resonance_pair(1.5, 2.0, om, om, p)
+    fwd = resonance_pair(2.0, 1.5, p)
+    rev = resonance_pair(1.5, 2.0, p)
     assert (fwd.alpha1, fwd.alpha2) == (10, 20)
     assert (rev.alpha1, rev.alpha2) == (fwd.alpha2, fwd.alpha1)
     assert (rev.detuning1, rev.detuning2) == (fwd.detuning2, fwd.detuning1)
@@ -280,8 +279,8 @@ def test_non_finite_velocity_rejected(v):
     p = paper()
     om = 10.0 * math.pi
     for call in (lambda: resonance_mode(v, om, p),
-                 lambda: resonance_pair(v, 2.0, om, om, p),
-                 lambda: resonance_pair(2.0, v, om, om, p)):
+                 lambda: resonance_pair(v, 2.0, p),
+                 lambda: resonance_pair(2.0, v, p)):
         with pytest.raises(ValidationError, match="v must be a finite number"):
             call()
 

@@ -725,11 +725,12 @@ def test_full_unitary_to_round_off(scaled):
 ], ids=["criterion8", "window3"])
 def test_full_step_blocks_leave_the_state(scaled, monkeypatch, modes):
     """2 _STEP_BLOCK + 1 steps, two whole blocks and one step, give the
-    amplitudes of the same run in one block: bit for bit in the dense form
-    of the step (criterion 8, 36 rows stepped), and to round-off in the
-    gathered one (modes 7..13, 192 rows stepped), where np.vecdot's sum
-    order follows the memory alignment of each run's stencil values, which
-    the split moves (1.7e-24 here)."""
+    amplitudes of the same run in one block bit for bit, in the dense form
+    of the step (criterion 8, 36 rows stepped) and in the gathered one
+    (modes 7..13, 192 rows stepped), whose slot sum has a fixed order.  So
+    does the run with every np.empty and np.zeros buffer (the Taylor powers,
+    the gathered products, the dense sector matrices) placed 0, 16, 32 or 48
+    bytes past a 64-byte boundary, as a row of a larger array may be."""
     params, omega_d = scaled
     couplings = [mode_coupling(a, params, omega_d=omega_d) for a, _ in modes]
     space = FockSpace(modes=modes, detector_qubits=1)
@@ -744,14 +745,26 @@ def test_full_step_blocks_leave_the_state(scaled, monkeypatch, modes):
         return evolve_full(space.vacuum(), t, Trajectory(0.0, V_RES), couplings,
                            space, params, omega_d).amplitudes
 
+    def placed(alloc, offset):
+        def alloc_at_offset(shape, dtype=float, order="C"):
+            dtype = np.dtype(dtype)
+            n_bytes = int(np.prod(shape)) * dtype.itemsize
+            raw = alloc(n_bytes + 128, dtype=np.uint8)
+            start = (offset - raw.ctypes.data) % 64
+            return raw[start:start + n_bytes].view(dtype).reshape(shape, order=order)
+        return alloc_at_offset
+
     blocked = amplitudes()
+    for offset in (0, 16, 32, 48):
+        with monkeypatch.context() as m:
+            m.setattr(np, "empty", placed(np.empty, offset))
+            m.setattr(np, "zeros", placed(np.zeros, offset))
+            shifted = amplitudes()
+        assert np.array_equal(shifted, blocked), offset
     monkeypatch.setattr(quantum, "_STEP_BLOCK", steps + 1)
     whole = amplitudes()
     assert np.abs(blocked).max() < 1.0   # the state has moved off the vacuum
-    if dense:
-        assert np.array_equal(blocked, whole)
-    else:
-        assert np.abs(blocked - whole).max() <= 1e-15
+    assert np.array_equal(blocked, whole)
 
 
 # -- density matrices ---------------------------------------------------------

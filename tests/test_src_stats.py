@@ -19,7 +19,7 @@ _spec.loader.exec_module(src_stats)
 MAX_DEFAULT_PARAMETERS = 19
 MAX_DEFAULT_FIELDS = 7
 MAX_CLI_OPTIONS = 54
-MAX_PUBLIC_NAMES = 64
+MAX_PUBLIC_NAMES = 63
 
 
 def test_default_valued_knobs_do_not_grow():

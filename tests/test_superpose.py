@@ -34,8 +34,7 @@ def hand_spec(theta, phi, g1=1.0, g2=1.0, hbar=1.0, two_level=False):
                       omega_alpha=OMEGA_A1)
     c2 = ModeCoupling(alpha=7, g_alpha=-abs(g2), omega_d=11.2 * math.pi,
                       omega_alpha=OMEGA_A2)
-    return BranchSpec(branches=(Branch(0.0, 2.0, 10, c1),
-                                Branch(0.0, 2.6, 7, c2)),
+    return BranchSpec(branches=(Branch(0.0, 2.0, c1), Branch(0.0, 2.6, c2)),
                       theta=theta, phi=phi, hbar=hbar, two_level=two_level)
 
 
@@ -55,10 +54,10 @@ def test_branch_spec_validation():
     c = ModeCoupling(alpha=10, g_alpha=-1.0, omega_d=1.0,
                      omega_alpha=OMEGA_A1)
     with pytest.raises(ValidationError):
-        BranchSpec(branches=(Branch(0.0, 2.0, 10, c), Branch(0.0, 2.1, 10, c)),
+        BranchSpec(branches=(Branch(0.0, 2.0, c), Branch(0.0, 2.1, c)),
                    theta=0.3, phi=0.0, hbar=1.0)
     with pytest.raises(ValidationError):
-        BranchSpec(branches=(Branch(0.0, 2.0, 10, c),), theta=0.3, phi=0.0,
+        BranchSpec(branches=(Branch(0.0, 2.0, c),), theta=0.3, phi=0.0,
                    hbar=1.0)
 
 
@@ -76,7 +75,7 @@ def test_spec_from_resonance_single_frequency():
                            "detector": {"w": 0.01}})
     spec = branch_spec_from_resonance(params, v1=2.0, v2=1.5,
                                       theta=math.pi / 4.0, phi=0.0)
-    assert tuple(b.alpha for b in spec.branches) == (10, 20)
+    assert tuple(b.coupling.alpha for b in spec.branches) == (10, 20)
     assert not spec.two_level
     assert spec.hbar == params.hbar
     # same resonant mode cannot label the branches
@@ -97,7 +96,7 @@ def test_spec_from_resonance_two_level_selectivity():
     # alone makes the evolution two-level
     spec = branch_spec_from_resonance(_paper([10.0 * math.pi, 11.2 * math.pi], g=5e-8),
                                       v1=2.0, v2=2.6, theta=math.pi / 4.0, phi=0.0)
-    assert tuple(b.alpha for b in spec.branches) == (10, 7)
+    assert tuple(b.coupling.alpha for b in spec.branches) == (10, 7)
     assert spec.two_level
     state = evolve_superposed(spec, 0.1)
     assert state.spec.detector_model == "two-level"
@@ -106,8 +105,7 @@ def test_spec_from_resonance_two_level_selectivity():
     # v2 = 3 with a shared 10 pi reuses mode 5, whose cross detuning falls
     # inside the g = 1 guard band: the spec itself is refused
     dirty = _paper([10.0 * math.pi, 10.0 * math.pi])
-    assert resonance_pair(2.0, 3.0, 10.0 * math.pi, 10.0 * math.pi,
-                          dirty).selectivity_violated
+    assert resonance_pair(2.0, 3.0, dirty).selectivity_violated
     with pytest.raises(GuardError, match="resonance selectivity violated"):
         branch_spec_from_resonance(dirty, v1=2.0, v2=3.0, theta=math.pi / 4.0,
                                    phi=0.0)
@@ -127,7 +125,7 @@ def test_spec_reuses_the_pair_couplings(omega_d, monkeypatch):
     # spec's branches hold those same objects
     params = _paper(omega_d, g=5e-8)
     v1, v2 = 2.0, 2.6
-    pair = resonance_pair(v1, v2, omega_d[0], omega_d[-1], params)
+    pair = resonance_pair(v1, v2, params)
     c1, c2 = pair.couplings
     assert c1 == mode_coupling(pair.alpha1, params, omega_d[0])
     assert c2 == mode_coupling(pair.alpha2, params, omega_d[-1])
@@ -143,7 +141,9 @@ def test_spec_reuses_the_pair_couplings(omega_d, monkeypatch):
     (spec_pair,) = spec_pairs
     assert spec_pair.couplings == pair.couplings
     for branch, coupling in zip(spec.branches, spec_pair.couplings):
-        assert branch.coupling is coupling and branch.alpha == coupling.alpha
+        assert branch.coupling is coupling
+    # the branch's mode is its coupling's, in the evolved space too
+    assert evolve_superposed(spec, 0.1).space.mode_labels == (c1.alpha, c2.alpha)
 
 
 # -- first-order branch amplitudes --------------------------------------------
@@ -353,12 +353,12 @@ def test_coherent_matches_classical_mixture():
 
     report = discriminate(reduce_chain(coherent), reduce_chain(mixed),
                           ["coherent", "mixed"])
-    assert report.trace_distance < 1e-10
-    assert report.verdict == "indistinguishable"
+    assert report["pairs"][0]["trace_distance"] < 1e-10
+    assert report["pairs"][0]["verdict"] == "indistinguishable"
 
     det_report = discriminate(reduce_detector(coherent), reduce_detector(mixed),
                               ["coherent", "mixed"])
-    assert det_report.trace_distance < 1e-10
+    assert det_report["pairs"][0]["trace_distance"] < 1e-10
 
 
 @pytest.mark.parametrize("method", ["perturbative", "exact"])
@@ -379,13 +379,14 @@ def test_discriminate_separates_localized_from_superposed():
     loc = reduce_chain(density_matrix(
         evolve_superposed(hand_spec(0.0, 0.0), t)))
     report = discriminate(sup, loc, ["superposed", "localized"])
-    assert report.verdict == "distinguishable"
-    assert report.trace_distance > 1e-3
-    assert report.labels == ("superposed", "localized")
-    assert "(1, 0)" in report.populations["localized"]
+    (pair,) = report["pairs"]
+    assert pair["verdict"] == "distinguishable"
+    assert pair["trace_distance"] > 1e-3
+    assert report["labels"] == ["superposed", "localized"]
+    assert "(1, 0)" in report["populations"]["localized"]
 
     same = discriminate(sup, sup, ["a", "b"])
-    assert same.trace_distance == 0.0
+    assert same["pairs"][0]["trace_distance"] == 0.0
 
     with pytest.raises(ValidationError):
         discriminate(sup, loc, ["only-one"])
