@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .params import SystemParams
+from .params import SystemParams, _require_finite
 from .specfun import _BLOCK_ELEMENTS, kernel_h_deriv
 
 # center-of-mass constraint slack per site, relative to the field scale
@@ -59,9 +59,7 @@ class ChainState:
 
     def _check_arrays(self, params: SystemParams):
         """Finite values, and phi and p of one entry per site."""
-        if not (math.isfinite(self.x_d) and math.isfinite(self.p_d)):
-            raise ValidationError(
-                f"detector state not finite: x_d = {self.x_d}, p_d = {self.p_d}")
+        _require_finite(t=self.t, x_d=self.x_d, p_d=self.p_d)
         if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.p))):
             raise ValidationError("chain state not finite: phi or p holds inf or nan")
         if self.phi.shape != (params.chain.N,) or self.p.shape != (params.chain.N,):
@@ -85,6 +83,7 @@ def initial_state(params: SystemParams, x_d: float = 0.0,
     A displaced start is a ChainState built directly and checked with
     validate(params)."""
     N = params.chain.N
+    _require_finite(x_d=x_d, v=v)
     state = ChainState(t=0.0, phi=np.zeros(N), p=np.zeros(N), x_d=float(x_d),
                        p_d=float(v) * params.detector.M_d)
     state.validate(params)
@@ -226,12 +225,12 @@ def integrate(state: ChainState, params: SystemParams, dt: float, steps: int,
     chain, det = params.chain, params.detector
     if mode not in ("prescribed", "dynamic"):
         raise ValidationError(f"mode must be 'prescribed' or 'dynamic', got {mode!r}")
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
-    if store_every < 1:
-        raise ValidationError(f"store_every must be >= 1, got {store_every}")
+    for name, n in (("steps", steps), ("store_every", store_every)):
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ValidationError(f"{name} must be an integer >= 1, got {n!r}")
+    _require_finite(dt=dt)
     dt_max = max_stable_dt(params)
-    if dt == 0.0 or abs(dt) > dt_max:
+    if not 0.0 < abs(dt) <= dt_max:
         raise ValidationError(
             f"|dt| = {abs(dt):.3e} outside (0, {dt_max:.3e}] "
             "(0.1 x shortest chain period)")

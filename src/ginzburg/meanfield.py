@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import ToleranceError, ValidationError
 from .modes import _on_chain, mode_spectrum
-from .params import SystemParams, _check_time
-from .specfun import _BLOCK_ELEMENTS, kernel_h, kernel_h_deriv
+from .params import SystemParams, _check_time, _require_finite, _require_positive
+from .specfun import _BLOCK_ELEMENTS, _finite_array, kernel_h, kernel_h_deriv
 
 # the most (time nodes x modes) elements modesum's first pass may cover; past
 # it the route is refused before any work starts
@@ -54,9 +54,7 @@ class Trajectory:
     v: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x0) and math.isfinite(self.v)):
-            raise ValidationError(
-                f"trajectory x0 and v must be finite, got x0={self.x0}, v={self.v}")
+        _require_finite(x0=self.x0, v=self.v)
 
     def position(self, t):
         return self.x0 + self.v * np.asarray(t, dtype=float)
@@ -112,7 +110,7 @@ def meanfield_closed(x, t, traj: Trajectory, params: SystemParams,
     _check_time(t)
     _pole_check(v, c)
     pref = params.g * det.a_d / chain.rho_c
-    x = np.asarray(x, dtype=float)
+    x = _finite_array(x, "x")
 
     centers = {
         "comoving": (traj.x0 + v * t, pref / (c * c - v * v)),
@@ -338,16 +336,6 @@ def _mode_amplitudes(t, traj, params, k, omega, panels_x, panels_t,
     return q_alpha
 
 
-def _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
-                  extended_domain):
-    """One fixed-resolution evaluation of the double quadrature at x_out:
-    the q_alpha of _mode_amplitudes projected on sqrt(2/L) cos k(x + L/2)
-    by _trig_dot, once the pass's tables are released."""
-    q_alpha = _mode_amplitudes(t, traj, params, k, omega, panels_x, panels_t,
-                               extended_domain)
-    return _trig_dot(np.cos, x_out + params.chain.L / 2.0, k, q_alpha)
-
-
 def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
                       alpha_max: int | None = None, longwave: bool = False,
                       extended_domain: bool = False,
@@ -383,8 +371,7 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     """
     chain, det = params.chain, params.detector
     _check_time(t)
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise ValidationError(f"rel_tol must be finite and > 0, got {rel_tol}")
+    _require_positive(rel_tol=rel_tol)
     x_out = np.atleast_1d(_on_chain(x, chain))
     if t == 0.0:
         return np.zeros_like(x_out), QuadReport(0, 0, 0, 0.0, rel_tol, True)
@@ -396,7 +383,7 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
     omega = spec.omega
     k = omega / chain.c_s if longwave else spec.alphas * math.pi / chain.L
 
-    c_s, w = chain.c_s, det.w
+    w = det.w
     k_max = float(k.max())
     # coarse first pass over the kernel width w, the shortest wavelength and
     # the fastest phase; doubling refines it until two passes agree
@@ -414,28 +401,25 @@ def meanfield_modesum(x, t, traj: Trajectory, params: SystemParams,
             f"first pass, over the budget of {_CHUNK_ELEMENTS}; use a shorter t "
             "or the series/closed route")
 
-    prev = _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
-                         extended_domain)
-    est = math.inf
-    doublings = 0
-    for doublings in range(1, _MAX_DOUBLINGS + 1):
+    # pass d has 2^d times the first pass's panels on each axis; its q_alpha
+    # is projected on sqrt(2/L) cos k(x + L/2) once its tables are released
+    for doublings in range(_MAX_DOUBLINGS + 1):
+        q_alpha = _mode_amplitudes(t, traj, params, k, omega, panels_x, panels_t,
+                                   extended_domain)
+        cur = _trig_dot(np.cos, x_out + chain.L / 2.0, k, q_alpha)
+        if doublings:
+            scale = float(np.max(np.abs(cur))) or 1.0
+            est = float(np.max(np.abs(cur - prev))) / scale
+            if est <= rel_tol:
+                return cur, QuadReport(panels_x=panels_x, panels_t=panels_t,
+                                       doublings=doublings, error_estimate=est,
+                                       tolerance=rel_tol, converged=True)
+        prev = cur
         panels_x *= 2
         panels_t *= 2
-        cur = _modesum_once(x_out, t, traj, params, k, omega, panels_x, panels_t,
-                            extended_domain)
-        scale = float(np.max(np.abs(cur))) or 1.0
-        est = float(np.max(np.abs(cur - prev))) / scale
-        prev = cur
-        if est <= rel_tol:
-            break
-    else:
-        raise ToleranceError(
-            f"modesum quadrature did not reach rel_tol={rel_tol:.2e} after "
-            f"{_MAX_DOUBLINGS} doublings (achieved {est:.2e})")
-
-    return prev, QuadReport(panels_x=panels_x, panels_t=panels_t,
-                            doublings=doublings, error_estimate=est,
-                            tolerance=rel_tol, converged=True)
+    raise ToleranceError(
+        f"modesum quadrature did not reach rel_tol={rel_tol:.2e} after "
+        f"{_MAX_DOUBLINGS} doublings (achieved {est:.2e})")
 
 
 # -- profiles ------------------------------------------------------------------

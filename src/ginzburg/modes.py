@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .params import ChainParams, SystemParams, _require_finite
+from .params import ChainParams, SystemParams, _require_finite, _require_positive
 from .specfun import cutoff_f
 
 # modes with Omega_alpha w / c_s above this are cut off (f < 1e-3 there)
@@ -44,16 +44,11 @@ def _check_alpha(alpha, N):
         raise ValidationError(f"mode index must be an integer in 1..{N - 1}, got {alpha!r}")
 
 
-def _check_omega_d(omega_d):
-    if not (math.isfinite(omega_d) and omega_d > 0):
-        raise ValidationError(f"omega_d must be positive, got {omega_d}")
-
-
 def _on_chain(x, chain: ChainParams) -> np.ndarray:
-    """x as a float array; ValidationError if any |x| exceeds L/2."""
+    """x as a float array; ValidationError unless every |x| <= L/2."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > chain.L / 2 * (1.0 + 1e-12)):
-        raise ValidationError(f"position outside the chain [-L/2, L/2], L={chain.L}")
+    if not np.all(np.abs(x) <= chain.L / 2 * (1.0 + 1e-12)):
+        raise ValidationError(f"position nan or outside the chain [-L/2, L/2], L={chain.L}")
     return x
 
 
@@ -137,7 +132,7 @@ def coupling_strengths(params: SystemParams, omega_d, alphas=None) -> np.ndarray
     formula value here, so CSV emission can show the suppressed tail.
     """
     chain, det = params.chain, params.detector
-    _check_omega_d(omega_d)
+    _require_positive(omega_d=omega_d)
     omega = mode_frequencies(chain, alphas)
     c_s, w = chain.c_s, det.w
     pref = -(params.g * params.hbar * omega) / (w ** 2 * c_s ** 2)
@@ -188,7 +183,7 @@ def resonance_mode(v, omega_d, params: SystemParams) -> Resonance:
     for v <= c_s, a resonant mode past the cutoff or an overflowing detuning.
     """
     chain = params.chain
-    _check_omega_d(omega_d)
+    _require_positive(omega_d=omega_d)
     _require_finite(v=v)
     c_s = chain.c_s
     if v <= c_s:

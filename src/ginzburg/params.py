@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from .errors import ValidationError
@@ -32,24 +33,29 @@ MUCH_FACTOR = 10.0
 WEAK_COUPLING_MAX = 0.1
 
 
-def _require_finite(**kwargs):
+def _check_scalars(kwargs: dict, positive: bool):
+    """The one scalar rule: each value a finite Python or numpy real, and
+    > 0 if positive.  The type test comes first, as math.isfinite takes a
+    numpy complex (with a warning) and, on numpy 2.0, a one-element array."""
     for name, value in kwargs.items():
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        if not ((isinstance(value, float) or isinstance(value, numbers.Real))
+                and math.isfinite(value)):
             raise ValidationError(f"{name} must be a finite number, got {value!r}")
-
-
-def _require_positive(**kwargs):
-    _require_finite(**kwargs)
-    for name, value in kwargs.items():
-        if value <= 0:
+        if positive and value <= 0:
             raise ValidationError(f"{name} must be strictly positive, got {value}")
 
 
+def _require_finite(**kwargs):
+    _check_scalars(kwargs, False)
+
+
+def _require_positive(**kwargs):
+    _check_scalars(kwargs, True)
+
+
 def _check_chain_size(N):
-    if not isinstance(N, int):
-        raise ValidationError(f"N must be an integer, got {N!r}")
-    if N < 3:
-        raise ValidationError(f"N must be >= 3, got {N}")
+    if not (isinstance(N, int) and N >= 3):
+        raise ValidationError(f"N must be an integer >= 3, got {N!r}")
 
 
 def _frequencies(omega_d) -> tuple[float, ...]:
@@ -64,8 +70,9 @@ def _frequencies(omega_d) -> tuple[float, ...]:
 
 
 def _check_time(t: float):
-    if not (math.isfinite(t) and t >= 0):
-        raise ValidationError(f"t must be finite and >= 0, got {t}")
+    _require_finite(t=t)
+    if t < 0:
+        raise ValidationError(f"t must be >= 0, got {t}")
 
 
 @dataclass(frozen=True)
@@ -152,14 +159,6 @@ class CouplingParams:
     def __post_init__(self):
         _require_finite(g=self.g)
         _require_positive(hbar=self.hbar)
-
-    @staticmethod
-    def from_dipoles(p_d, p_c, epsilon0, w, a_d, a_c, hbar):
-        """Derive g = p_d p_c w / (4 pi eps0 a_d a_c) from raw EM inputs."""
-        _require_finite(p_d=p_d, p_c=p_c)
-        _require_positive(epsilon0=epsilon0, w=w, a_d=a_d, a_c=a_c)
-        g = p_d * p_c * w / (4.0 * math.pi * epsilon0 * a_d * a_c)
-        return CouplingParams(g=g, hbar=hbar, p_d=p_d, p_c=p_c, epsilon0=epsilon0)
 
 
 @dataclass(frozen=True)
@@ -265,8 +264,11 @@ def build_params(config: dict) -> SystemParams:
 
     raw = [coup_cfg.get(k) for k in ("p_d", "p_c", "epsilon0")]
     if raw.count(None) == 0:
-        g = CouplingParams.from_dipoles(*raw, w=detector.w, a_d=detector.a_d,
-                                        a_c=chain.a_c, hbar=hbar).g
+        p_d, p_c, epsilon0 = raw
+        _require_finite(p_d=p_d, p_c=p_c)
+        _require_positive(epsilon0=epsilon0)
+        g = p_d * p_c * detector.w / (4.0 * math.pi * epsilon0 * detector.a_d
+                                      * chain.a_c)
         given = coup_cfg.setdefault("g", g)
         _require_finite(g=given)
         if abs(given - g) > 1e-12 * max(abs(g), 1.0):
@@ -352,34 +354,29 @@ def regime_check(params: SystemParams, t_end: float, trajectories) -> RegimeRepo
 
     chain, det = params.chain, params.detector
     L, w = chain.L, det.w
-
-    checks = []
-    r = w / chain.a_c
-    checks.append(RegimeCheck("w_over_ac", r, MUCH_FACTOR, "ge", r >= MUCH_FACTOR))
-    r = L / w
-    checks.append(RegimeCheck("L_over_w", r, MUCH_FACTOR, "ge", r >= MUCH_FACTOR))
-
     max_excursion = 0.0
     for x0, v in trajectories:
+        _require_finite(x0=x0, v=v)
         max_excursion = max(max_excursion, abs(x0), abs(x0 + v * t_end))
-    r = (L / 2.0 - max_excursion) / w
-    checks.append(RegimeCheck("edge_distance", r, MUCH_FACTOR, "ge", r >= MUCH_FACTOR,
-                              note=f"max |x_d| = {max_excursion:.6g}"))
-
     spec = mode_spectrum(params)
     significant = spec.omega[spec.retained & (spec.f >= 0.5)]
-    if significant.size:
-        r = float((2.0 * math.pi * chain.c_s / significant).min()) / w
-        checks.append(RegimeCheck("mode_wavelength", r, 1.0, "ge", r >= 1.0,
-                                  note="min lambda/w over modes with f >= 1/2"))
-    else:
-        checks.append(RegimeCheck("mode_wavelength", None, 1.0, "ge", True,
-                                  note="no retained mode with f >= 1/2"))
-
+    wavelength = (float((2.0 * math.pi * chain.c_s / significant).min()) / w
+                  if significant.size else None)
     g_abs = abs(coupling_strengths(params, det.omega_d1)[spec.retained])
     gt_max = float(g_abs.max()) * t_end / params.hbar if g_abs.size else 0.0
-    checks.append(RegimeCheck("weak_coupling", gt_max, WEAK_COUPLING_MAX, "le",
-                              gt_max <= WEAK_COUPLING_MAX,
-                              note="max |g_alpha| t / hbar over retained modes"))
 
-    return RegimeReport(checks=tuple(checks))
+    flags = (  # name, ratio, threshold, direction, note
+        ("w_over_ac", w / chain.a_c, MUCH_FACTOR, "ge", ""),
+        ("L_over_w", L / w, MUCH_FACTOR, "ge", ""),
+        ("edge_distance", (L / 2.0 - max_excursion) / w, MUCH_FACTOR, "ge",
+         f"max |x_d| = {max_excursion:.6g}"),
+        ("mode_wavelength", wavelength, 1.0, "ge",
+         "min lambda/w over modes with f >= 1/2" if significant.size
+         else "no retained mode with f >= 1/2"),
+        ("weak_coupling", gt_max, WEAK_COUPLING_MAX, "le",
+         "max |g_alpha| t / hbar over retained modes"))
+    # the one pass rule; a check with nothing to measure passes
+    return RegimeReport(checks=tuple(
+        RegimeCheck(name, r, limit, way,
+                    r is None or (r >= limit if way == "ge" else r <= limit), note)
+        for name, r, limit, way, note in flags))

@@ -44,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .modes import ModeCoupling, _check_omega_d
+from .modes import ModeCoupling
 from .params import SystemParams, _check_time, _require_positive
 
 DEFAULT_PERTURBATIVE_GUARD = 0.3
@@ -86,8 +86,9 @@ class FockSpace:
         if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
                    and n >= 1 for _, n in self.modes):
             raise ValidationError("every mode needs an integer n_max >= 1")
-        if self.detector_qubits not in (1, 2):
-            raise ValidationError("detector_qubits must be 1 or 2")
+        q = self.detector_qubits
+        if not (isinstance(q, (int, np.integer)) and q in (1, 2)):
+            raise ValidationError(f"detector_qubits must be 1 or 2, got {q!r}")
 
     @property
     def mode_labels(self) -> tuple[int, ...]:
@@ -327,7 +328,7 @@ def _pair_stencil(space: FockSpace, qubit: int, row_bytes: int):
     row_bytes is what the caller holds per basis row next to the stencil;
     both count against OPERATOR_BYTES before anything is allocated.
     """
-    if not 0 <= qubit < space.detector_qubits:
+    if not (isinstance(qubit, (int, np.integer)) and 0 <= qubit < space.detector_qubits):
         raise ValidationError(
             f"detector qubit {qubit} absent ({space.detector_qubits} present)")
     dims, dim, n_modes = space.dims, space.dim, len(space.modes)
@@ -460,7 +461,7 @@ def evolve_full(psi0: QuantumState, t: float, traj, couplings: Sequence[ModeCoup
     _check_couplings(couplings, space)
     if omega_d is None:
         omega_d = couplings[0].omega_d
-    _check_omega_d(omega_d)
+    _require_positive(omega_d=omega_d)
     for c in couplings:
         if c.omega_d != omega_d:
             raise ValidationError(f"omega_d = {omega_d!r} differs from the omega_d = "

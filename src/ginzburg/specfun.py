@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .params import _require_positive
 
 # elements per block (512 KB of float64): the series and modesum sums and the
 # leapfrog's prescribed drive take their kernel and cos/sin matrices a block
@@ -98,8 +99,7 @@ _K1_RP_SMALL = np.array([_K1_R_SMALL, _K1_P_SMALL]).T[:, :, None]
 
 def kernel_h(x, x_d, w):
     """h(x, x_d) = [(x - x_d)^2 + w^2]^(-3/2); peak w^-3 at x = x_d."""
-    if not (np.isfinite(w) and w > 0):
-        raise ValidationError(f"w must be finite and positive, got {w}")
+    _require_positive(w=w)
     s = np.asarray(x, dtype=float) - x_d
     return (s * s + w * w) ** -1.5
 
@@ -111,8 +111,7 @@ def kernel_h_deriv(order, x, x_d, w):
         h'   = -3 s r2^(-5/2)
         h''  =  3 (4 s^2 - w^2) r2^(-7/2)      (h''(x_d) = -3 w^-5)
     """
-    if not (np.isfinite(w) and w > 0):
-        raise ValidationError(f"w must be finite and positive, got {w}")
+    _require_positive(w=w)
     if order not in (1, 2):
         raise ValidationError(f"derivative order must be 1 or 2, got {order}")
     # in place, so that a call holds three arrays; every product keeps the
@@ -158,11 +157,11 @@ def _k1(y):
     return out
 
 
-def _finite_array(y, name):
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ValidationError(f"{name} requires finite y")
-    return y
+def _finite_array(values, name):
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{name} must be finite")
+    return values
 
 
 def bessel_k1(y):
@@ -172,7 +171,7 @@ def bessel_k1(y):
     small tail (K1(30) ~ 2e-14); past y ~ 705 the value leaves the normal
     range and it underflows to 0 beyond y ~ 745.
     """
-    y = _finite_array(y, "bessel_k1")
+    y = _finite_array(y, "y")
     if np.any(y <= 0):
         raise ValidationError("bessel_k1 requires y > 0")
     out = _k1(y)
@@ -185,7 +184,7 @@ def cutoff_f(y):
     f(0) = 1 by continuous extension (hard-coded, no quadrature at 0);
     strictly decreasing; -> 0 as y -> infinity.
     """
-    y = _finite_array(y, "cutoff_f")
+    y = _finite_array(y, "y")
     if np.any(y < 0):
         raise ValidationError("cutoff_f requires y >= 0")
     # below ~1e-9 the correction y^2/2*(ln(y/2)+gamma-1/2) is sub-ulp, and

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import GuardError, ValidationError
 from .modes import ModeCoupling, resonance_pair
-from .params import SystemParams
+from .params import SystemParams, _require_finite, _require_positive
 from .quantum import (DensityMatrix, FockSpace, QuantumState, build_ndpa,
                       evolve_exact, evolve_perturbative, trace_distance)
 
@@ -48,6 +48,9 @@ class Branch:
     x0: float
     v: float
     coupling: ModeCoupling
+
+    def __post_init__(self):
+        _require_finite(x0=self.x0, v=self.v)
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,8 @@ class BranchSpec:
     def __post_init__(self):
         if len(self.branches) != 2:
             raise ValidationError("exactly two branches required")
+        _require_finite(theta=self.theta, phi=self.phi)
+        _require_positive(hbar=self.hbar)
         if not 0.0 <= self.theta < math.pi / 2.0:
             raise ValidationError(f"theta must be in [0, pi/2), got {self.theta}")
         if not 0.0 <= self.phi < math.pi:
@@ -73,8 +78,6 @@ class BranchSpec:
         if a1 == a2:
             raise ValidationError(
                 f"branches must excite distinct modes, both resonate with {a1}")
-        if self.hbar <= 0:
-            raise ValidationError("hbar must be positive")
 
     @property
     def weights(self) -> tuple[complex, complex]:

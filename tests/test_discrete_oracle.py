@@ -72,14 +72,16 @@ def test_initial_state_rejects_unbalanced_profile(paper_params):
                                      (math.nan, 0.5), (0.0, -math.inf)])
 def test_non_finite_detector_state_rejected(x_d, v):
     p = paper(N=101)
-    with pytest.raises(ValidationError, match="detector state not finite"):
+    bad = "x_d" if not math.isfinite(x_d) else "v"
+    with pytest.raises(ValidationError, match=f"{bad} must be a finite number"):
         initial_state(p, x_d=x_d, v=v)
     # a hand-built state is refused by validate, and by integrate
     state = ChainState(t=0.0, phi=np.zeros(101), p=np.zeros(101), x_d=x_d,
                        p_d=v * p.detector.M_d)
-    with pytest.raises(ValidationError, match="detector state not finite"):
+    bad = "x_d" if not math.isfinite(x_d) else "p_d"
+    with pytest.raises(ValidationError, match=f"{bad} must be a finite number"):
         state.validate(p)
-    with pytest.raises(ValidationError, match="detector state not finite"):
+    with pytest.raises(ValidationError, match=f"{bad} must be a finite number"):
         integrate(state, p, 1e-3, 10)
 
 
@@ -101,8 +103,10 @@ def test_forces_and_energy_refuse_non_finite_state(field, bad):
         getattr(state, field)[3] = bad
     else:
         setattr(state, field, bad)
+    message = ("chain state not finite" if field in ("phi", "p")
+               else f"{field} must be a finite number, got {bad}")
     for fn in (force_field, total_energy):
-        with pytest.raises(ValidationError, match="state not finite"):
+        with pytest.raises(ValidationError, match=message):
             fn(state, p)
 
 

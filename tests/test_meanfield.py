@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ginzburg import (Y_MAX, ToleranceError, ValidationError,
                       build_params, mode_frequencies)
 from ginzburg import meanfield
-from ginzburg.meanfield import (Trajectory, _modesum_once, meanfield_closed,
-                                meanfield_modesum, meanfield_series, profile)
+from ginzburg.meanfield import (Trajectory, meanfield_closed, meanfield_modesum,
+                                meanfield_series, profile)
 
 from oracles import dense_series, modesum_dense_reference
 
@@ -65,6 +65,20 @@ def test_routes_reject_grid_off_chain(route, p2001):
         fn = meanfield_series if route == "series" else meanfield_modesum
         with pytest.raises(ValidationError, match="outside the chain"):
             fn(off[::-1], 0.1, fig2a(), p2001)
+
+
+def test_closed_refuses_non_finite_x_and_takes_x_off_chain(p2001):
+    with pytest.raises(ValidationError, match="x must be finite"):
+        meanfield_closed(np.array([0.0, math.nan]), 0.1, fig2a(), p2001)
+    # criterion 3 integrates the closed form past the chain ends
+    assert np.all(np.isfinite(meanfield_closed(np.array([-1.5, 1.5]), 0.1, fig2a(),
+                                               p2001)))
+
+
+@pytest.mark.parametrize("route", ["closed", "series", "modesum"])
+def test_routes_refuse_a_nan_grid_point(route, p2001):
+    with pytest.raises(ValidationError, match="position nan or outside the chain"):
+        profile(route, np.array([math.nan, 0.1]), 0.1, fig2a(), p2001)
 
 
 @pytest.mark.parametrize("alpha_max", [0, 2000 + 1, 7.0])
@@ -287,6 +301,14 @@ def _mode_table(p, alpha_max=None, longwave=False):
     return (omega / chain.c_s if longwave else alphas * math.pi / chain.L), omega
 
 
+def _fixed_pass(x, t, traj, p, k, omega, panels_x, panels_t, extended_domain):
+    """One pass of meanfield_modesum at fixed panel counts: its q_alpha
+    projected on sqrt(2/L) cos k(x + L/2)."""
+    q_alpha = meanfield._mode_amplitudes(t, traj, p, k, omega, panels_x, panels_t,
+                                         extended_domain)
+    return meanfield._trig_dot(np.cos, x + p.chain.L / 2.0, k, q_alpha)
+
+
 # a fine fixed resolution at the two Fig. 2 runs (panels of 0.4 w in space,
 # 3 panels per fastest phase cycle), and the panel area of one doubling of it
 # at (0.5, 0.25): the coarse start must reach the same profile for far less
@@ -299,8 +321,8 @@ def test_modesum_coarse_start_matches_fine_pass(v, t, p2001):
     k, omega = _mode_table(p2001)
     grid = np.linspace(-0.5, 0.5, 801)
     traj = Trajectory(0.0, v)
-    ref = _modesum_once(grid, t, traj, p2001, k, omega, *_FINE_FIRST_PASS[v, t],
-                        extended_domain=False)
+    ref = _fixed_pass(grid, t, traj, p2001, k, omega, *_FINE_FIRST_PASS[v, t],
+                      extended_domain=False)
     phi, report = meanfield_modesum(grid, t, traj, p2001)
     assert np.max(np.abs(phi - ref)) <= 1e-9 * np.max(np.abs(ref))
     if (v, t) == (0.5, 0.25):
@@ -334,8 +356,8 @@ def test_modesum_pass_matches_dense_oracle(v, t, x0, panels, alpha_max, longwave
                                            extended, p2001):
     chain, det = p2001.chain, p2001.detector
     k, omega = _mode_table(p2001, alpha_max, longwave)
-    phi = _modesum_once(_GRID_801, t, Trajectory(x0, v), p2001, k, omega, *panels,
-                        extended_domain=extended)
+    phi = _fixed_pass(_GRID_801, t, Trajectory(x0, v), p2001, k, omega, *panels,
+                      extended_domain=extended)
     halfwidth = meanfield._EXTENDED_HALFWIDTH_W * det.w if extended else None
     ref = modesum_dense_reference(_GRID_801, t, x0, v, k, omega, *panels, chain.L,
                                   p2001.g, det.a_d, chain.rho_c, det.w,

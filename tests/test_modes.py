@@ -211,10 +211,11 @@ def test_resonance_overflowing_detuning_rejected():
 @pytest.mark.parametrize("omega_d", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_non_finite_or_nonpositive_omega_d_rejected(omega_d):
     p = paper()
+    rule = "a finite number" if not math.isfinite(omega_d) else "strictly positive"
     for call in (lambda: coupling_strengths(p, omega_d, alphas=np.array([10])),
                  lambda: mode_coupling(10, p, omega_d),
                  lambda: resonance_mode(2.0, omega_d, p)):
-        with pytest.raises(ValidationError, match="omega_d must be positive"):
+        with pytest.raises(ValidationError, match=f"omega_d must be {rule}, got {omega_d}"):
             call()
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ginzburg import (SystemParams, ValidationError, build_params, load_params,
                       regime_check)
-from ginzburg.params import CouplingParams
 
 
 def check(report, name):
@@ -161,9 +160,10 @@ def test_partial_raw_dipole_set_rejected(base, coupling):
 
 
 def test_dipole_sign_makes_g_finite_and_signed():
-    c = CouplingParams.from_dipoles(p_d=-2.0, p_c=3.0, epsilon0=0.25,
-                                    w=5.0, a_d=1.0, a_c=1.0, hbar=1.0)
-    assert math.isfinite(c.g) and c.g < 0
+    cfg = explicit_config()
+    cfg["coupling"] = {"p_d": -2.0, "p_c": 3.0, "epsilon0": 0.25}
+    g = build_params(cfg).g
+    assert math.isfinite(g) and g < 0
 
 
 @pytest.mark.parametrize("config", [
@@ -246,3 +246,21 @@ def test_regime_never_raises_on_failure(paper_params):
     report = fig2_regime(paper_params)   # g = 1: weak coupling fails loudly
     assert not check(report, "weak_coupling").passed
     assert isinstance(report.to_dict()["checks"], list)
+
+
+@settings(max_examples=40, deadline=None)
+@given(w=st.sampled_from([0.01, 0.05, 0.5]), g=st.sampled_from([1e-9, 1.0]),
+       t_end=st.floats(0.0, 2.0), x0=st.floats(-0.49, 0.49), v=st.floats(-3.0, 3.0))
+def test_every_check_passes_by_its_ratio_threshold_and_direction(w, g, t_end, x0, v):
+    # w = 0.5 leaves no coupled mode: a None ratio, which passes
+    p = build_params({"units": {"preset": "paper"}, "chain": {"N": 201},
+                      "detector": {"w": w}, "coupling": {"g": g}})
+    for c in regime_check(p, t_end, [(x0, v)]).checks:
+        assert c.direction in ("ge", "le"), c
+        if c.ratio is None:
+            expected = True
+        elif c.direction == "ge":
+            expected = c.ratio >= c.threshold
+        else:
+            expected = c.ratio <= c.threshold
+        assert type(c.passed) is bool and c.passed == expected, c

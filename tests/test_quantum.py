@@ -505,10 +505,10 @@ def test_full_zero_time_and_dt_guard(scaled, c10):
 
 
 @pytest.mark.parametrize("kwargs, match", [
-    ({"omega_d": math.nan}, "omega_d must be positive"),
-    ({"omega_d": math.inf}, "omega_d must be positive"),
-    ({"omega_d": 0.0}, "omega_d must be positive"),
-    ({"omega_d": -1e6}, "omega_d must be positive"),
+    ({"omega_d": math.nan}, "omega_d must be a finite number, got nan"),
+    ({"omega_d": math.inf}, "omega_d must be a finite number, got inf"),
+    ({"omega_d": 0.0}, "omega_d must be strictly positive, got 0.0"),
+    ({"omega_d": -1e6}, "omega_d must be strictly positive, got -1000000.0"),
 ], ids=["omega_d_nan", "omega_d_inf", "omega_d_0", "omega_d_negative"])
 def test_full_rejects_bad_dt_and_omega_d(scaled, c10, kwargs, match):
     params, _ = scaled

@@ -56,10 +56,11 @@ def test_kernel_derivative_rejects_bad_order():
 
 @pytest.mark.parametrize("w", [math.nan, math.inf, 0.0, -0.01])
 def test_kernel_rejects_bad_width(w):
+    rule = "strictly positive" if math.isfinite(w) else "a finite number"
     for call in (lambda: kernel_h(0.0, 0.0, w),
                  lambda: kernel_h_deriv(1, 0.0, 0.0, w),
                  lambda: kernel_h_deriv(2, 0.0, 0.0, w)):
-        with pytest.raises(ValidationError, match="w must be finite and positive"):
+        with pytest.raises(ValidationError, match=f"w must be {rule}, got {w}"):
             call()
 
 
